@@ -11,12 +11,14 @@
 //
 //   * sim   — the reference triple loop, bit-for-bit the historical
 //             engine (the default; every bit-identity test runs on it);
-//   * micro — a cache-blocked register-tiled kernel, with an AVX2 path
-//             for float/double dispatched at runtime. Each output
-//             element's k-summation order equals the reference loop's
-//             and the SIMD path uses separate mul/add (no FMA), so the
-//             results are bit-identical to sim for every T — integral
-//             exactness falls out as a special case;
+//   * micro — a register-blocked kernel. float/double dispatch at
+//             runtime to an AVX2 kernel holding 4 rows x 2 vectors (4 x 8
+//             doubles, 4 x 16 floats) in 8 ymm accumulators; other T run
+//             a generic 4 x 8 blocked loop. Each output element keeps its
+//             own accumulator summed in the reference k order, and the
+//             SIMD path uses separate mul/add (no FMA), so the results
+//             are bit-identical to sim for every T — integral exactness
+//             falls out as a special case;
 //   * blas  — vendor [sd]gemm behind -DTCU_BLAS=ON (float/double only);
 //             reassociates sums, so outputs are bounded-ulp, not
 //             bit-identical.
@@ -51,7 +53,7 @@ using GemmFn = std::function<void(ConstMatrixView<T>, ConstMatrixView<T>,
 enum class BackendKind {
   kDefault,  ///< resolve via TCU_BACKEND env, falling back to kSim
   kSim,      ///< reference triple loop (bit-for-bit historical results)
-  kMicro,    ///< blocked register-tiled microkernel (+ runtime AVX2)
+  kMicro,    ///< register-blocked microkernel (+ runtime AVX2)
   kBlas,     ///< vendor BLAS, float/double, requires -DTCU_BLAS=ON
   kEngine,   ///< adapter around a caller-supplied GemmFn
 };
@@ -76,15 +78,15 @@ bool micro_simd_active();
 
 namespace backend_detail {
 
-// AVX2 float/double kernels (backend_micro.cpp). `lda`/`ldb`/`ldc` are
-// row strides in elements; summation is k-sequential per element with
-// separate mul/add, so results are bit-identical to the reference loop.
-void micro_gemm_avx2(const float* a, std::size_t lda, const float* b,
-                     std::size_t ldb, float* c, std::size_t ldc,
-                     std::size_t n, std::size_t s, bool accumulate);
-void micro_gemm_avx2(const double* a, std::size_t lda, const double* b,
-                     std::size_t ldb, double* c, std::size_t ldc,
-                     std::size_t n, std::size_t s, bool accumulate);
+// AVX2 kernel (backend_micro.cpp, instantiated for float and double):
+// 4-row x 2-vector register blocks, with one-vector and scalar tails.
+// `lda`/`ldb`/`ldc` are row strides in elements; summation is
+// k-sequential per element with separate mul/add, so results are
+// bit-identical to the reference loop.
+template <typename T>
+void micro_gemm_avx2(const T* a, std::size_t lda, const T* b,
+                     std::size_t ldb, T* c, std::size_t ldc, std::size_t n,
+                     std::size_t s, bool accumulate);
 
 #ifdef TCU_BLAS
 // Row-major [sd]gemm wrappers (backend_blas.cpp): C = A*B or C += A*B.
@@ -133,12 +135,15 @@ class SimBackend final : public GemmBackend<T> {
   }
 };
 
-/// Cache-blocked register-tiled kernel. The (i, j) output block keeps
-/// kMR x kNR accumulators in registers while k streams through in the
-/// reference order, so every element's sum order — and therefore its
-/// result, for any T — matches SimBackend exactly; only the wall clock
-/// changes. float/double additionally dispatch to the AVX2 path at
-/// runtime (j-vectorized, mul+add, still bit-identical).
+/// Register-blocked kernel. float/double dispatch at runtime to the AVX2
+/// kernel: each block holds 4 rows x 2 vectors (4 x 8 doubles, 4 x 16
+/// floats) in 8 ymm accumulators, loading its two B vectors once per k
+/// and broadcasting one A element per row, with separate mul and add.
+/// Other T, or a CPU without AVX2, run `blocked`: kMR x kNR scalar
+/// accumulators per (i, j) block. Either way every element keeps its own
+/// accumulator while k streams through in the reference order, so its
+/// result, for any T, matches SimBackend exactly; only the wall clock
+/// changes.
 template <typename T>
 class MicroBackend final : public GemmBackend<T> {
  public:

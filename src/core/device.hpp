@@ -357,10 +357,10 @@ class Device {
   /// latency of the first issued call; `tracked` marks the split calls of
   /// a weak-mode chain as sharing one resident tile (only the first load
   /// pays l). Untracked calls charge l per call, the historical behavior.
+  /// Both callers have already run validate_shapes.
   void gemm_charged(ConstMatrixView<T> A, ConstMatrixView<T> B,
                     MatrixView<T> C, bool accumulate, bool first_hit,
                     bool tracked) {
-    validate_shapes(A, B, C);
     const std::uint64_t n = A.rows;
     if (cfg_.allow_tall || n <= s_) {
       issue(A, B, C, accumulate, std::max<std::uint64_t>(n, s_), first_hit,

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "check/contract.hpp"
@@ -30,12 +31,14 @@ using tcu::DevicePool;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 
-Matrix<double> random_matrix(std::size_t r, std::size_t c,
-                             std::uint64_t seed) {
+template <typename T = double>
+Matrix<T> random_matrix(std::size_t r, std::size_t c, std::uint64_t seed) {
   tcu::util::Xoshiro256 rng(seed);
-  Matrix<double> m(r, c);
+  Matrix<T> m(r, c);
   for (std::size_t i = 0; i < r; ++i) {
-    for (std::size_t j = 0; j < c; ++j) m(i, j) = rng.uniform(-1, 1);
+    for (std::size_t j = 0; j < c; ++j) {
+      m(i, j) = static_cast<T>(rng.uniform(-1, 1));
+    }
   }
   return m;
 }
@@ -136,26 +139,113 @@ TEST(BackendEquivalence, MicroMatchesSimSerial) {
                        random_int_matrix(19, 33, 508));
 }
 
+// Runs the raw sim and micro kernels on strided operands: views cut out of
+// larger matrices at an offset, so every row stride exceeds s. The whole
+// output matrices are compared, so a store past the view's edge fails too.
+template <typename T>
+void kernel_case(std::size_t n, std::size_t s, std::uint64_t seed) {
+  const auto a = random_matrix<T>(n + 2, s + 3, seed);
+  const auto b = random_matrix<T>(s + 1, s + 5, seed + 1);
+  auto c_sim = random_matrix<T>(n + 2, s + 7, seed + 2);
+  auto c_micro = c_sim;
+  Counters unused;
+  tcu::SimBackend<T> sim;
+  tcu::MicroBackend<T> micro;
+  for (const bool accumulate : {false, true}) {
+    sim.run(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
+            c_sim.subview(1, 4, n, s), accumulate, unused);
+    micro.run(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
+              c_micro.subview(1, 4, n, s), accumulate, unused);
+    EXPECT_EQ(c_sim, c_micro) << "n=" << n << " s=" << s
+                              << " accumulate=" << accumulate;
+  }
+}
+
+template <typename T, typename Dot>
+Matrix<T> product_by(std::size_t n, std::size_t s, Dot dot) {
+  Matrix<T> c(n, s);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < s; ++j) c(i, j) = dot(i, j);
+  }
+  return c;
+}
+
+template <typename T>
+void rounding_trap_case() {
+  // n = 7, s = 21 reaches the 4-row blocks, the row tail, and the scalar
+  // column tail for both types, and the one-vector block for double.
+  constexpr std::size_t n = 7;
+  constexpr std::size_t s = 21;
+  // (1 + e)^2 = 1 + 2e + e^2 with e^2 below half an ulp of 1: the product
+  // rounds it away, a fused multiply-add keeps it.
+  const T e = std::ldexp(T{1}, -(std::numeric_limits<T>::digits / 2 + 1));
+  const T big = static_cast<T>(1e16);  // absorbs an addend of 0.5
+  Matrix<T> a(n, s), b(s, s);
+  for (std::size_t j = 0; j < s; ++j) {
+    b(0, j) = 1;
+    b(1, j) = 1 + e;
+    b(2, j) = 1;
+    b(3, j) = 1;
+  }
+  for (std::size_t i = 0; i < n; i += 2) {  // in k order the sum is 0.5
+    a(i, 0) = big;
+    a(i, 1) = T{0.5};
+    a(i, 2) = -big;
+    a(i, 3) = T{0.5};
+  }
+  for (std::size_t i = 1; i < n; i += 2) {  // -1 exposes the product's rounding
+    a(i, 0) = -1;
+    a(i, 1) = 1 + e;
+  }
+  Matrix<T> c_sim(n, s), c_micro(n, s);
+  Counters unused;
+  tcu::SimBackend<T>().run(a.view(), b.view(), c_sim.view(), false, unused);
+  tcu::MicroBackend<T>().run(a.view(), b.view(), c_micro.view(), false,
+                             unused);
+
+  // The input separates the reference order from a fused multiply-add and
+  // from two reassociations, so the bitwise check below catches a kernel
+  // that fuses or reorders the k sum.
+  const auto fused = product_by<T>(n, s, [&](std::size_t i, std::size_t j) {
+    T acc{};
+    for (std::size_t k = 0; k < s; ++k) acc = std::fma(a(i, k), b(k, j), acc);
+    return acc;
+  });
+  const auto even_odd = product_by<T>(n, s, [&](std::size_t i, std::size_t j) {
+    T part[2] = {T{}, T{}};
+    for (std::size_t k = 0; k < s; ++k) part[k % 2] += a(i, k) * b(k, j);
+    return part[0] + part[1];
+  });
+  const auto paired = product_by<T>(n, s, [&](std::size_t i, std::size_t j) {
+    T acc{};
+    for (std::size_t k = 0; k + 1 < s; k += 2) {
+      acc += a(i, k) * b(k, j) + a(i, k + 1) * b(k + 1, j);
+    }
+    return acc + a(i, s - 1) * b(s - 1, j);  // s is odd: the last k alone
+  });
+  EXPECT_NE(c_sim, fused);
+  EXPECT_NE(c_sim, even_odd);
+  EXPECT_NE(c_sim, paired);
+  EXPECT_EQ(c_sim, c_micro);
+}
+
 TEST(BackendEquivalence, MicroKernelTailsMatchReference) {
-  // Drive the raw kernels at shapes that stress every tail: n and s off
-  // the 4x8 register grid and off the AVX2 vector width.
-  for (const auto [n, s] : {std::pair<std::size_t, std::size_t>{4, 4},
-                            {13, 8},
-                            {32, 16},
-                            {37, 25}}) {
-    auto a = random_matrix(n, s, 600 + n);
-    auto b = random_matrix(s, s, 700 + s);
-    Matrix<double> c_sim(n, s, 1.5), c_micro(n, s, 1.5);
-    Counters unused;
-    tcu::SimBackend<double> sim;
-    tcu::MicroBackend<double> micro;
-    for (const bool accumulate : {false, true}) {
-      sim.run(a.view(), b.view(), c_sim.view(), accumulate, unused);
-      micro.run(a.view(), b.view(), c_micro.view(), accumulate, unused);
-      EXPECT_EQ(c_sim, c_micro) << "n=" << n << " s=" << s
-                                << " accumulate=" << accumulate;
+  // Every branch of the AVX2 kernel for both element types: n % 4 in
+  // {0, 1, 3} for the row tail; s a multiple of the 2-vector block (8
+  // doubles, 16 floats), one vector past it (s % 8 == 4 for double, s % 16
+  // == 8 for float), and off the vector width (scalar column tail).
+  for (const std::size_t n : {4u, 5u, 7u, 13u}) {
+    for (const std::size_t s : {4u, 7u, 8u, 12u, 16u, 20u, 24u, 25u, 64u}) {
+      kernel_case<double>(n, s, 600 + 10 * n + s);
+      kernel_case<float>(n, s, 700 + 10 * n + s);
     }
   }
+  // The tall call the Mlp benchmark issues.
+  kernel_case<double>(512, 64, 800);
+  kernel_case<float>(512, 64, 801);
+  // An input on which fusing or reordering the k sum changes the bits.
+  rounding_trap_case<double>();
+  rounding_trap_case<float>();
 }
 
 // --------------------------------------------------- pooled bit-identity

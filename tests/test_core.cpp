@@ -231,6 +231,17 @@ TEST(Device, ShapeValidation) {
                std::invalid_argument);
   EXPECT_THROW(dev.gemm(a.view(), b.view(), bad_c.view()),
                std::invalid_argument);
+  // gemm_resident rejects the same shapes before touching the resident set.
+  dev.gemm_resident(7, a.view(), b.view(), c.view());
+  EXPECT_THROW(dev.gemm_resident(9, a.view(), bad_b.view(), c.view()),
+               std::invalid_argument);
+  EXPECT_THROW(dev.gemm_resident(9, bad_a.view(), b.view(), c.view()),
+               std::invalid_argument);
+  EXPECT_THROW(dev.gemm_resident(9, a.view(), b.view(), bad_c.view()),
+               std::invalid_argument);
+  EXPECT_TRUE(dev.tile_cache().contains(7));
+  EXPECT_FALSE(dev.tile_cache().contains(9));
+  EXPECT_EQ(dev.counters().tensor_calls, 1u);
 }
 
 TEST(Device, TraceRecordsShapes) {
