@@ -122,14 +122,6 @@ struct PoolRecoveryOptions {
   std::size_t max_attempts = 4;
 };
 
-/// Which join discipline a pooled workload drives the executor with.
-/// `kBarrier` is the historical schedule: a strict `join()` after every
-/// algorithmic round, bit-identical to PR 7. `kEpoch` replaces the
-/// intermediate barriers with `join_epoch()` virtual barriers and
-/// explicit task dependencies, overlapping rounds across lanes while the
-/// per-lane schedules (and therefore every counter) stay deterministic.
-enum class ExecMode { kBarrier, kEpoch };
-
 /// Explicit predecessor set for a dependent task: the serials (returned
 /// as `TaskTicket::serial`) of every task that must retire before this
 /// one may start. Serials must come from earlier submits on the same
@@ -301,7 +293,7 @@ class PoolExecutor {
     t.cost = projected_cost;
     t.fence = epoch_fence_;
     t.serial = next_serial_++;
-    return place_plain(std::move(t));
+    return place_greedy(std::move(t));
   }
 
   /// `submit` with an explicit predecessor set: the task will not start
@@ -316,7 +308,7 @@ class PoolExecutor {
     t.deps = std::move(deps.after);
     check_deps(t.deps);
     t.serial = next_serial_++;
-    const std::size_t unit = place_plain(std::move(t));
+    const std::size_t unit = place_greedy(std::move(t));
     return {next_serial_ - 1, unit};
   }
 
@@ -373,9 +365,9 @@ class PoolExecutor {
   /// untagged calls clobber it). `cpu_cost` is the exact cpu_ops the task
   /// will charge to its unit (`unit.charge_cpu`); it joins the lane's
   /// greedy projection because CPU work occupies the unit's timeline in
-  /// `makespan()` exactly like tensor time. This is how epoch-mode
-  /// workloads move per-round kernel work off the shared (serial) CPU
-  /// counter and onto the units, where it parallelizes.
+  /// `makespan()` exactly like tensor time. This is how the pooled
+  /// workloads run per-round kernel work on the units, where it
+  /// parallelizes, instead of on the shared (serial) CPU counter.
   TaskTicket submit_cpu(std::uint64_t cpu_cost, TaskDeps deps, Task task) {
     PendingTask t;
     t.fn = std::move(task);
@@ -385,7 +377,7 @@ class PoolExecutor {
     t.deps = std::move(deps.after);
     check_deps(t.deps);
     t.serial = next_serial_++;
-    const std::size_t unit = place_cpu(std::move(t));
+    const std::size_t unit = place_greedy(std::move(t));
     return {next_serial_ - 1, unit};
   }
 
@@ -399,7 +391,7 @@ class PoolExecutor {
     t.fence = epoch_fence_;
     t.serial = next_serial_++;
     if (quarantined_.at(unit)) {
-      place_plain(std::move(t));
+      place_greedy(std::move(t));
       return;
     }
     projected_[unit] += projected_cost;
@@ -551,10 +543,8 @@ class PoolExecutor {
         ++report.redealt;
         if (t.affine) {
           place_affine(std::move(t));
-        } else if (t.cpu) {
-          place_cpu(std::move(t));
         } else {
-          place_plain(std::move(t));
+          place_greedy(std::move(t));
         }
       }
     }
@@ -600,7 +590,7 @@ class PoolExecutor {
     // unit's live resident set.
     std::uint64_t fence = 0;
     std::vector<std::uint64_t> deps;
-    bool cpu = false;  ///< pure-CPU task: redeal through place_cpu
+    bool cpu = false;  ///< pure-CPU task: place_greedy keeps the mirror
     bool marker = false;
     std::uint64_t epoch = 0;
     std::vector<std::uint64_t> mirror;
@@ -626,8 +616,13 @@ class PoolExecutor {
   };
 
   /// Greedy least-projected dealing over healthy lanes (ties toward the
-  /// lowest index), shared by `submit`/`submit_to`-redirect and redeal.
-  std::size_t place_plain(PendingTask task) {
+  /// lowest index), shared by `submit`, `submit_cpu`, the quarantined
+  /// `submit_to` fallback, and redeal. A plain task's untagged calls
+  /// invalidate the unit's whole resident set, so its lane mirror is
+  /// cleared; a pure-CPU task issues no tensor calls and leaves the mirror
+  /// intact (a CPU task between two affine tasks must not cost the second
+  /// its predicted hits).
+  std::size_t place_greedy(PendingTask task) {
     const std::size_t none = projected_.size();
     std::size_t best = none;
     for (std::size_t i = 0; i < projected_.size(); ++i) {
@@ -638,26 +633,7 @@ class PoolExecutor {
       throw fault::PermanentUnitFault("PoolExecutor: all units quarantined");
     }
     projected_[best] += task.cost;
-    // Untagged work invalidates the unit's whole resident set.
-    lane_cache_[best].clear();
-    enqueue(best, std::move(task));
-    return best;
-  }
-
-  /// Least-projected dealing for pure-CPU tasks: no tensor calls, so the
-  /// lane's mirror survives (a CPU task between two affine tasks must not
-  /// cost the second its predicted hits).
-  std::size_t place_cpu(PendingTask task) {
-    const std::size_t none = projected_.size();
-    std::size_t best = none;
-    for (std::size_t i = 0; i < projected_.size(); ++i) {
-      if (quarantined_[i]) continue;
-      if (best == none || projected_[i] < projected_[best]) best = i;
-    }
-    if (best == none) {
-      throw fault::PermanentUnitFault("PoolExecutor: all units quarantined");
-    }
-    projected_[best] += task.cost;
+    if (!task.cpu) lane_cache_[best].clear();
     enqueue(best, std::move(task));
     return best;
   }

@@ -29,15 +29,15 @@ std::size_t choose_factor(std::size_t len, std::size_t s) {
 }
 
 /// Execution context threading the Cooley-Tukey recursion through either
-/// a single device or a DevicePool. The one tensor product per level is a
-/// tall call whose rows are independent, so the pool path splits it into
-/// up to `pool.size()` contiguous row chunks (boundaries on multiples of
-/// sqrt(m), so charged rows and tensor_macs equal the serial call's)
-/// dealt across the units. Each unit must load the level's Fourier tile
-/// once, so a k-way split issues k tall calls where the serial path
-/// issues one, paying (k - 1) * l extra load latency per level — the
-/// classic parallelization overhead of the model, reported by the pool
-/// benches. Every other counter field (rows, macs, cpu_ops, the
+/// a single device or a PoolExecutor. The one tensor product per level is
+/// a tall call whose rows are independent, so the pool path splits it
+/// into up to `pool.size()` contiguous row chunks (boundaries on
+/// multiples of sqrt(m), so charged rows and tensor_macs equal the serial
+/// call's) dealt across the units. Each unit must load the level's
+/// Fourier tile once, so a k-way split issues k tall calls where the
+/// serial path issues one, paying (k - 1) * l extra load latency per
+/// level — the classic parallelization overhead of the model, reported by
+/// the pool benches. Every other counter field (rows, macs, cpu_ops, the
 /// non-latency tensor time), and every output bit, match the serial path
 /// exactly; a 1-unit pool degenerates to the serial schedule, and
 /// weak-model units (which pay l per square call anyway) match in every
@@ -53,24 +53,22 @@ struct DftCtx {
   /// needless reload *within* a call to fix — and the pool path re-pays l
   /// per extra chunk.
   bool affinity = false;
-  /// DftOptions::mode: pool-path scheduling. See epoch_* below.
-  ExecMode mode = ExecMode::kEpoch;
-  /// Epoch-mode arena: heap owners of matrices that in-flight tasks still
+  /// Pool-path arena: heap owners of matrices that in-flight tasks still
   /// reference after the submitting stack frame returns (per-level
   /// Fourier tiles, per-recursion `next` buffers). Owned by the public
   /// entry point, released at each strict join. Null on the serial path.
   std::vector<std::shared_ptr<Matrix<Complex>>>* keep = nullptr;
 
-  bool epoch() const { return exec != nullptr && mode == ExecMode::kEpoch; }
+  bool epoch() const { return exec != nullptr; }
 
-  /// Strict barrier before a submit-thread read of task-written data
+  /// Strict join before a submit-thread read of task-written data
   /// (transposes, Bluestein glue, pointwise products) and at the public
-  /// API boundary. No-op on the serial and barrier paths, whose per-level
-  /// joins already guarantee quiescence at every such point. The arena is
-  /// NOT released here: enclosing recursion frames (a Bluestein sync runs
-  /// deep inside the level stack) still hold views into it and submit
-  /// read-out tasks against them after we return — only the public entry
-  /// point, where the whole recursion has unwound, may drop `keep`.
+  /// API boundary. No-op on the serial path, whose device calls complete
+  /// before they return. The arena is NOT released here: enclosing
+  /// recursion frames (a Bluestein sync runs deep inside the level stack)
+  /// still hold views into it and submit read-out tasks against them
+  /// after we return — only the public entry point, where the whole
+  /// recursion has unwound, may drop `keep`.
   void sync() const {
     if (!epoch()) return;
     exec->join();
@@ -88,74 +86,29 @@ struct DftCtx {
     }
   }
 
-  /// C = A * B for a tall A and one resident tile B (identity `key`),
-  /// row-split over the pool's units (barrier at the end: the caller
-  /// immediately reads C). Chunk boundaries are multiples of sqrt(m), so
-  /// the charged rows — and on weak-model units the square-call count —
-  /// sum to exactly the serial call's charges. With affinity each chunk
-  /// declares `key` as its chain, so the dealer routes it to a lane
-  /// already holding the level's tile and the load latency is paid once
-  /// per lane instead of once per chunk. This dealer deliberately does
-  /// NOT route through matmul_tcu_pool_into's row_chunks mode: the DFT
-  /// issues raw device calls (sub-tile remainder rows ride the last
-  /// chunk's tall call unpadded), while the Theorem 2 tiling would pad
-  /// them in scratch and charge the extra CPU work — the serial
-  /// counters the pool contract pins would change.
+  /// Serial-path C = A * B for a tall A and the level's tile B: tagged
+  /// with `key` under affinity, untagged otherwise.
   void gemm(std::uint64_t key, ConstMatrixView<Complex> A,
             ConstMatrixView<Complex> B, MatrixView<Complex> C) const {
-    if (dev) {
-      if (affinity) {
-        dev->gemm_resident(key, A, B, C);
-      } else {
-        // Theorem 7's historical accounting: one load per level, even if
-        // a previous level's (or transform's) tile is still resident.
-        check::AllowUntaggedClobber allow_clobber;
-        // tcu-lint: untagged-ok(Theorem 7 pays l per level by contract)
-        dev->gemm(A, B, C);
-      }
+    if (affinity) {
+      dev->gemm_resident(key, A, B, C);
       return;
     }
-    DevicePool<Complex>& pool = exec->pool();
-    const Device<Complex>& unit0 = pool.unit(0);
-    const std::size_t s = unit0.tile_dim();
-    const std::size_t rows = A.rows;
-    const std::size_t tiles = rows / s;  // full tile-rows available
-    const std::size_t chunks =
-        std::max<std::size_t>(1, std::min(pool.size(), tiles));
-    std::size_t r0 = 0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t tile_cnt = tiles / chunks + (c < tiles % chunks);
-      // The last chunk also absorbs the sub-tile remainder rows.
-      const std::size_t nr =
-          (c + 1 == chunks) ? rows - r0 : tile_cnt * s;
-      if (affinity) {
-        // tcu-lint: epoch-free-ok(barrier path: a strict join closes this call)
-        exec->submit_affine(
-            tcu::linalg::detail::strip_tile_cost(unit0, nr, true), {key},
-            [A, B, C, r0, nr, key](Device<Complex>& unit) {
-              unit.gemm_resident(key, A.row_block(r0, nr), B,
-                                 C.row_block(r0, nr));
-            });
-      } else {
-        exec->submit(projected_gemm_cost(unit0, nr),
-                     [A, B, C, r0, nr](Device<Complex>& unit) {
-                       // tcu-lint: untagged-ok(plain-submit chunk; the dealer dropped the lane mirror)
-                       unit.gemm(A.row_block(r0, nr), B, C.row_block(r0, nr));
-                     });
-      }
-      r0 += nr;
-    }
-    exec->join();
+    // Theorem 7's historical accounting: one load per level, even if a
+    // previous level's (or transform's) tile is still resident.
+    check::AllowUntaggedClobber allow_clobber;
+    // tcu-lint: untagged-ok(Theorem 7 pays l per level by contract)
+    dev->gemm(A, B, C);
   }
 };
 
 void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch);
 
-/// All column DFTs of one Cooley-Tukey level for the whole batch with a
-/// single tall tensor product: gather the (b*n2) x n1 matrix of column
-/// vectors, multiply by W_{n1} zero-padded to the device tile, scatter the
-/// results back twiddled, reshaped so each length-n2 subvector of the next
-/// level is a contiguous row.
+/// Serial path: all column DFTs of one Cooley-Tukey level for the whole
+/// batch with a single tall tensor product: gather the (b*n2) x n1 matrix
+/// of column vectors, multiply by W_{n1} zero-padded to the device tile,
+/// scatter the results back twiddled, reshaped so each length-n2
+/// subvector of the next level is a contiguous row.
 void ct_level(const DftCtx& ctx, MatrixView<Complex> batch, std::size_t n1,
               MatrixView<Complex> next) {
   const std::size_t b = batch.rows;
@@ -205,16 +158,15 @@ void ct_level(const DftCtx& ctx, MatrixView<Complex> batch, std::size_t n1,
   ctx.charge_cpu(2 * b * len);
 }
 
-/// Epoch-mode ct_level: one fused task per chunk — gather its rows of the
+/// Pool-path ct_level: one fused task per chunk — gather its rows of the
 /// level's tall matrix from `batch` into task-local scratch, one tall
 /// tensor product, twiddle + scatter into `next` — with the gather and
-/// twiddle CPU charged to the executing unit instead of the shared CPU.
-/// Chunk boundaries are exactly DftCtx::gemm's (multiples of sqrt(m),
-/// min(pool, tiles) chunks), so every tensor counter, the aggregate
-/// cpu_ops, and every output bit match the barrier path; only the split
-/// of cpu_ops between the shared counter and the units moves. Rows of the
-/// tall matrix touch pairwise-disjoint elements of `batch` and `next`, so
-/// chunks race on nothing. Ends with a virtual barrier (join_epoch): the
+/// twiddle CPU charged to the executing unit. Chunk boundaries are
+/// multiples of sqrt(m) (min(pool, tiles) chunks), so rows, macs, the
+/// aggregate cpu_ops, and every output bit match the serial ct_level; only
+/// the call count and load latency grow with the split (see DftCtx). Rows
+/// of the tall matrix touch pairwise-disjoint elements of `batch` and
+/// `next`, so chunks race on nothing. Ends with a virtual barrier (join_epoch): the
 /// next stage's tasks are fence-ordered behind this level's without
 /// idling the submit thread.
 void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
@@ -315,7 +267,7 @@ void bluestein(const DftCtx& ctx, MatrixView<Complex> batch) {
   ctx.charge_cpu(len);
 
   // The chirp modulation reads `batch` on the submit thread; earlier
-  // epoch-mode stages may still be writing it.
+  // pool-path stages may still be writing it.
   ctx.sync();
   Matrix<Complex> a(b, N, Complex{});
   for (std::size_t r = 0; r < b; ++r) {
@@ -352,9 +304,9 @@ void bluestein(const DftCtx& ctx, MatrixView<Complex> batch) {
   ctx.charge_cpu(b * len);
 }
 
-/// Epoch-mode base case (len <= sqrt(m)): fused pad + tall call +
-/// write-back per chunk, same chunk boundaries as DftCtx::gemm over the b
-/// batch rows. Each chunk writes its own batch rows; fenced behind the
+/// Pool-path base case (len <= sqrt(m)): fused pad + tall call +
+/// write-back per chunk, same chunk boundaries as ct_level_epoch over the
+/// b batch rows. Each chunk writes its own batch rows; fenced behind the
 /// previous stage and ahead of the next by join_epoch.
 void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
   const std::size_t len = batch.cols;
@@ -626,8 +578,7 @@ void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 void dft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
                    const DftOptions& opts) {
   std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity,
-                   .mode = opts.mode, .keep = &keep};
+  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
   dft_batch_with_ctx(ctx, batch);
   ctx.sync();  // public API boundary: the caller reads `batch` next
 }
@@ -635,8 +586,7 @@ void dft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
 void idft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
                     const DftOptions& opts) {
   std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity,
-                   .mode = opts.mode, .keep = &keep};
+  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
   idft_batch_with_ctx(ctx, batch);
   ctx.sync();
 }
@@ -741,8 +691,7 @@ Matrix<Complex> dft2_tcu(PoolExecutor<Complex>& exec,
                          ConstMatrixView<Complex> x, bool inverse,
                          const DftOptions& opts) {
   std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity,
-                   .mode = opts.mode, .keep = &keep};
+  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
   return dft2_with_ctx(ctx, x, inverse);  // drained: ends past a sync()
 }
 
@@ -755,8 +704,7 @@ CVec circular_convolve_tcu(CplxDevice& dev, const CVec& a, const CVec& b,
 CVec circular_convolve_tcu(PoolExecutor<Complex>& exec, const CVec& a,
                            const CVec& b, const DftOptions& opts) {
   std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity,
-                   .mode = opts.mode, .keep = &keep};
+  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
   return circular_convolve_with_ctx(ctx, a, b);  // idft drains internally
 }
 
@@ -773,8 +721,7 @@ Matrix<Complex> circular_convolve2_tcu(PoolExecutor<Complex>& exec,
                                        ConstMatrixView<Complex> kernel,
                                        const DftOptions& opts) {
   std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity,
-                   .mode = opts.mode, .keep = &keep};
+  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
   return circular_convolve2_with_ctx(ctx, a, kernel);  // dft2 drains
 }
 

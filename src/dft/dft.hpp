@@ -59,21 +59,6 @@ struct DftOptions {
   /// The stencil pipelines (§4.6), whose batched transforms re-visit the
   /// same levels many times per call, turn this on.
   bool affinity = false;
-  /// Pool-path scheduling (ignored on the serial path). `kEpoch`
-  /// (default): each level's chunk fuses its gather, tall tensor product,
-  /// and twiddle/scatter into one unit task with the glue CPU charged to
-  /// the executing unit, levels are separated by virtual barriers
-  /// (`join_epoch`) instead of strict joins, and the recursion read-outs
-  /// run as fenced CPU tasks — the whole transform is one non-barrier
-  /// round, strict-joined only at the public API boundary and before
-  /// submit-thread reads (transposes, Bluestein glue, pointwise
-  /// products). `kBarrier`: the historical schedule — glue CPU on the
-  /// shared counter, a strict join per level. Output bits, tensor
-  /// counters, and aggregate cpu_ops are identical in both modes; only
-  /// the split of cpu_ops between the shared CPU and the units moves,
-  /// which is exactly what un-bounds the pool speedup from the serial
-  /// glue (see bench_pool_algos).
-  ExecMode mode = ExecMode::kEpoch;
 };
 
 /// Naive O(n^2) DFT on the RAM model (test oracle and small baseline).
@@ -104,6 +89,13 @@ void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 /// unit re-loads the level's Fourier tile, costing (k - 1) * l extra
 /// latency per level — the model's inherent cost of parallelizing one
 /// call. A 1-unit pool reproduces the serial counters bit-for-bit.
+///
+/// Each level's chunk fuses its gather, tall tensor product, and
+/// twiddle/scatter into one unit task with the glue CPU charged to the
+/// executing unit; levels are separated by virtual barriers
+/// (`join_epoch`) and the recursion read-outs run as fenced CPU tasks.
+/// The transform is strict-joined only before submit-thread reads
+/// (transposes, Bluestein glue, pointwise products) and at the return.
 void dft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch);
 void idft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch);
 

@@ -30,8 +30,8 @@ namespace {
 
 // The Figure 7 kernels as pure computations; the caller charges their
 // s^3 (or rows*cols for the clamp) CPU cost to whichever counter owns the
-// work — the device on the serial path, the shared CPU or the executing
-// unit on the pool path.
+// work — the device on the serial path, the executing unit on the pool
+// path.
 
 /// Kernel A (Figure 7): boolean closure within the diagonal block.
 void kernel_a(MatrixView<Vert> X) {
@@ -129,75 +129,13 @@ void closure_tcu_divisible(Device<Vert>& dev, MatrixView<Vert> X) {
   }
 }
 
-/// Pool variant: kernels A/B/C (pivot row/column, boolean, CPU-bound) run
-/// on the submitting thread against the shared CPU counter; the kernel D
-/// update of each block column j != k — two tall GEMMs plus clamps on a
-/// panel disjoint from every other j — is one pool task. The barrier per
-/// pivot iteration is required (iteration k+1 reads blocks D just wrote),
-/// and the persistent executor makes it cheap: no thread churn across the
-/// n/sqrt(m) iterations.
-void closure_pool_divisible(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
-  DevicePool<Vert>& pool = exec.pool();
-  const Device<Vert>& unit0 = pool.unit(0);
-  const std::size_t n = X.rows;
-  const std::size_t s = unit0.tile_dim();
-  const std::size_t t = n / s;
-  const std::uint64_t s3 = static_cast<std::uint64_t>(s) * s * s;
-  for (std::size_t kb = 0; kb < t; ++kb) {
-    auto diag = X.subview(kb * s, kb * s, s, s);
-    kernel_a(diag);
-    pool.charge_cpu(s3);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb != kb) {
-        kernel_b(X.subview(kb * s, jb * s, s, s), diag);
-        pool.charge_cpu(s3);
-      }
-    }
-    for (std::size_t ib = 0; ib < t; ++ib) {
-      if (ib != kb) {
-        kernel_c(X.subview(ib * s, kb * s, s, s), diag);
-        pool.charge_cpu(s3);
-      }
-    }
-    // All D tasks of this pivot iteration carry the same panel height, so
-    // the greedy dealer splits them round-robin over the units.
-    std::uint64_t cost = 0;
-    if (kb > 0) cost += projected_gemm_cost(unit0, kb * s);
-    if (kb + 1 < t) cost += projected_gemm_cost(unit0, n - (kb + 1) * s);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb == kb) continue;
-      exec.submit(cost, [X, kb, jb, s, t, n](Device<Vert>& unit) {
-        auto weight = X.subview(kb * s, jb * s, s, s);
-        if (kb > 0) {
-          // tcu-lint: untagged-ok(plain-submit task; weight mutated per pivot)
-          unit.gemm(X.subview(0, kb * s, kb * s, s), weight,
-                    X.subview(0, jb * s, kb * s, s), /*accumulate=*/true);
-          clamp_block(X.subview(0, jb * s, kb * s, s));
-          unit.charge_cpu(static_cast<std::uint64_t>(kb) * s * s);
-        }
-        if (kb + 1 < t) {
-          const std::size_t top = (kb + 1) * s;
-          // tcu-lint: untagged-ok(plain-submit task; weight mutated per pivot)
-          unit.gemm(X.subview(top, kb * s, n - top, s), weight,
-                    X.subview(top, jb * s, n - top, s), /*accumulate=*/true);
-          clamp_block(X.subview(top, jb * s, n - top, s));
-          unit.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
-        }
-      });
-    }
-    exec.join();
-  }
-}
-
-/// Epoch-mode pool variant: one dependency-ordered round for the whole
-/// closure, with a single strict join at the end. The per-pivot barrier
-/// over-synchronized two ways — it kept kernels A/B/C on the shared
-/// (serial) CPU counter, Amdahl-bounding the pool, and it idled lanes on
-/// work only the pivot panels actually order. Here every kernel is a
-/// `submit_cpu` unit task and each task declares its true predecessors.
-/// With writer(i,j) = the last pivot's task that wrote block (i,j)
-/// (D(k-1,j) for most blocks, B(k-1,j) / C(k-1,i) for the old pivot row
-/// and column):
+/// Pool variant: one dependency-ordered round for the whole closure, with
+/// a single strict join at the end. Every kernel is a `submit_cpu` (A/B/C)
+/// or `submit` (D) unit task, and each task declares only the
+/// predecessors the pivot panels actually order, so no lane idles on a
+/// per-pivot fence. With writer(i,j) = the last pivot's task that wrote
+/// block (i,j) (D(k-1,j) for most blocks, B(k-1,j) / C(k-1,i) for the old
+/// pivot row and column):
 ///
 ///   A(k)    after D(k-1, k)                (the diagonal block)
 ///   B(k,j)  after A(k), writer(k, j)       (the new pivot-row block)
@@ -209,9 +147,10 @@ void closure_pool_divisible(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
 ///
 /// The FP/boolean op order per block is unchanged and each column's
 /// accumulates stay in pivot order, so outputs are bit-identical to the
-/// serial closure; aggregate counters are preserved because the kernel
-/// charges move from the shared counter to the units (same field sums).
-void closure_pool_epoch(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
+/// serial closure; aggregate counters equal the serial ones because each
+/// kernel charges the executing unit exactly what the serial path charges
+/// the device (same field sums).
+void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
   const Device<Vert>& unit0 = exec.pool().unit(0);
   const std::size_t n = X.rows;
   const std::size_t s = unit0.tile_dim();
@@ -327,22 +266,14 @@ void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
   dev.charge_cpu(n * n);
 }
 
-void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d,
-                 ExecMode mode) {
+void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d) {
   const std::size_t n = d.rows;
   if (d.cols != n) throw std::invalid_argument("closure_tcu: square input");
   if (n == 0) return;
   DevicePool<Vert>& pool = exec.pool();
   const std::size_t s = pool.unit(0).tile_dim();
-  const auto run = [&](MatrixView<Vert> X) {
-    if (mode == ExecMode::kEpoch) {
-      closure_pool_epoch(exec, X);
-    } else {
-      closure_pool_divisible(exec, X);
-    }
-  };
   if (n % s == 0) {
-    run(d);
+    closure_pool(exec, d);
     return;
   }
   const std::size_t np = ((n + s - 1) / s) * s;
@@ -351,16 +282,16 @@ void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d,
     for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
   }
   pool.charge_cpu(np * np);
-  run(padded.view());
+  closure_pool(exec, padded.view());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
   }
   pool.charge_cpu(n * n);
 }
 
-void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d, ExecMode mode) {
+void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d) {
   PoolExecutor<Vert> exec(pool);
-  closure_tcu(exec, d, mode);
+  closure_tcu(exec, d);
 }
 
 AdjMatrix closure_bfs_oracle(ConstMatrixView<Vert> adjacency) {

@@ -38,19 +38,16 @@ void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d);
 
 /// Multi-unit Theorem 5: per pivot block k, the kernel D updates of the
 /// block columns j != k write disjoint column panels, so each becomes one
-/// pool task (its two tall min-plus/boolean GEMM calls plus the clamp).
+/// pool task (its two tall boolean GEMM calls plus the clamp), and kernels
+/// A/B/C become CPU tasks on the units. Every task declares its true
+/// predecessors, so the whole closure is one dependency-ordered round
+/// with a single strict join — see closure.cpp for the dependence graph.
 /// Output bits and aggregate counters are identical to the single-device
-/// closure_tcu at every unit count. In `ExecMode::kBarrier` the pivot
-/// kernels A/B/C stay on the shared CPU and a strict join fences every
-/// pivot (the historical schedule); in `ExecMode::kEpoch` (default) the
-/// kernels become dependency-ordered unit tasks and the whole closure is
-/// one non-barrier round — see closure.cpp for the dependence graph.
-void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d,
-                 ExecMode mode = ExecMode::kEpoch);
+/// closure_tcu at every unit count.
+void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d);
 
 /// Same, over a caller-owned persistent executor.
-void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d,
-                 ExecMode mode = ExecMode::kEpoch);
+void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d);
 
 /// Reference oracle for tests: reachability by BFS from every vertex.
 /// Not cost-charged (it is the ground truth, not a model algorithm).

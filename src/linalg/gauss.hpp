@@ -149,8 +149,8 @@ void kernel_c(Device<T>& dev, MatrixView<T> X,
   dev.charge_cpu(kernel_c_ops(X, Y));
 }
 
-// Closed-form update counts for the kernels above (the epoch-mode pool
-// path needs each task's exact cost before it runs; the *_ops functions
+// Closed-form update counts for the kernels above (the pool path
+// needs each task's exact cost before it runs; the *_ops functions
 // compute it by doing the work). Verified against the loops:
 //   A: sum_{k=0}^{s-2} (s-1-k)^2            = (s-1)s(2s-1)/6
 //   B: sum_{k=0}^{s-2} (s-1-k)*s  +  s^2    = s*s(s-1)/2 + s^2
@@ -228,21 +228,12 @@ void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
 /// cache without displacing anything, so the aggregate eviction count
 /// shrinks with the number of lanes the panels land on.
 ///
-/// `ExecMode::kBarrier` is the historical schedule: per outer iteration
-/// k, kernels A-C (the pivot row and column, CPU-bound) run on the
-/// submitting thread against the shared CPU counter, each trailing block
-/// column's kernel-D update — one tall `gemm_resident` on a panel
-/// disjoint from every other j — is one pool task dealt with
-/// `submit_affine` on its X'_j chain, and a strict `join()` fences every
-/// pivot.
-///
-/// `ExecMode::kEpoch` (the default) submits the whole elimination as one
-/// dependency-ordered round with a single strict join at the end. The
-/// per-pivot barrier over-synchronized two ways: it kept every kernel
-/// A/B/C on the shared CPU counter (a serial term that Amdahl-bounds the
-/// pool at ~1.2x), and it idled lanes on work that only the pivot block
-/// column actually orders. Here the kernels are `submit_cpu` unit tasks
-/// and each task declares its true predecessors:
+/// The whole elimination is one dependency-ordered round with a single
+/// strict join at the end. Kernels A-C (the pivot row and column) are
+/// `submit_cpu` unit tasks; each trailing block column's kernel-D update
+/// — one tall `gemm_resident` on a panel disjoint from every other j — is
+/// one `submit_affine` task on its X'_j key. Each task declares only its
+/// true predecessors:
 ///
 ///   A(k)    after D(k-1, k)                       (the diagonal block)
 ///   B(k,j)  after A(k), D(k-1, j)                 (row panel + X'_j)
@@ -255,10 +246,8 @@ void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
 /// The FP schedule per block is unchanged and the D accumulates into each
 /// column stay in pivot order, so outputs remain bit-identical to serial.
 template <typename T>
-void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X,
-                         ExecMode mode = ExecMode::kEpoch) {
-  DevicePool<T>& pool = exec.pool();
-  const Device<T>& unit0 = pool.unit(0);
+void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
+  const Device<T>& unit0 = exec.pool().unit(0);
   const std::size_t r = X.rows;
   const std::size_t s = unit0.tile_dim();
   if (X.cols != r) throw std::invalid_argument("ge_forward_tcu: square input");
@@ -269,40 +258,6 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X,
   exec.evict_all();  // call-local keys, exactly as on the serial path
   const std::size_t t = r / s;
   Matrix<T> xp(s, r, T{});
-  if (mode == ExecMode::kBarrier) {
-    for (std::size_t kb = 0; kb < t; ++kb) {
-      pool.charge_cpu(
-          ge_detail::kernel_a_ops(X.subview(kb * s, kb * s, s, s)));
-      for (std::size_t jb = kb + 1; jb < t; ++jb) {
-        pool.charge_cpu(ge_detail::kernel_b_ops(
-            X.subview(kb * s, jb * s, s, s), X.subview(kb * s, kb * s, s, s),
-            xp.subview(0, jb * s, s, s)));
-      }
-      for (std::size_t ib = kb + 1; ib < t; ++ib) {
-        pool.charge_cpu(ge_detail::kernel_c_ops(
-            X.subview(ib * s, kb * s, s, s), X.subview(kb * s, kb * s, s, s)));
-      }
-      if (kb + 1 == t) break;
-      const std::size_t top = (kb + 1) * s;
-      const std::size_t tall_rows = r - top;
-      const std::uint64_t cost =
-          detail::strip_tile_cost(unit0, tall_rows, /*affinity=*/true);
-      for (std::size_t jb = kb + 1; jb < t; ++jb) {
-        const std::uint64_t key = ge_panel_key(kb, jb);
-        auto xp_view = xp.view();
-        exec.submit_affine(
-            cost, {key},
-            [X, xp_view, key, top, tall_rows, kb, jb, s](Device<T>& unit) {
-              unit.gemm_resident(key, X.subview(top, kb * s, tall_rows, s),
-                                 xp_view.subview(0, jb * s, s, s),
-                                 X.subview(top, jb * s, tall_rows, s),
-                                 /*accumulate=*/true);
-            });
-      }
-      exec.join();
-    }
-    return;
-  }
   const std::uint64_t a_cost = ge_detail::kernel_a_cost(s);
   const std::uint64_t b_cost = ge_detail::kernel_b_cost(s);
   const std::uint64_t c_cost = ge_detail::kernel_c_cost(s);
@@ -363,10 +318,9 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X,
 
 /// Pool forward elimination with a throwaway executor for the call.
 template <typename T>
-void ge_forward_tcu_pool(DevicePool<T>& pool, MatrixView<T> X,
-                         ExecMode mode = ExecMode::kEpoch) {
+void ge_forward_tcu_pool(DevicePool<T>& pool, MatrixView<T> X) {
   PoolExecutor<T> exec(pool);
-  ge_forward_tcu_pool(exec, X, mode);
+  ge_forward_tcu_pool(exec, X);
 }
 
 /// Build the (R x R) augmented matrix of Figure 2 for the system A x = b

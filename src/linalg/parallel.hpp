@@ -418,7 +418,7 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
   exec.join();
 }
 
-/// Ticket-returning no-join product for epoch-mode pipelines: submits one
+/// Ticket-returning no-join product for epoch pipelines: submits one
 /// task per output column strip (no row chunking or tile splitting) and
 /// returns the strips' TaskTickets, in strip order, WITHOUT joining.
 /// Strip jb's ticket retires exactly when C's columns [jb*s, jb*s+s) are

@@ -79,41 +79,6 @@ Matrix<double> DenseLayer::forward(Device<double>& dev,
   return out;
 }
 
-Matrix<double> DenseLayer::forward(DevicePool<double>& pool,
-                                   ConstMatrixView<double> activations,
-                                   bool relu) const {
-  PoolExecutor<double> exec(pool);
-  return forward(exec, activations, relu);
-}
-
-Matrix<double> DenseLayer::forward(PoolExecutor<double>& exec,
-                                   ConstMatrixView<double> activations,
-                                   bool relu,
-                                   const linalg::PoolMatmulOptions& opts)
-    const {
-  if (activations.cols != weights_.rows()) {
-    throw std::invalid_argument("DenseLayer: activation width mismatch");
-  }
-  const std::size_t s = exec.pool().unit(0).tile_dim();
-  Matrix<double> out(activations.rows, weights_.cols(), 0.0);
-  // Aligned plain-strip deals stream the cached tile-major weights
-  // (contiguous resident tiles) under the same keys and charges; the
-  // chunked/split/ragged schedules keep the row-major dealer.
-  if (tile_aligned(s, activations.rows) && !opts.split_chains &&
-      opts.row_chunks <= 1) {
-    linalg::PoolMatmulOptions tiled_opts = opts;
-    if (!tiled_opts.tile_key) tiled_opts.tile_key = weights_key();
-    linalg::matmul_tcu_pool_into(exec, activations, tiled_weights(s),
-                                 out.view(), tiled_opts);
-  } else {
-    linalg::matmul_tcu_pool_into(exec, activations, weights_.view(),
-                                 out.view(), opts);
-  }
-  apply_epilogue(out, bias_, relu);
-  exec.pool().charge_cpu(out.rows() * out.cols() * (relu ? 2 : 1));
-  return out;
-}
-
 void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
                                ConstMatrixView<double> activations,
                                MatrixView<double> out, bool relu,
@@ -139,7 +104,7 @@ void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
   // One epilogue task per output strip, gated on exactly that strip's
   // product: columns [jb, jb+jw) of `out` are final once the ticket
   // retires, and no other strip touches them. The per-strip CPU charges
-  // sum to the barrier path's shared-CPU epilogue charge.
+  // sum to the serial forward's epilogue charge.
   const std::size_t s = exec.pool().unit(0).tile_dim();
   const std::size_t rows = out.rows;
   const std::size_t cols = out.cols;
@@ -192,20 +157,9 @@ Matrix<double> Mlp::forward(DevicePool<double>& pool,
 
 Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
                             ConstMatrixView<double> batch,
-                            const linalg::PoolMatmulOptions& opts,
-                            ExecMode mode) const {
+                            const linalg::PoolMatmulOptions& opts) const {
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  if (mode == ExecMode::kBarrier) {
-    Matrix<double> cur = materialize(batch);
-    exec.pool().charge_cpu(batch.rows * batch.cols);
-    for (std::size_t l = 0; l < layers_.size(); ++l) {
-      const bool relu = l + 1 < layers_.size();
-      cur = layers_[l].forward(exec, cur.view(), relu, opts);
-    }
-    return cur;
-  }
-
-  // Epoch pass: every layer submits its strips and per-strip epilogues
+  // Every layer submits its strips and per-strip epilogues
   // and opens a new epoch; one strict join closes the whole pass. The
   // activation matrices are arena-held because in-flight tasks reference
   // them long after the submitting loop iteration has moved on.

@@ -39,38 +39,21 @@ class DenseLayer {
                          ConstMatrixView<double> activations,
                          bool relu = true) const;
 
-  /// Multi-unit forward: output strips of the weight product run across
-  /// the pool's worker threads for any shape (ragged layers are padded in
-  /// worker-local scratch); epilogue is shared CPU work. Spawns a
-  /// throwaway executor — prefer the PoolExecutor overload in loops.
-  Matrix<double> forward(DevicePool<double>& pool,
-                         ConstMatrixView<double> activations,
-                         bool relu = true) const;
-
-  /// Multi-unit forward over a caller-owned persistent executor: no
-  /// thread churn, and every weight strip declares its full B-tile chain,
-  /// so repeated forwards of the same layer skip the weight re-load
-  /// latency on every tile still resident from the previous batch (a
-  /// chain of k tiles stays fully hot on its lane once the units'
-  /// `resident_tiles` capacity is >= k). `opts` tunes the dealing — e.g.
+  /// Multi-unit forward over a caller-owned persistent executor: submits
+  /// the weight product one task per output strip — every strip declares
+  /// its full B-tile chain, so repeated forwards skip the weight re-load
+  /// latency on every tile still resident on its lane — plus a per-strip
+  /// bias/ReLU epilogue that depends only on its own strip's ticket (the
+  /// epilogue of a finished strip overlaps the remaining strips'
+  /// products), then opens a new epoch (join_epoch) so the next layer's
+  /// reads are fence-ordered. No strict join: `out` is entirely
+  /// task-written and must only be read (and `activations`/`out` only
+  /// freed) after the caller's join(). Outputs are bit-identical to the
+  /// serial forward, and the per-strip epilogue charges on the executing
+  /// units sum to its epilogue charge. `opts` tunes the dealing — e.g.
   /// `{.affinity = true, .split_chains = true}` splits deep chains at
-  /// tile granularity (CPU combine of partials) when capacity < k.
-  Matrix<double> forward(PoolExecutor<double>& exec,
-                         ConstMatrixView<double> activations,
-                         bool relu = true,
-                         const linalg::PoolMatmulOptions& opts = {
-                             .affinity = true}) const;
-
-  /// Epoch-mode forward: submits the weight product one task per output
-  /// strip plus a per-strip bias/ReLU epilogue that depends only on its
-  /// own strip's ticket — the epilogue of a finished strip overlaps the
-  /// remaining strips' products — then opens a new epoch (join_epoch) so
-  /// the next layer's reads are fence-ordered. No strict join: `out` is
-  /// entirely task-written and must only be read (and `activations`/`out`
-  /// only freed) after the caller's join(). Aggregate counters equal the
-  /// barrier forward's — the epilogue CPU moves from the shared counter
-  /// to the executing units, which is what lets a deep pass scale past
-  /// the serial-epilogue Amdahl bound.
+  /// tile granularity (CPU combine of partials) when a lane's
+  /// `resident_tiles` capacity is below the chain length.
   void forward_epoch(PoolExecutor<double>& exec,
                      ConstMatrixView<double> activations,
                      MatrixView<double> out, bool relu,
@@ -126,24 +109,18 @@ class Mlp {
   /// startup never and weight-tile load latency only on first touch —
   /// with enough `resident_tiles` capacity, every layer's whole chain of
   /// weight tiles stays resident on its lane across requests. `opts` is
-  /// forwarded to every layer's strip dealing (see DenseLayer::forward).
+  /// forwarded to every layer's strip dealing (see
+  /// DenseLayer::forward_epoch).
   ///
-  /// `mode` selects the pass schedule. `kEpoch` (default since the
-  /// bench_residency records were re-anchored under the epoch dealer):
-  /// layers run as one non-barrier round — per-strip epilogue tasks
-  /// depend on their own strip's ticket, consecutive layers are
+  /// The layers run as one dependency-ordered round: per-strip epilogue
+  /// tasks depend on their own strip's ticket, consecutive layers are
   /// separated by virtual barriers (join_epoch), and one strict join
-  /// closes the pass. `kBarrier` (the historical schedule, still fully
-  /// supported and tested): each layer strict-joins and runs its
-  /// epilogue on the shared CPU. Outputs are bit-identical and aggregate
-  /// counters equal in both modes; per-unit cpu_ops differ (epoch
-  /// charges epilogues to the executing units), which is what un-bounds
-  /// multi-unit speedup from the serial epilogue.
+  /// closes the pass. Outputs are bit-identical to the serial forward;
+  /// the epilogue CPU is charged to the executing units.
   Matrix<double> forward(PoolExecutor<double>& exec,
                          ConstMatrixView<double> batch,
                          const linalg::PoolMatmulOptions& opts = {
-                             .affinity = true},
-                         ExecMode mode = ExecMode::kEpoch) const;
+                             .affinity = true}) const;
 
  private:
   std::vector<DenseLayer> layers_;

@@ -21,11 +21,9 @@ struct DftDispatch {
   Device<dft::Complex>* dev = nullptr;
   PoolExecutor<dft::Complex>* exec = nullptr;
 
-  // Epoch mode spelled out (it is also the DftOptions default): the
-  // pipelines' transform levels overlap as one non-barrier round, with
-  // the gather/twiddle glue charged to the executing units.
-  static constexpr tcu::dft::DftOptions kDft{.affinity = true,
-                                             .mode = ExecMode::kEpoch};
+  // The pipelines' batched transforms re-visit the same levels many
+  // times per call, so their Fourier tiles stay resident.
+  static constexpr tcu::dft::DftOptions kDft{.affinity = true};
 
   void charge_cpu(std::uint64_t ops) const {
     if (dev) {

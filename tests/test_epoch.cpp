@@ -1,22 +1,19 @@
-// The epoch (non-barrier) runtime: per-task ready signals, the
-// completion ledger, and `join_epoch()` virtual barriers — plus the
-// epoch schedules of every workload that cashes them in (transitive
-// closure, Gaussian elimination, batched DFT, Mlp inference).
+// The epoch runtime: per-task ready signals, the completion ledger, and
+// `join_epoch()` virtual barriers — plus the pooled schedules of every
+// workload built on them (transitive closure, Gaussian elimination,
+// batched DFT, Mlp inference).
 //
 // Contracts pinned here:
 //   * raw runtime ordering: explicit TaskDeps chains serialize
 //     cross-lane reads, a virtual barrier orders the next epoch's tasks
 //     after everything before it, and forward deps are rejected without
 //     corrupting the executor;
-//   * 10-run determinism at p = 1/2/4/8 for all four epoch workloads,
+//   * 10-run determinism at p = 1/2/4/8 for all four pooled workloads,
 //     down to every per-unit counter field (the dealer schedules off
-//     declared costs, never wall time);
-//   * outputs are bit-identical between epoch and barrier modes, with
-//     aggregate counters equal (closure, GE) or equal modulo the
-//     documented latency-split conservation law (DFT, Mlp);
-//   * the barrier-mode flag reproduces the historical schedule
-//     bit-for-bit (p = 1 pools match a single device in every field;
-//     Mlp's default mode argument is the barrier path);
+//     declared costs, never wall time), with outputs bit-identical to
+//     the serial device;
+//   * a 1-unit pool matches a single device in every aggregate counter
+//     field (closure, GE, affinity DFT, Mlp);
 //   * the contract checker stays green across epoch rounds (the
 //     join_epoch markers validate each lane's mirror at the fence).
 
@@ -42,7 +39,6 @@ namespace {
 using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
-using tcu::ExecMode;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 using tcu::TaskDeps;
@@ -120,21 +116,6 @@ void expect_snapshots_bitwise(const std::vector<Counters>& got,
     expect_counters_bitwise(got[i], want[i],
                             what + " stream " + std::to_string(i));
   }
-}
-
-/// Cross-mode comparison where lane placement may differ (DFT, Mlp):
-/// everything but the latency split matches, and the split obeys the
-/// conservation law — each call either pays or saves its l.
-void expect_counters_conserved(const Counters& a, const Counters& b,
-                               std::uint64_t ell) {
-  EXPECT_EQ(a.tensor_calls, b.tensor_calls);
-  EXPECT_EQ(a.tensor_rows, b.tensor_rows);
-  EXPECT_EQ(a.tensor_macs, b.tensor_macs);
-  EXPECT_EQ(a.cpu_ops, b.cpu_ops);
-  EXPECT_EQ(a.tensor_time - a.latency_time, b.tensor_time - b.latency_time);
-  EXPECT_EQ(a.latency_time + a.latency_saved,
-            b.latency_time + b.latency_saved +
-                (a.tensor_calls - b.tensor_calls) * ell);
 }
 
 // ---------------------------------------------------------------- runtime
@@ -230,7 +211,7 @@ TEST(EpochDeterminism, ClosureTenRunsEveryUnitCount) {
     for (int run = 0; run < 10; ++run) {
       tcu::graph::AdjMatrix d = adj;
       DevicePool<Vert> pool(p, {.m = 64, .latency = 7});
-      tcu::graph::closure_tcu(pool, d.view(), ExecMode::kEpoch);
+      tcu::graph::closure_tcu(pool, d.view());
       ASSERT_EQ(d, serial_d) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -254,7 +235,7 @@ TEST(EpochDeterminism, GaussTenRunsEveryUnitCount) {
     for (int run = 0; run < 10; ++run) {
       Matrix<double> got = x;
       DevicePool<double> pool(p, {.m = 16, .latency = 5});
-      tcu::linalg::ge_forward_tcu_pool(pool, got.view(), ExecMode::kEpoch);
+      tcu::linalg::ge_forward_tcu_pool(pool, got.view());
       ASSERT_EQ(got, serial_x) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -278,8 +259,7 @@ TEST(EpochDeterminism, DftTenRunsEveryUnitCount) {
       Matrix<Complex> got = batch;
       DevicePool<Complex> pool(p, {.m = 16, .latency = 11});
       PoolExecutor<Complex> exec(pool);
-      tcu::dft::dft_batch_tcu(exec, got.view(),
-                              {.affinity = true, .mode = ExecMode::kEpoch});
+      tcu::dft::dft_batch_tcu(exec, got.view(), {.affinity = true});
       ASSERT_EQ(got, serial_batch) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -302,8 +282,7 @@ TEST(EpochDeterminism, MlpTenRunsEveryUnitCount) {
     for (int run = 0; run < 10; ++run) {
       DevicePool<double> pool(p, {.m = 16, .latency = 3});
       PoolExecutor<double> exec(pool);
-      const auto got = mlp.forward(exec, batch.view(), {.affinity = true},
-                                   ExecMode::kEpoch);
+      const auto got = mlp.forward(exec, batch.view(), {.affinity = true});
       ASSERT_EQ(got, expect) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -315,87 +294,19 @@ TEST(EpochDeterminism, MlpTenRunsEveryUnitCount) {
   }
 }
 
-// --------------------------------------------------------- epoch/barrier
+// ---------------------------------------------------------------- one unit
 
-TEST(EpochVsBarrier, ClosureAndGaussAggregatesIdentical) {
-  // Closure and GE charge their epoch-mode glue through the same counted
-  // kernels as the barrier path, so the aggregates match in every field
-  // — only the split across units moves.
-  auto adj = tcu::graph::random_digraph(30, 0.15, 830);
-  for (std::size_t p : {2u, 4u}) {
-    tcu::graph::AdjMatrix d_epoch = adj, d_barrier = adj;
-    DevicePool<Vert> pe(p, {.m = 64, .latency = 7});
-    DevicePool<Vert> pb(p, {.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(pe, d_epoch.view(), ExecMode::kEpoch);
-    tcu::graph::closure_tcu(pb, d_barrier.view(), ExecMode::kBarrier);
-    EXPECT_EQ(d_epoch, d_barrier) << "p=" << p;
-    expect_counters_bitwise(pe.aggregate(), pb.aggregate(),
-                            "closure p=" + std::to_string(p));
-  }
-
-  auto x = random_matrix(24, 24, 831);
-  for (std::size_t p : {2u, 4u}) {
-    Matrix<double> x_epoch = x, x_barrier = x;
-    DevicePool<double> pe(p, {.m = 16, .latency = 5});
-    DevicePool<double> pb(p, {.m = 16, .latency = 5});
-    tcu::linalg::ge_forward_tcu_pool(pe, x_epoch.view(), ExecMode::kEpoch);
-    tcu::linalg::ge_forward_tcu_pool(pb, x_barrier.view(),
-                                     ExecMode::kBarrier);
-    EXPECT_EQ(x_epoch, x_barrier) << "p=" << p;
-    expect_counters_bitwise(pe.aggregate(), pb.aggregate(),
-                            "GE p=" + std::to_string(p));
-  }
-}
-
-TEST(EpochVsBarrier, DftAndMlpBitIdenticalAndConserved) {
-  // DFT and Mlp epoch schedules may place chunks on different lanes than
-  // the barrier dealer (deps change the greedy projections), so the
-  // latency split can move between paid and saved — but outputs are
-  // bit-identical and the conservation law pins the totals.
-  const std::uint64_t ell = 11;
-  auto batch = random_cbatch(4, 40, 840);
-  for (std::size_t p : {2u, 4u}) {
-    Matrix<Complex> b_epoch = batch, b_barrier = batch;
-    DevicePool<Complex> pe(p, {.m = 16, .latency = ell});
-    DevicePool<Complex> pb(p, {.m = 16, .latency = ell});
-    PoolExecutor<Complex> ee(pe);
-    PoolExecutor<Complex> eb(pb);
-    tcu::dft::dft_batch_tcu(ee, b_epoch.view(),
-                            {.affinity = true, .mode = ExecMode::kEpoch});
-    tcu::dft::dft_batch_tcu(eb, b_barrier.view(),
-                            {.affinity = true, .mode = ExecMode::kBarrier});
-    EXPECT_EQ(b_epoch, b_barrier) << "p=" << p;
-    expect_counters_conserved(pe.aggregate(), pb.aggregate(), ell);
-  }
-
-  const auto mlp = make_mlp();
-  const auto in = random_matrix(16, 16, 841);
-  for (std::size_t p : {2u, 4u}) {
-    DevicePool<double> pe(p, {.m = 16, .latency = 3});
-    DevicePool<double> pb(p, {.m = 16, .latency = 3});
-    PoolExecutor<double> ee(pe);
-    PoolExecutor<double> eb(pb);
-    const auto got_epoch =
-        mlp.forward(ee, in.view(), {.affinity = true}, ExecMode::kEpoch);
-    const auto got_barrier =
-        mlp.forward(eb, in.view(), {.affinity = true}, ExecMode::kBarrier);
-    EXPECT_EQ(got_epoch, got_barrier) << "p=" << p;
-    expect_counters_conserved(pe.aggregate(), pb.aggregate(), 3);
-  }
-}
-
-TEST(EpochVsBarrier, BarrierFlagReproducesHistoricalSchedule) {
-  // The barrier flag is the pre-epoch runtime verbatim: a 1-unit pool
-  // matches a single device in every counter field (the historical
-  // p = 1 identity). Mlp's default mode argument is checked separately
-  // below — it is the epoch path, bitwise.
+TEST(EpochOneUnit, MatchesSerialInEveryField) {
+  // With one lane nothing is split or re-dealt: every task runs on unit 0
+  // in submit order, so the aggregate (unit + shared CPU) must equal a
+  // single device's counters in every field, latency split included.
   {
     auto adj = tcu::graph::random_digraph(24, 0.15, 924);
     tcu::graph::AdjMatrix serial_d = adj, pool_d = adj;
     Device<Vert> dev({.m = 64, .latency = 7});
     tcu::graph::closure_tcu(dev, serial_d.view());
     DevicePool<Vert> pool(1, {.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(pool, pool_d.view(), ExecMode::kBarrier);
+    tcu::graph::closure_tcu(pool, pool_d.view());
     EXPECT_EQ(pool_d, serial_d);
     expect_counters_bitwise(pool.aggregate(), dev.counters(), "closure p=1");
   }
@@ -405,8 +316,7 @@ TEST(EpochVsBarrier, BarrierFlagReproducesHistoricalSchedule) {
     Device<double> dev({.m = 16, .latency = 5});
     tcu::linalg::ge_forward_tcu(dev, serial_x.view());
     DevicePool<double> pool(1, {.m = 16, .latency = 5});
-    tcu::linalg::ge_forward_tcu_pool(pool, pool_x.view(),
-                                     ExecMode::kBarrier);
+    tcu::linalg::ge_forward_tcu_pool(pool, pool_x.view());
     EXPECT_EQ(pool_x, serial_x);
     expect_counters_bitwise(pool.aggregate(), dev.counters(), "GE p=1");
   }
@@ -417,34 +327,19 @@ TEST(EpochVsBarrier, BarrierFlagReproducesHistoricalSchedule) {
     tcu::dft::dft_batch_tcu(dev, serial_b.view(), {.affinity = true});
     DevicePool<Complex> pool(1, {.m = 16, .latency = 11});
     PoolExecutor<Complex> exec(pool);
-    tcu::dft::dft_batch_tcu(exec, pool_b.view(),
-                            {.affinity = true, .mode = ExecMode::kBarrier});
+    tcu::dft::dft_batch_tcu(exec, pool_b.view(), {.affinity = true});
     EXPECT_EQ(pool_b, serial_b);
     expect_counters_bitwise(pool.aggregate(), dev.counters(), "DFT p=1");
   }
   {
-    // Mlp's default mode argument is now the epoch path (flipped when the
-    // bench_residency records were re-anchored under the epoch dealer):
-    // the default must be bitwise the explicit kEpoch flag, and the
-    // barrier flag — the historical schedule — must still produce the
-    // same bits with its aggregate counters conserved against epoch's.
     const auto mlp = make_mlp();
     const auto in = random_matrix(16, 16, 927);
-    DevicePool<double> pd(4, {.m = 16, .latency = 3});
-    DevicePool<double> pe(4, {.m = 16, .latency = 3});
-    DevicePool<double> pb(4, {.m = 16, .latency = 3});
-    PoolExecutor<double> ed(pd);
-    PoolExecutor<double> ee(pe);
-    PoolExecutor<double> eb(pb);
-    const auto got_default = mlp.forward(ed, in.view());
-    const auto got_epoch =
-        mlp.forward(ee, in.view(), {.affinity = true}, ExecMode::kEpoch);
-    const auto got_barrier =
-        mlp.forward(eb, in.view(), {.affinity = true}, ExecMode::kBarrier);
-    EXPECT_EQ(got_default, got_epoch);
-    EXPECT_EQ(got_default, got_barrier);
-    expect_snapshots_bitwise(snapshot(pe), snapshot(pd), "Mlp epoch default");
-    expect_counters_conserved(pb.aggregate(), pe.aggregate(), 3);
+    Device<double> dev({.m = 16, .latency = 3});
+    const auto expect = mlp.forward(dev, in.view());
+    DevicePool<double> pool(1, {.m = 16, .latency = 3});
+    PoolExecutor<double> exec(pool);
+    EXPECT_EQ(mlp.forward(exec, in.view()), expect);
+    expect_counters_bitwise(pool.aggregate(), dev.counters(), "Mlp p=1");
   }
 }
 
@@ -461,7 +356,7 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     tcu::graph::AdjMatrix serial_d = adj;
     Device<Vert> dev({.m = 64, .latency = 7});
     tcu::graph::closure_tcu(dev, serial_d.view());
-    tcu::graph::closure_tcu(pool, adj.view(), ExecMode::kEpoch);
+    tcu::graph::closure_tcu(pool, adj.view());
     EXPECT_EQ(adj, serial_d);
     check.verify();
   }
@@ -473,15 +368,14 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     Matrix<double> serial_x = x;
     Device<double> dev({.m = 16, .latency = 5});
     tcu::linalg::ge_forward_tcu(dev, serial_x.view());
-    tcu::linalg::ge_forward_tcu_pool(exec, x.view(), ExecMode::kEpoch);
+    tcu::linalg::ge_forward_tcu_pool(exec, x.view());
     EXPECT_EQ(x, serial_x);
 
     const auto mlp = make_mlp();
     const auto in = random_matrix(16, 16, 1026);
     Device<double> mdev({.m = 16, .latency = 5});
     const auto expect = mlp.forward(mdev, in.view());
-    const auto got =
-        mlp.forward(exec, in.view(), {.affinity = true}, ExecMode::kEpoch);
+    const auto got = mlp.forward(exec, in.view(), {.affinity = true});
     EXPECT_EQ(got, expect);
     check.verify();
   }
@@ -493,8 +387,7 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     Matrix<Complex> serial_b = batch;
     Device<Complex> dev({.m = 16, .latency = 11});
     tcu::dft::dft_batch_tcu(dev, serial_b.view(), {.affinity = true});
-    tcu::dft::dft_batch_tcu(exec, batch.view(),
-                            {.affinity = true, .mode = ExecMode::kEpoch});
+    tcu::dft::dft_batch_tcu(exec, batch.view(), {.affinity = true});
     EXPECT_EQ(batch, serial_b);
     check.verify();
   }

@@ -34,7 +34,9 @@ TEST_P(ScanSweep, ReduceMatchesSequentialSum) {
   const double expect = tcu::primitives::reduce_ram(data, ram);
   Device<double> dev({.m = m});
   EXPECT_NEAR(tcu::primitives::reduce_tcu(dev, data), expect, 1e-9);
-  if (n > 1) EXPECT_GT(dev.counters().tensor_calls, 0u);
+  if (n > 1) {
+    EXPECT_GT(dev.counters().tensor_calls, 0u);
+  }
 }
 
 TEST_P(ScanSweep, InclusiveScanMatchesSequential) {

@@ -293,9 +293,15 @@ TEST(QuantizeProperties, PreservesSignAndOrder) {
     const double y = rng.uniform(-10, 10);
     const double qx = tcu::quantize(x, 8);
     const double qy = tcu::quantize(y, 8);
-    if (x > 0) EXPECT_GE(qx, 0.0);
-    if (x < 0) EXPECT_LE(qx, 0.0);
-    if (qx > qy) EXPECT_GT(x, y);  // rounding is monotone
+    if (x > 0) {
+      EXPECT_GE(qx, 0.0);
+    }
+    if (x < 0) {
+      EXPECT_LE(qx, 0.0);
+    }
+    if (qx > qy) {
+      EXPECT_GT(x, y);  // rounding is monotone
+    }
   }
 }
 

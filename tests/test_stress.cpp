@@ -175,10 +175,9 @@ TEST(Stress, DeviceWithM1IsDegenerateButConsistent) {
 TEST(Stress, HundredRoundChaosUnderSeededFaults) {
   // 100 rounds of every pooled workload on persistent executors with the
   // contract checker attached and a seeded fault plan injecting a low
-  // transient rate plus one mid-run permanent death. The rounds run the
-  // epoch (non-barrier) runtime wherever a workload has one — GE, the
-  // stencil's batched DFT levels, transitive closure, and the Mlp pass
-  // all submit dependent tasks across join_epoch fences, so transients,
+  // transient rate plus one mid-run permanent death. GE, the stencil's
+  // batched DFT levels, transitive closure, and the Mlp pass all submit
+  // dependent tasks across join_epoch fences, so transients,
   // the quarantine, and the deferred dep-waits of the recovery path all
   // land inside open epochs. Every round's output must be bit-identical
   // to a fault-free serial reference, and the checker guarantees no
@@ -279,8 +278,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
     {  // Mlp epoch pass: per-strip epilogues gated on their own tickets.
       Matrix<double> batch(8, 16);
       fill(batch, 7000 + round);
-      auto got = mlp.forward(dexec, batch.view(), {.affinity = true},
-                             tcu::ExecMode::kEpoch);
+      auto got = mlp.forward(dexec, batch.view(), {.affinity = true});
       Device<double> ref({.m = 16, .latency = ell});
       auto expect = mlp.forward(ref, batch.view());
       ASSERT_EQ(got, expect) << "mlp, round " << round;
@@ -288,7 +286,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
     {  // transitive closure: the full true-dependence epoch graph.
       auto adj = tcu::graph::random_digraph(24, 0.12, 8000 + round);
       tcu::graph::AdjMatrix expect = adj;
-      tcu::graph::closure_tcu(vexec, adj.view(), tcu::ExecMode::kEpoch);
+      tcu::graph::closure_tcu(vexec, adj.view());
       Device<tcu::graph::Vert> ref({.m = 16, .latency = ell});
       tcu::graph::closure_tcu(ref, expect.view());
       ASSERT_EQ(adj, expect) << "closure, round " << round;

@@ -51,17 +51,19 @@ void expect_counters_equal(const Counters& got, const Counters& want,
   EXPECT_EQ(got.latency_saved, want.latency_saved) << what;
   // Evictions depend on lane placement, so pool-vs-serial comparisons
   // exclude them (as every bench match predicate does).
-  if (compare_evictions) EXPECT_EQ(got.evictions, want.evictions) << what;
+  if (compare_evictions) {
+    EXPECT_EQ(got.evictions, want.evictions) << what;
+  }
 }
 
 // ----------------------------------------------------------------- layout
 
 TEST(TiledMatrix, PackUnpackRoundTripsAlignedAndRagged) {
-  for (const auto [r, c, s] : {std::tuple<std::size_t, std::size_t,
-                                          std::size_t>{16, 16, 4},
-                               {15, 7, 4},
-                               {4, 4, 4},
-                               {1, 9, 8}}) {
+  for (const auto& [r, c, s] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t>{16, 16, 4},
+                                {15, 7, 4},
+                                {4, 4, 4},
+                                {1, 9, 8}}) {
     const auto src = random_matrix(r, c, 100 + r * 31 + c);
     const auto packed = TiledMatrix<double>::pack(src.view(), s);
     EXPECT_EQ(packed.rows(), r);

@@ -20,11 +20,10 @@
 // Exit status is nonzero if the recovered outputs are not bit-identical
 // to the serial reference or recovery was exhausted.
 //
-// The `pool` scenario compares the two pool schedules of a dependent
-// workload — the historical barrier rounds against the epoch (non-
-// barrier) runtime — next to the serial reference:
+// The `pool` scenario runs a dependent workload on a pool — one
+// dependency-ordered round per call — next to the serial reference:
 //
-//   tcu_cli pool [--mode barrier|epoch] [--workload closure|gauss|dft|mlp]
+//   tcu_cli pool [--workload closure|gauss|dft|mlp]
 //                [--backend sim|micro|blas]
 //                [--p P] [--m M] [--l L] [--size N] [--seed S]
 //
@@ -36,7 +35,7 @@
 //   tcu_cli matmul --size 256 --m 1024 --l 100
 //   tcu_cli all --size 128
 //   tcu_cli fault --workload matmul --p 4 --dead 3 --rate-ppm 2000
-//   tcu_cli pool --workload gauss --mode epoch --p 4
+//   tcu_cli pool --workload gauss --p 4
 
 #include <cerrno>
 #include <complex>
@@ -89,8 +88,7 @@ struct Options {
          "                     [--p P] [--rounds R] [--dead U] [--die-at C]\n"
          "                     [--rate-ppm F] [--straggle-us S]\n"
          "                     [--m M] [--l L] [--size N] [--seed S]\n"
-         "       tcu_cli pool  [--mode barrier|epoch]\n"
-         "                     [--workload closure|gauss|dft|mlp]\n"
+         "       tcu_cli pool  [--workload closure|gauss|dft|mlp]\n"
          "                     [--backend sim|micro|blas]\n"
          "                     [--p P] [--m M] [--l L] [--size N] [--seed S]\n";
   std::exit(2);
@@ -387,7 +385,7 @@ std::uint64_t parse_num(const std::string& flag, const std::string& value) {
   errno = 0;
   const auto num = std::strtoull(value.c_str(), &end, 10);
   if (value.empty() || *end != '\0' || errno == ERANGE) {
-    std::cerr << "tcu_cli fault: " << flag << " expects a number, got '"
+    std::cerr << "tcu_cli: " << flag << " expects a number, got '"
               << value << "'\n";
     usage();
   }
@@ -528,7 +526,6 @@ int run_fault(int argc, char** argv) {
 
 struct PoolOptions {
   std::string workload = "closure";
-  tcu::ExecMode mode = tcu::ExecMode::kEpoch;
   tcu::BackendKind backend = tcu::BackendKind::kDefault;
   std::size_t p = 4;
   std::size_t m = 256;
@@ -537,10 +534,9 @@ struct PoolOptions {
   std::uint64_t seed = 42;
 };
 
-/// One dependent workload, serial vs pooled under the chosen schedule:
-/// `serial` runs on a Device<T>, `pooled` on a DevicePool<T> in
-/// `po.mode`; both must produce the same bits. Returns the process exit
-/// status (nonzero on mismatch).
+/// One dependent workload, serial vs pooled: `serial` runs on a
+/// Device<T>, `pooled` on a DevicePool<T>; both must produce the same
+/// bits. Returns the process exit status (nonzero on mismatch).
 template <typename T, typename Serial, typename Pooled>
 int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
   Device<T> ref({.m = po.m, .latency = po.latency, .backend = po.backend});
@@ -577,18 +573,6 @@ int run_pool(int argc, char** argv) {
     const std::string value = argv[i + 1];
     if (flag == "--workload") {
       po.workload = value;
-      continue;
-    }
-    if (flag == "--mode") {
-      if (value == "barrier") {
-        po.mode = tcu::ExecMode::kBarrier;
-      } else if (value == "epoch") {
-        po.mode = tcu::ExecMode::kEpoch;
-      } else {
-        std::cerr << "tcu_cli pool: --mode expects barrier|epoch, got '"
-                  << value << "'\n";
-        usage();
-      }
       continue;
     }
     if (flag == "--backend") {
@@ -631,9 +615,7 @@ int run_pool(int argc, char** argv) {
   const std::size_t s = tcu::exact_sqrt(po.m);
   const std::size_t d = ((po.size + s - 1) / s) * s;
 
-  std::cout << "pool scenario: workload=" << po.workload << " mode="
-            << (po.mode == tcu::ExecMode::kEpoch ? "epoch" : "barrier")
-            << " backend="
+  std::cout << "pool scenario: workload=" << po.workload << " backend="
             << tcu::backend_kind_name(tcu::resolve_backend_kind(po.backend))
             << " p=" << po.p << " m=" << po.m << " l=" << po.latency
             << " size=" << d << " seed=" << po.seed << "\n";
@@ -649,7 +631,7 @@ int run_pool(int argc, char** argv) {
         },
         [&](tcu::DevicePool<tcu::graph::Vert>& pool) {
           auto c = adj;
-          tcu::graph::closure_tcu(pool, c.view(), po.mode);
+          tcu::graph::closure_tcu(pool, c.view());
           return c;
         });
   }
@@ -674,7 +656,7 @@ int run_pool(int argc, char** argv) {
         },
         [&](tcu::DevicePool<double>& pool) {
           auto c = x;
-          tcu::linalg::ge_forward_tcu_pool(pool, c.view(), po.mode);
+          tcu::linalg::ge_forward_tcu_pool(pool, c.view());
           return c;
         });
   }
@@ -696,8 +678,7 @@ int run_pool(int argc, char** argv) {
         [&](tcu::DevicePool<Complex>& pool) {
           auto b = batch;
           tcu::PoolExecutor<Complex> exec(pool);
-          tcu::dft::dft_batch_tcu(exec, b.view(),
-                                  {.affinity = true, .mode = po.mode});
+          tcu::dft::dft_batch_tcu(exec, b.view(), {.affinity = true});
           return b;
         });
   }
@@ -716,8 +697,7 @@ int run_pool(int argc, char** argv) {
         [&](Device<double>& dev) { return mlp.forward(dev, batch.view()); },
         [&](tcu::DevicePool<double>& pool) {
           tcu::PoolExecutor<double> exec(pool);
-          return mlp.forward(exec, batch.view(), {.affinity = true},
-                             po.mode);
+          return mlp.forward(exec, batch.view(), {.affinity = true});
         });
   }
   usage();
