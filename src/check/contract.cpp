@@ -87,7 +87,7 @@ void UnitChecker::sync(const Counters& counters,
 
 bool UnitChecker::clobber_sanctioned() const {
   if (AllowUntaggedClobber::active()) return true;
-  // A plain-submit task's calls were declared untagged wholesale: the
+  // A chain-free task's calls were declared untagged wholesale: the
   // dealer dropped the lane's prediction mirror when it enqueued.
   if (mode_ == TaskMode::kUntagged) return true;
   // An affine task may declare individual untagged calls as 0 entries.
@@ -261,8 +261,8 @@ void UnitChecker::on_task_end(bool failed) {
     for (const std::uint64_t key : observed_) {
       if (key != 0) {
         fail("tagged call " + format_key(key) +
-             " issued inside a plain-submit task; residency-tagged work "
-             "must declare its chain via submit_affine");
+             " issued inside a task with no declared chain; "
+             "residency-tagged work must list its keys in TaskSpec::chain");
       }
     }
   }

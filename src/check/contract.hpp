@@ -2,7 +2,7 @@
 // Debug-mode contract checker for the (m, l)-TCU residency model.
 //
 // PRs 2-4 established the model's conventions: long-lived right operands
-// are tagged with `gemm_resident`, every `submit_affine` chain lists
+// are tagged with `gemm_resident`, every declared `TaskSpec::chain` lists
 // exactly the keys its task touches in order, counters obey the latency
 // conservation law, and the pool's prediction mirrors replay the units'
 // LRU transitions bit-for-bit. Nothing enforced any of it — PR 4 was an
@@ -16,14 +16,14 @@
 //   * the conservation law  Δ(latency_time + latency_saved) == Δcalls·ℓ
 //     and the hit bound  Δresident_hits <= Δtagged_calls  must hold at
 //     every event (each issued call adds ℓ to exactly one side);
-//   * a PoolExecutor task declared via `submit_affine` must issue exactly
-//     its declared chain — extra, missing, or reordered keys are hard
-//     errors — and must realize exactly the hits the dealer predicted;
+//   * a PoolExecutor task submitted with a non-empty `TaskSpec::chain`
+//     must issue exactly that chain — extra, missing, or reordered keys
+//     are hard errors — and must realize exactly the hits the dealer
+//     predicted;
 //   * an untagged `gemm` that clobbers a live resident set is flagged
 //     unless the site is allowlisted (`AllowUntaggedClobber`), the task
-//     declared it (a 0 chain entry), or the task was submitted through
-//     the untagged `submit` path, whose dealer already dropped the lane's
-//     prediction mirror;
+//     declared it (a 0 chain entry), or the task declared no chain at
+//     all, so the dealer already dropped the lane's prediction mirror;
 //   * after a failed task abandons its chain, any tensor call issued
 //     outside the executor's grace window before the `evict_all`
 //     re-anchor is a "stale resident set" error;

@@ -3,8 +3,8 @@
 //
 // The model's correctness story rests on conventions the type system
 // cannot see: long-lived right operands must be tagged with
-// `gemm_resident`, a `submit_affine` chain must list exactly the keys its
-// task touches, and per-unit counters must satisfy closed-form
+// `gemm_resident`, a pooled task's `TaskSpec::chain` must list exactly
+// the keys the task touches, and per-unit counters must satisfy closed-form
 // conservation laws. `UnitObserver` is the hook through which a checker
 // watches one `Device` — every tensor call, invalidation, reset, and
 // (through `PoolExecutor`) task bracket and join barrier — without the
@@ -115,10 +115,10 @@ class UnitObserver {
   virtual void on_desync() {}
 
   /// A PoolExecutor task is about to run on this unit's worker thread.
-  /// `chain` is the declared resident-key chain for `submit_affine` tasks
-  /// (null for plain `submit`/`submit_to` tasks, whose calls are assumed
-  /// untagged), `predicted_hits` the dealer's replayed hit count for the
-  /// winning lane, and `affine` whether the task was chain-declared.
+  /// `chain` is the task's `TaskSpec::chain` (null when that is empty: a
+  /// CPU task, or a tensor task whose calls are all assumed untagged),
+  /// `predicted_hits` the dealer's replayed hit count for the winning
+  /// lane, and `affine` whether the task declared a chain.
   /// `hits_valid` is false when the executor knows the dealer's replay no
   /// longer describes this lane — a fault-recovery retry or a redeal to a
   /// different unit — so a stateful checker must not hold the task to

@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -122,12 +123,25 @@ struct PoolRecoveryOptions {
   std::size_t max_attempts = 4;
 };
 
-/// Explicit predecessor set for a dependent task: the serials (returned
-/// as `TaskTicket::serial`) of every task that must retire before this
-/// one may start. Serials must come from earlier submits on the same
-/// executor round — a dep on a not-yet-submitted serial is rejected.
-struct TaskDeps {
-  std::vector<std::uint64_t> after;
+/// What the dealer needs to know about one task:
+///   * `cost` — the exact simulated time the task will charge its unit
+///     (tensor time including one load latency per chain entry, or the
+///     cpu_ops of a CPU task); exact costs keep the dealing identical to a
+///     serial execute-then-pick loop;
+///   * `chain` — in call order, the resident-operand key of every tensor
+///     call the task will issue through `gemm_resident` (a 0 entry marks
+///     an untagged call). An empty chain declares untagged work: its calls
+///     displace the unit's whole resident set;
+///   * `after` — serials (`TaskTicket::serial`) of the tasks that must
+///     retire before this one may start. They must come from earlier
+///     submits on the same executor round;
+///   * `cpu` — the task issues no tensor calls, so the unit's resident set
+///     is left alone. A CPU task declares no chain.
+struct TaskSpec {
+  std::uint64_t cost = 0;
+  std::vector<std::uint64_t> chain{};
+  std::vector<std::uint64_t> after{};
+  bool cpu = false;
 };
 
 /// Receipt for a submitted task: its submit serial (usable as a
@@ -159,8 +173,9 @@ struct RoundReport {
 
 /// Worker-thread runtime over a DevicePool: one thread and one FIFO queue
 /// per unit. Construction spawns the workers; destruction drains and joins
-/// them. `submit` deals a task to the projected-least-loaded unit and must
-/// be called from a single thread (the scheduling decision sequence is the
+/// them. `submit(TaskSpec, Task)` is the one way in: it deals the task to
+/// the unit with the smallest projected completion and must be called
+/// from a single thread (the scheduling decision sequence is the
 /// schedule). Do not touch the pool's units directly between the first
 /// `submit` and the matching `join`. Worker exceptions are only surfaced
 /// by `join()`; destroying the executor without a final join discards any
@@ -192,17 +207,16 @@ struct RoundReport {
 /// executor amortizes thread startup across an entire Mlp forward, a batch
 /// of matmuls, or a recursion tree.
 ///
-/// `submit_affine` implements chain-aware tile-affinity scheduling: a
-/// task declares its *tile chain* — the ordered resident-operand keys its
-/// tensor calls will touch. The dealer keeps, per lane, a mirror of the
-/// unit's TileCache advanced through everything already queued, replays
-/// the candidate chain against each mirror to count predicted hits, and
+/// Dealing is chain-aware: a task's `TaskSpec::chain` lists the resident
+/// keys its tensor calls will touch. The dealer keeps, per lane, a mirror
+/// of the unit's TileCache advanced through everything already queued,
+/// replays the chain against each mirror to count predicted hits, and
 /// charges the task `cost - hits * l` on each lane — so work lands where
 /// its tiles already live and every predicted saving is genuinely
 /// realized (Device::gemm_resident runs the identical LRU transitions,
-/// elides the charges, and counts the hits). With capacity-1 caches and
-/// single-tile chains this degenerates to the original
-/// (enter_key, exit_key) affinity dealer bit-for-bit.
+/// elides the charges, and counts the hits). A task with an empty chain
+/// gets no credit anywhere, so it goes to the least-projected lane exactly
+/// like the serial `least_loaded()` loop.
 template <typename T>
 class PoolExecutor {
  public:
@@ -281,123 +295,29 @@ class PoolExecutor {
   /// runs degraded on the remainder; nonzero only after spawn faults).
   std::uint64_t spawn_failures() const { return spawn_failures_; }
 
-  /// Deal `task` to the unit with the smallest projected tensor time
-  /// (actual + declared cost of queued work), lowest index on ties.
-  /// `projected_cost` is the simulated tensor time the task will charge;
-  /// exact costs keep the dealing identical to a serial execute-then-pick
-  /// loop. Returns the chosen unit index. The task's tensor calls are
-  /// assumed untagged (they displace any resident tile).
-  std::size_t submit(std::uint64_t projected_cost, Task task) {
-    PendingTask t;
-    t.fn = std::move(task);
-    t.cost = projected_cost;
-    t.fence = epoch_fence_;
-    t.serial = next_serial_++;
-    return place_greedy(std::move(t));
-  }
-
-  /// `submit` with an explicit predecessor set: the task will not start
-  /// until every serial in `deps.after` has retired into the completion
-  /// ledger (in addition to the current epoch fence). Returns a ticket
-  /// whose serial later tasks may depend on.
-  TaskTicket submit(std::uint64_t projected_cost, TaskDeps deps, Task task) {
-    PendingTask t;
-    t.fn = std::move(task);
-    t.cost = projected_cost;
-    t.fence = epoch_fence_;
-    t.deps = std::move(deps.after);
-    check_deps(t.deps);
-    t.serial = next_serial_++;
-    const std::size_t unit = place_greedy(std::move(t));
-    return {next_serial_ - 1, unit};
-  }
-
-  /// Chain-aware tile-affinity dealing. `projected_cost` is the task's
-  /// full simulated tensor time including one load latency per chain
-  /// entry; `chain` lists, in call order, the resident-operand key of
-  /// every tagged tensor call the task will issue (a 0 entry marks an
-  /// untagged call, which invalidates the predicted set exactly as
-  /// Device::gemm does). Keys are storage addresses for long-lived
-  /// weights, or symbolic identities built with `make_tile_key` for
-  /// operands whose storage is transient or reused (the DFT level tiles,
-  /// Gaussian elimination's per-pivot panel strips) — the two spaces
-  /// cannot collide. Each lane's mirrored cache is advanced through
-  /// the chain to count predicted hits; the task is charged
-  /// `cost - hits * l` there and the lane with the smallest projected
-  /// completion wins (ties toward the lowest index). The winner's mirror
-  /// keeps the replayed state, so later chains see exactly what the unit
-  /// will hold. Returns the chosen unit index.
-  // tcu-lint: epoch-free-ok(the runtime's own definition, not a call site)
-  std::size_t submit_affine(std::uint64_t projected_cost,
-                            const std::vector<std::uint64_t>& chain,
-                            Task task) {
-    PendingTask t;
-    t.fn = std::move(task);
-    t.chain = chain;
-    t.affine = true;
-    t.cost = projected_cost;
-    t.fence = epoch_fence_;
-    t.serial = next_serial_++;
-    return place_affine(std::move(t));
-  }
-
-  /// `submit_affine` with an explicit predecessor set (see the TaskDeps
-  /// overload of `submit`). Affinity dealing is unchanged — dependencies
-  /// gate *when* the task starts, not *where* it lands.
-  TaskTicket submit_affine(std::uint64_t projected_cost,
-                           const std::vector<std::uint64_t>& chain,
-                           TaskDeps deps, Task task) {
-    PendingTask t;
-    t.fn = std::move(task);
-    t.chain = chain;
-    t.affine = true;
-    t.cost = projected_cost;
-    t.fence = epoch_fence_;
-    t.deps = std::move(deps.after);
-    check_deps(t.deps);
-    t.serial = next_serial_++;
-    const std::size_t unit = place_affine(std::move(t));
-    return {next_serial_ - 1, unit};
-  }
-
-  /// Pure-CPU task: issues no tensor calls, so the dealer leaves the
-  /// lane's resident-set mirror untouched (unlike `submit`, whose
-  /// untagged calls clobber it). `cpu_cost` is the exact cpu_ops the task
-  /// will charge to its unit (`unit.charge_cpu`); it joins the lane's
-  /// greedy projection because CPU work occupies the unit's timeline in
-  /// `makespan()` exactly like tensor time. This is how the pooled
-  /// workloads run per-round kernel work on the units, where it
-  /// parallelizes, instead of on the shared (serial) CPU counter.
-  TaskTicket submit_cpu(std::uint64_t cpu_cost, TaskDeps deps, Task task) {
-    PendingTask t;
-    t.fn = std::move(task);
-    t.cost = cpu_cost;
-    t.cpu = true;
-    t.fence = epoch_fence_;
-    t.deps = std::move(deps.after);
-    check_deps(t.deps);
-    t.serial = next_serial_++;
-    const std::size_t unit = place_greedy(std::move(t));
-    return {next_serial_ - 1, unit};
-  }
-
-  /// Enqueue on a specific unit's lane (for schedules computed elsewhere).
-  /// If `unit` has been quarantined the pinned placement is impossible;
-  /// the task degrades to the greedy dealer instead of aborting.
-  void submit_to(std::size_t unit, std::uint64_t projected_cost, Task task) {
-    PendingTask t;
-    t.fn = std::move(task);
-    t.cost = projected_cost;
-    t.fence = epoch_fence_;
-    t.serial = next_serial_++;
-    if (quarantined_.at(unit)) {
-      place_greedy(std::move(t));
-      return;
+  /// Deal `task` to the healthy lane with the smallest projected
+  /// completion — its projection plus `spec.cost`, less `l` per hit that
+  /// `spec.chain` replays against the lane's mirror — lowest index on
+  /// ties. The task will not start until every serial in `spec.after` has
+  /// retired into the completion ledger (in addition to the current epoch
+  /// fence); dependencies gate *when* it starts, not *where* it lands.
+  /// Returns the task's serial (usable in a later `after`) and its lane.
+  /// Throws std::invalid_argument, before any serial is allocated, for a
+  /// dependency on a not-yet-submitted serial or a CPU task with a chain.
+  TaskTicket submit(TaskSpec spec, Task task) {
+    if (spec.cpu && !spec.chain.empty()) {
+      throw std::invalid_argument(
+          "PoolExecutor: a cpu task issues no tensor calls and declares no "
+          "chain");
     }
-    projected_[unit] += projected_cost;
-    // Untagged work invalidates the unit's whole resident set.
-    lane_cache_[unit].clear();
-    enqueue(unit, std::move(t));
+    check_deps(spec.after);
+    PendingTask t;
+    t.fn = std::move(task);
+    t.spec = std::move(spec);
+    t.fence = epoch_fence_;
+    t.serial = next_serial_++;
+    const std::uint64_t serial = t.serial;
+    return {serial, place(std::move(t))};
   }
 
   /// Drop every resident tile on every unit *and* every prediction
@@ -541,11 +461,7 @@ class PoolExecutor {
       for (auto& t : failed) {
         t.hits_valid = false;
         ++report.redealt;
-        if (t.affine) {
-          place_affine(std::move(t));
-        } else {
-          place_greedy(std::move(t));
-        }
+        place(std::move(t));
       }
     }
     // Clean barrier: the dealer's prediction mirrors must have replayed
@@ -568,29 +484,25 @@ class PoolExecutor {
 
  private:
   /// A dealt task with everything recovery needs to run it elsewhere: the
-  /// declared chain (the checker reads it on the worker thread, and a
-  /// redeal replays it against the new lane's mirror), the full declared
-  /// cost (no hit credit — hits are lane-specific), the submit serial
-  /// (redeal order), and the fault history.
+  /// submitted spec (the checker reads the chain on the worker thread, and
+  /// a redeal replays it against the new lane's mirror at the full
+  /// declared cost — hits are lane-specific), the submit serial (redeal
+  /// order), and the fault history.
   struct PendingTask {
     Task fn;
-    std::vector<std::uint64_t> chain;  ///< declared keys (affine tasks)
-    bool affine = false;
-    std::uint64_t cost = 0;        ///< declared cost before any hit credit
+    TaskSpec spec;
     std::uint64_t predicted_hits = 0;
     bool hits_valid = true;  ///< false once recovery invalidated the replay
     std::uint64_t serial = 0;  ///< submit order, stable across redeals
     std::size_t attempts = 0;  ///< faulted executions so far
     std::exception_ptr last_fault;
     // Epoch runtime state. `fence` orders the task after every serial
-    // below it (0 = unfenced); `deps` lists explicit predecessor serials.
+    // below it (0 = unfenced); `spec.after` lists explicit predecessors.
     // Markers are zero-cost checker probes enqueued by join_epoch():
     // FIFO order makes them run exactly after the lane's pre-epoch tasks,
     // where `mirror` (the dealer's lane-cache snapshot) must equal the
     // unit's live resident set.
     std::uint64_t fence = 0;
-    std::vector<std::uint64_t> deps;
-    bool cpu = false;  ///< pure-CPU task: place_greedy keeps the mirror
     bool marker = false;
     std::uint64_t epoch = 0;
     std::vector<std::uint64_t> mirror;
@@ -615,50 +527,35 @@ class PoolExecutor {
     std::thread worker;
   };
 
-  /// Greedy least-projected dealing over healthy lanes (ties toward the
-  /// lowest index), shared by `submit`, `submit_cpu`, the quarantined
-  /// `submit_to` fallback, and redeal. A plain task's untagged calls
-  /// invalidate the unit's whole resident set, so its lane mirror is
-  /// cleared; a pure-CPU task issues no tensor calls and leaves the mirror
-  /// intact (a CPU task between two affine tasks must not cost the second
-  /// its predicted hits).
-  std::size_t place_greedy(PendingTask task) {
-    const std::size_t none = projected_.size();
-    std::size_t best = none;
-    for (std::size_t i = 0; i < projected_.size(); ++i) {
-      if (quarantined_[i]) continue;
-      if (best == none || projected_[i] < projected_[best]) best = i;
-    }
-    if (best == none) {
-      throw fault::PermanentUnitFault("PoolExecutor: all units quarantined");
-    }
-    projected_[best] += task.cost;
-    if (!task.cpu) lane_cache_[best].clear();
-    enqueue(best, std::move(task));
-    return best;
-  }
-
-  /// Chain-replay affine dealing over healthy lanes, shared by
-  /// `submit_affine` and redeal. Updates the winner's mirror with the
-  /// replayed state and records the winning hit count on the task.
-  std::size_t place_affine(PendingTask task) {
+  /// The dealer, shared by `submit` and redeal, over healthy lanes. A
+  /// chain is replayed against each lane's mirror to count hits; the
+  /// winner keeps the replayed mirror and the task records its hit count.
+  /// A tensor task with an empty chain replays like the chain {0} — its
+  /// untagged calls clear the winner's mirror, no hits — and a CPU task
+  /// leaves the mirror intact (a CPU task between two chained tasks must
+  /// not cost the second its predicted hits). Neither copies a mirror.
+  std::size_t place(PendingTask task) {
+    const std::vector<std::uint64_t>& chain = task.spec.chain;
     const std::size_t none = projected_.size();
     std::size_t best = none;
     std::uint64_t best_done = 0;
     std::uint64_t best_hits = 0;
-    TileCache best_cache(1);
+    std::optional<TileCache> best_cache;
     for (std::size_t i = 0; i < projected_.size(); ++i) {
       if (quarantined_[i]) continue;
-      TileCache sim = lane_cache_[i];
       std::uint64_t hits = 0;
-      for (const std::uint64_t key : task.chain) {
-        if (key == 0) {
-          sim.clear();
-        } else if (sim.touch(key)) {
-          ++hits;
+      std::optional<TileCache> sim;
+      if (!chain.empty()) {
+        sim = lane_cache_[i];
+        for (const std::uint64_t key : chain) {
+          if (key == 0) {
+            sim->clear();
+          } else if (sim->touch(key)) {
+            ++hits;
+          }
         }
       }
-      std::uint64_t eff = task.cost;
+      std::uint64_t eff = task.spec.cost;
       eff -= std::min(hits * latency_, eff);
       const std::uint64_t done = projected_[i] + eff;
       if (best == none || done < best_done) {
@@ -672,7 +569,11 @@ class PoolExecutor {
       throw fault::PermanentUnitFault("PoolExecutor: all units quarantined");
     }
     projected_[best] = best_done;
-    lane_cache_[best] = std::move(best_cache);
+    if (best_cache) {
+      lane_cache_[best] = std::move(*best_cache);
+    } else if (!task.spec.cpu) {
+      lane_cache_[best].clear();
+    }
     task.predicted_hits = best_hits;
     enqueue(best, std::move(task));
     return best;
@@ -712,7 +613,7 @@ class PoolExecutor {
 
   bool deps_ready_locked(const PendingTask& t) const {
     if (low_water_ < t.fence) return false;
-    for (const std::uint64_t d : t.deps) {
+    for (const std::uint64_t d : t.spec.after) {
       if (d < low_water_) continue;
       const std::size_t idx = static_cast<std::size_t>(d - ledger_base_);
       if (idx >= done_.size() || !done_[idx]) return false;
@@ -748,7 +649,7 @@ class PoolExecutor {
   /// barrier for redealing — its predecessors may be in `failed` and
   /// unable to retire until then) and kStop on executor shutdown.
   DepWait wait_deps(const PendingTask& task) {
-    if (task.fence == 0 && task.deps.empty()) return DepWait::kRun;
+    if (task.fence == 0 && task.spec.after.empty()) return DepWait::kRun;
     std::unique_lock<std::mutex> lock(ledger_mu_);
     ledger_cv_.wait(lock, [&] {
       return ledger_stop_ || deps_ready_locked(task) ||
@@ -908,8 +809,9 @@ class PoolExecutor {
     std::size_t lane_retries = 0;
     for (;;) {
       if (obs) {
-        obs->on_task_begin(task.affine ? &task.chain : nullptr,
-                           task.predicted_hits, task.affine, task.hits_valid);
+        const bool affine = !task.spec.chain.empty();
+        obs->on_task_begin(affine ? &task.spec.chain : nullptr,
+                           task.predicted_hits, affine, task.hits_valid);
       }
       try {
         task.fn(unit);

@@ -194,11 +194,15 @@ void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
   const std::size_t chunks =
       std::max<std::size_t>(1, std::min(exec.pool().size(), tiles));
   const std::uint64_t key = make_tile_key(kDftTileTag, n1);
+  const bool affinity = ctx.affinity;
+  // With affinity every chunk's one tagged call reuses the level's tile;
+  // without it the chunks declare no chain (untagged dealing).
+  std::vector<std::uint64_t> chain;
+  if (affinity) chain.push_back(key);
   std::size_t r0 = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t tile_cnt = tiles / chunks + (c < tiles % chunks);
     const std::size_t nr = (c + 1 == chunks) ? rows - r0 : tile_cnt * s;
-    const bool affinity = ctx.affinity;
     auto run_chunk = [batch, next, w_tile, r0, nr, n1, n2, len, s, key,
                       affinity](Device<Complex>& unit) {
       // Gather: tall-matrix row r0+i is column vector (r, c) with
@@ -217,7 +221,7 @@ void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
         unit.gemm_resident(key, g.view().as_const(),
                            w_tile->view().as_const(), t.view());
       } else {
-        // tcu-lint: untagged-ok(plain-submit chunk; the dealer dropped the lane mirror)
+        // tcu-lint: untagged-ok(empty-chain chunk; the dealer dropped the lane mirror)
         unit.gemm(g.view().as_const(), w_tile->view().as_const(), t.view());
       }
       // Twiddle + scatter into the next level's contiguous layout.
@@ -234,15 +238,10 @@ void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
       unit.charge_cpu(2 * nr * n1);
     };
     const std::uint64_t glue = 3ull * nr * n1;
-    if (affinity) {
-      // tcu-lint: epoch-free-ok(fence-ordered: join_epoch brackets every level)
-      exec.submit_affine(
-          tcu::linalg::detail::strip_tile_cost(unit0, nr, true) + glue, {key},
-          std::move(run_chunk));
-    } else {
-      exec.submit(projected_gemm_cost(unit0, nr) + glue,
-                  std::move(run_chunk));
-    }
+    const std::uint64_t cost =
+        tcu::linalg::detail::strip_tile_cost(unit0, nr, affinity) + glue;
+    // tcu-lint: epoch-free-ok(fence-ordered: join_epoch brackets every level)
+    exec.submit({.cost = cost, .chain = chain}, std::move(run_chunk));
     r0 += nr;
   }
   exec.join_epoch();
@@ -329,11 +328,15 @@ void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
   const std::size_t chunks =
       std::max<std::size_t>(1, std::min(exec.pool().size(), tiles));
   const std::uint64_t key = make_tile_key(kDftTileTag, len);
+  const bool affinity = ctx.affinity;
+  // With affinity every chunk's one tagged call reuses the level's tile;
+  // without it the chunks declare no chain (untagged dealing).
+  std::vector<std::uint64_t> chain;
+  if (affinity) chain.push_back(key);
   std::size_t r0 = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t tile_cnt = tiles / chunks + (c < tiles % chunks);
     const std::size_t nr = (c + 1 == chunks) ? b - r0 : tile_cnt * s;
-    const bool affinity = ctx.affinity;
     auto run_chunk = [batch, w_tile, r0, nr, len, s, key,
                       affinity](Device<Complex>& unit) {
       Matrix<Complex> padded(nr, s, Complex{});
@@ -348,7 +351,7 @@ void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
         unit.gemm_resident(key, padded.view().as_const(),
                            w_tile->view().as_const(), out.view());
       } else {
-        // tcu-lint: untagged-ok(plain-submit chunk; the dealer dropped the lane mirror)
+        // tcu-lint: untagged-ok(empty-chain chunk; the dealer dropped the lane mirror)
         unit.gemm(padded.view().as_const(), w_tile->view().as_const(),
                   out.view());
       }
@@ -360,15 +363,10 @@ void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
       unit.charge_cpu(nr * len);
     };
     const std::uint64_t glue = 2ull * nr * len;
-    if (affinity) {
-      // tcu-lint: epoch-free-ok(fence-ordered: join_epoch brackets every level)
-      exec.submit_affine(
-          tcu::linalg::detail::strip_tile_cost(unit0, nr, true) + glue, {key},
-          std::move(run_chunk));
-    } else {
-      exec.submit(projected_gemm_cost(unit0, nr) + glue,
-                  std::move(run_chunk));
-    }
+    const std::uint64_t cost =
+        tcu::linalg::detail::strip_tile_cost(unit0, nr, affinity) + glue;
+    // tcu-lint: epoch-free-ok(fence-ordered: join_epoch brackets every level)
+    exec.submit({.cost = cost, .chain = chain}, std::move(run_chunk));
     r0 += nr;
   }
   exec.join_epoch();
@@ -426,7 +424,7 @@ void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
     dft_batch_rec(ctx, next);
 
     // Column-major read-out as fenced CPU tasks: batch rows are written
-    // disjointly and no tensor call is issued (submit_cpu leaves the
+    // disjointly and no tensor call is issued (a cpu task leaves the
     // lane's prediction mirror alone).
     PoolExecutor<Complex>& exec = *ctx.exec;
     const std::size_t chunks =
@@ -434,8 +432,8 @@ void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
     std::size_t r0 = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t nr = b / chunks + (c < b % chunks);
-      exec.submit_cpu(
-          static_cast<std::uint64_t>(nr) * len, TaskDeps{},
+      exec.submit(
+          {.cost = static_cast<std::uint64_t>(nr) * len, .cpu = true},
           [batch, next, r0, nr, n1, n2, len](Device<Complex>& unit) {
             for (std::size_t r = r0; r < r0 + nr; ++r) {
               for (std::size_t k1 = 0; k1 < n1; ++k1) {

@@ -130,8 +130,8 @@ void closure_tcu_divisible(Device<Vert>& dev, MatrixView<Vert> X) {
 }
 
 /// Pool variant: one dependency-ordered round for the whole closure, with
-/// a single strict join at the end. Every kernel is a `submit_cpu` (A/B/C)
-/// or `submit` (D) unit task, and each task declares only the
+/// a single strict join at the end. Every kernel is a unit task — CPU
+/// (A/B/C) or chain-free tensor (D) — and each task declares only the
 /// predecessors the pivot panels actually order, so no lane idles on a
 /// per-pivot fence. With writer(i,j) = the last pivot's task that wrote
 /// block (i,j) (D(k-1,j) for most blocks, B(k-1,j) / C(k-1,i) for the old
@@ -159,17 +159,17 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
   std::vector<TaskTicket> b_prev(t), c_prev(t), d_prev(t);
   for (std::size_t kb = 0; kb < t; ++kb) {
     auto diag = X.subview(kb * s, kb * s, s, s);
-    TaskDeps a_deps;
-    if (kb > 0) a_deps.after.push_back(d_prev[kb].serial);
+    TaskSpec a_spec{.cost = s3, .cpu = true};
+    if (kb > 0) a_spec.after.push_back(d_prev[kb].serial);
     const TaskTicket a =
-        exec.submit_cpu(s3, std::move(a_deps), [diag, s3](Device<Vert>& unit) {
+        exec.submit(std::move(a_spec), [diag, s3](Device<Vert>& unit) {
           kernel_a(diag);
           unit.charge_cpu(s3);
         });
     std::vector<TaskTicket> b_now(t), c_now(t);
     for (std::size_t jb = 0; jb < t; ++jb) {
       if (jb == kb) continue;
-      TaskDeps b_deps{{a.serial}};
+      TaskSpec b_spec{.cost = s3, .after = {a.serial}, .cpu = true};
       if (kb > 0) {
         if (jb == kb - 1) {
           // The old pivot column: C(k-1, k) wrote this block, and every
@@ -178,28 +178,28 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
           // orders D(k, k-1)'s writes into the old pivot column (and its
           // diagonal) behind all of pivot k-1's readers, since each
           // D(k-1, x) depends on B(k-1, x) and every C(k-1, i).
-          b_deps.after.push_back(c_prev[kb].serial);
+          b_spec.after.push_back(c_prev[kb].serial);
           for (std::size_t x = 0; x < t; ++x) {
-            if (x != kb - 1) b_deps.after.push_back(d_prev[x].serial);
+            if (x != kb - 1) b_spec.after.push_back(d_prev[x].serial);
           }
         } else {
-          b_deps.after.push_back(d_prev[jb].serial);
+          b_spec.after.push_back(d_prev[jb].serial);
         }
       }
       auto block = X.subview(kb * s, jb * s, s, s);
-      b_now[jb] = exec.submit_cpu(
-          s3, std::move(b_deps), [block, diag, s3](Device<Vert>& unit) {
+      b_now[jb] = exec.submit(
+          std::move(b_spec), [block, diag, s3](Device<Vert>& unit) {
             kernel_b(block, diag);
             unit.charge_cpu(s3);
           });
     }
     for (std::size_t ib = 0; ib < t; ++ib) {
       if (ib == kb) continue;
-      TaskDeps c_deps{{a.serial}};
-      if (kb > 0 && ib == kb - 1) c_deps.after.push_back(b_prev[kb].serial);
+      TaskSpec c_spec{.cost = s3, .after = {a.serial}, .cpu = true};
+      if (kb > 0 && ib == kb - 1) c_spec.after.push_back(b_prev[kb].serial);
       auto block = X.subview(ib * s, kb * s, s, s);
-      c_now[ib] = exec.submit_cpu(
-          s3, std::move(c_deps), [block, diag, s3](Device<Vert>& unit) {
+      c_now[ib] = exec.submit(
+          std::move(c_spec), [block, diag, s3](Device<Vert>& unit) {
             kernel_c(block, diag);
             unit.charge_cpu(s3);
           });
@@ -209,15 +209,15 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
     if (kb + 1 < t) cost += projected_gemm_cost(unit0, n - (kb + 1) * s);
     for (std::size_t jb = 0; jb < t; ++jb) {
       if (jb == kb) continue;
-      TaskDeps d_deps{{b_now[jb].serial}};
+      TaskSpec d_spec{.cost = cost, .after = {b_now[jb].serial}};
       for (std::size_t ib = 0; ib < t; ++ib) {
-        if (ib != kb) d_deps.after.push_back(c_now[ib].serial);
+        if (ib != kb) d_spec.after.push_back(c_now[ib].serial);
       }
       d_prev[jb] = exec.submit(
-          cost, std::move(d_deps), [X, kb, jb, s, t, n](Device<Vert>& unit) {
+          std::move(d_spec), [X, kb, jb, s, t, n](Device<Vert>& unit) {
             auto weight = X.subview(kb * s, jb * s, s, s);
             if (kb > 0) {
-              // tcu-lint: untagged-ok(plain-submit task; weight mutated per pivot)
+              // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
               unit.gemm(X.subview(0, kb * s, kb * s, s), weight,
                         X.subview(0, jb * s, kb * s, s), /*accumulate=*/true);
               clamp_block(X.subview(0, jb * s, kb * s, s));
@@ -225,7 +225,7 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
             }
             if (kb + 1 < t) {
               const std::size_t top = (kb + 1) * s;
-              // tcu-lint: untagged-ok(plain-submit task; weight mutated per pivot)
+              // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
               unit.gemm(X.subview(top, kb * s, n - top, s), weight,
                         X.subview(top, jb * s, n - top, s),
                         /*accumulate=*/true);

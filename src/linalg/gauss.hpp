@@ -230,9 +230,9 @@ void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
 ///
 /// The whole elimination is one dependency-ordered round with a single
 /// strict join at the end. Kernels A-C (the pivot row and column) are
-/// `submit_cpu` unit tasks; each trailing block column's kernel-D update
-/// — one tall `gemm_resident` on a panel disjoint from every other j — is
-/// one `submit_affine` task on its X'_j key. Each task declares only its
+/// CPU unit tasks (`.cpu = true`); each trailing block column's kernel-D
+/// update — one tall `gemm_resident` on a panel disjoint from every other
+/// j — is one task whose chain is its X'_j key. Each task declares only its
 /// true predecessors:
 ///
 ///   A(k)    after D(k-1, k)                       (the diagonal block)
@@ -264,19 +264,19 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
   std::vector<TaskTicket> d_prev(t);  // D(kb-1, jb), indexed by jb
   auto xp_view = xp.view();
   for (std::size_t kb = 0; kb < t; ++kb) {
-    TaskDeps a_deps;
-    if (kb > 0) a_deps.after.push_back(d_prev[kb].serial);
-    const TaskTicket a = exec.submit_cpu(
-        a_cost, std::move(a_deps), [X, kb, s](Device<T>& unit) {
+    TaskSpec a_spec{.cost = a_cost, .cpu = true};
+    if (kb > 0) a_spec.after.push_back(d_prev[kb].serial);
+    const TaskTicket a = exec.submit(
+        std::move(a_spec), [X, kb, s](Device<T>& unit) {
           unit.charge_cpu(
               ge_detail::kernel_a_ops(X.subview(kb * s, kb * s, s, s)));
         });
     std::vector<TaskTicket> b_tickets(t);
     for (std::size_t jb = kb + 1; jb < t; ++jb) {
-      TaskDeps b_deps{{a.serial}};
-      if (kb > 0) b_deps.after.push_back(d_prev[jb].serial);
-      b_tickets[jb] = exec.submit_cpu(
-          b_cost, std::move(b_deps), [X, xp_view, kb, jb, s](Device<T>& unit) {
+      TaskSpec b_spec{.cost = b_cost, .after = {a.serial}, .cpu = true};
+      if (kb > 0) b_spec.after.push_back(d_prev[jb].serial);
+      b_tickets[jb] = exec.submit(
+          std::move(b_spec), [X, xp_view, kb, jb, s](Device<T>& unit) {
             unit.charge_cpu(ge_detail::kernel_b_ops(
                 X.subview(kb * s, jb * s, s, s),
                 X.subview(kb * s, kb * s, s, s),
@@ -285,8 +285,9 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
     }
     std::vector<std::uint64_t> c_serials;
     for (std::size_t ib = kb + 1; ib < t; ++ib) {
-      const TaskTicket c = exec.submit_cpu(
-          c_cost, TaskDeps{{a.serial}}, [X, kb, ib, s](Device<T>& unit) {
+      const TaskTicket c = exec.submit(
+          {.cost = c_cost, .after = {a.serial}, .cpu = true},
+          [X, kb, ib, s](Device<T>& unit) {
             unit.charge_cpu(ge_detail::kernel_c_ops(
                 X.subview(ib * s, kb * s, s, s),
                 X.subview(kb * s, kb * s, s, s)));
@@ -300,11 +301,12 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
         detail::strip_tile_cost(unit0, tall_rows, /*affinity=*/true);
     for (std::size_t jb = kb + 1; jb < t; ++jb) {
       const std::uint64_t key = ge_panel_key(kb, jb);
-      TaskDeps d_deps{{b_tickets[jb].serial}};
-      d_deps.after.insert(d_deps.after.end(), c_serials.begin(),
+      TaskSpec d_spec{
+          .cost = cost, .chain = {key}, .after = {b_tickets[jb].serial}};
+      d_spec.after.insert(d_spec.after.end(), c_serials.begin(),
                           c_serials.end());
-      d_prev[jb] = exec.submit_affine(
-          cost, {key}, std::move(d_deps),
+      d_prev[jb] = exec.submit(
+          std::move(d_spec),
           [X, xp_view, key, top, tall_rows, kb, jb, s](Device<T>& unit) {
             unit.gemm_resident(key, X.subview(top, kb * s, tall_rows, s),
                                xp_view.subview(0, jb * s, s, s),

@@ -144,7 +144,7 @@ void ragged_strip(Device<T>& unit, ConstMatrixView<T> A, ConstMatrixView<T> B,
         if (!keys.empty()) {
           unit.gemm_resident(keys[kb / s], a, b, c, accumulate);
         } else {
-          // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
+          // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
           unit.gemm(a, b, c, accumulate);
         }
       });
@@ -210,7 +210,7 @@ void matmul_pool_tile_split(PoolExecutor<T>& exec, ConstMatrixView<T> A,
                            b_tile.view().as_const(), out->view(),
                            /*accumulate=*/false);
       };
-      exec.submit_affine(tile_cost, {key}, std::move(task));
+      exec.submit({.cost = tile_cost, .chain = {key}}, std::move(task));
     }
   }
   exec.join();
@@ -256,7 +256,7 @@ auto strip_task(ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
                            B.subview(kb, jb, s, s), C.subview(r0, jb, nr, s),
                            /*accumulate=*/kb != 0);
       } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
+        // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
         unit.gemm(A.subview(r0, kb, nr, s), B.subview(kb, jb, s, s),
                   C.subview(r0, jb, nr, s), /*accumulate=*/kb != 0);
       }
@@ -318,7 +318,7 @@ auto tiled_strip_task(ConstMatrixView<T> A, const TiledMatrix<T>* B,
         unit.gemm_resident(keys[kt], a, B->tile_view(kt, jt), c,
                            /*accumulate=*/kt != 0);
       } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
+        // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
         unit.gemm(a, B->tile_view(kt, jt), c, /*accumulate=*/kt != 0);
       }
     }
@@ -337,7 +337,7 @@ auto tiled_strip_task(const TiledMatrix<T>* A, const TiledMatrix<T>* B,
         unit.gemm_resident(keys[kt], A->strip_view(kt), B->tile_view(kt, jt),
                            C->strip_view(jt), /*accumulate=*/kt != 0);
       } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; task came via plain submit)
+        // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
         unit.gemm(A->strip_view(kt), B->tile_view(kt, jt), C->strip_view(jt),
                   /*accumulate=*/kt != 0);
       }
@@ -407,11 +407,7 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
     for (std::size_t jb = 0; jb < r; jb += s) {
       const std::vector<std::uint64_t>& chain = chains[jb / s];
       auto task = detail::strip_task(A, B, C, jb, s, ragged, r0, nr, chain);
-      if (opts.affinity) {
-        exec.submit_affine(chunk_cost, chain, std::move(task));
-      } else {
-        exec.submit(chunk_cost, std::move(task));
-      }
+      exec.submit({.cost = chunk_cost, .chain = chain}, std::move(task));
     }
     r0 += nr;
   }
@@ -423,12 +419,13 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
 /// returns the strips' TaskTickets, in strip order, WITHOUT joining.
 /// Strip jb's ticket retires exactly when C's columns [jb*s, jb*s+s) are
 /// final, so downstream work — a per-strip epilogue — can depend on
-/// single strips (TaskDeps) instead of a full barrier, overlapping with
-/// the remaining strips' products. Strip bodies, submission order, and
-/// projected costs are identical to matmul_tcu_pool_into's unchunked
-/// schedule, so counters stay bit-compatible. The caller owes the
-/// executor a join() (or a fence via join_epoch) before the submit
-/// thread reads C, and must keep A, B, and C alive until then.
+/// single strips (`TaskSpec::after`) instead of a full barrier,
+/// overlapping with the remaining strips' products. Strip bodies,
+/// submission order, and projected costs are identical to
+/// matmul_tcu_pool_into's unchunked schedule, so counters stay
+/// bit-compatible. The caller owes the executor a join() (or a fence via
+/// join_epoch) before the submit thread reads C, and must keep A, B, and
+/// C alive until then.
 template <typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
     PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
@@ -455,12 +452,8 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
     const std::vector<std::uint64_t>& chain = chains[jb / s];
     auto task = detail::strip_task(A, B, C, jb, s, ragged, /*r0=*/0,
                                    /*nr=*/p, chain);
-    if (opts.affinity) {
-      tickets.push_back(
-          exec.submit_affine(strip_cost, chain, TaskDeps{}, std::move(task)));
-    } else {
-      tickets.push_back(exec.submit(strip_cost, TaskDeps{}, std::move(task)));
-    }
+    tickets.push_back(
+        exec.submit({.cost = strip_cost, .chain = chain}, std::move(task)));
   }
   return tickets;
 }
@@ -530,12 +523,8 @@ std::vector<TaskTicket> deal_tiled_strips(PoolExecutor<T>& exec,
   tickets.reserve(B.tile_cols());
   for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
     auto task = make_task(jt, chains[jt]);
-    if (opts.affinity) {
-      tickets.push_back(exec.submit_affine(strip_cost, chains[jt], TaskDeps{},
-                                           std::move(task)));
-    } else {
-      tickets.push_back(exec.submit(strip_cost, TaskDeps{}, std::move(task)));
-    }
+    tickets.push_back(exec.submit({.cost = strip_cost, .chain = chains[jt]},
+                                  std::move(task)));
   }
   return tickets;
 }

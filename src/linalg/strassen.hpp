@@ -271,7 +271,7 @@ Matrix<T> strassen_run_plan(PoolExecutor<T>& exec, StrassenLeafPlan<T>& plan,
   for (std::size_t idx = 0; idx < plan.leaf_a.size(); ++idx) {
     const std::uint64_t cost =
         strassen_subtree_cost(unit0, plan.leaf_a[idx].rows(), opts.p0);
-    exec.submit(cost, [&plan, idx, opts](Device<T>& unit) {
+    exec.submit({.cost = cost}, [&plan, idx, opts](Device<T>& unit) {
       plan.results[idx] = strassen_rec(unit, plan.leaf_a[idx],
                                        plan.leaf_b[idx], opts);
     });

@@ -173,7 +173,7 @@ typename Ops::Value karatsuba_run_plan(
   plan.results.resize(plan.leaf_a.size());
   for (std::size_t idx = 0; idx < plan.leaf_a.size(); ++idx) {
     const std::uint64_t cost = leaf_cost(plan.leaf_a[idx], plan.leaf_b[idx]);
-    exec.submit(cost, [&plan, idx, leaf](Device<T>& unit) {
+    exec.submit({.cost = cost}, [&plan, idx, leaf](Device<T>& unit) {
       plan.results[idx] = leaf(unit, plan.leaf_a[idx], plan.leaf_b[idx]);
     });
   }

@@ -317,7 +317,7 @@ TEST(CheckGreen, ExecutorRecoversAfterWorkerFailure) {
 
   (void)tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view(),
                                      {.affinity = true});
-  exec.submit_affine(10, {99}, [](Device<double>&) {
+  exec.submit({.cost = 10, .chain = {99}}, [](Device<double>&) {
     throw std::runtime_error("boom");
   });
   EXPECT_THROW(exec.join(), std::runtime_error);  // the original error

@@ -4,7 +4,7 @@
 // batched DFT, Mlp inference).
 //
 // Contracts pinned here:
-//   * raw runtime ordering: explicit TaskDeps chains serialize
+//   * raw runtime ordering: explicit `after` chains serialize
 //     cross-lane reads, a virtual barrier orders the next epoch's tasks
 //     after everything before it, and forward deps are rejected without
 //     corrupting the executor;
@@ -41,7 +41,7 @@ using tcu::Device;
 using tcu::DevicePool;
 using tcu::Matrix;
 using tcu::PoolExecutor;
-using tcu::TaskDeps;
+using tcu::TaskSpec;
 using tcu::TaskTicket;
 using Complex = tcu::dft::Complex;
 using Vert = tcu::graph::Vert;
@@ -130,13 +130,12 @@ TEST(EpochRuntime, DepChainSerializesCrossLaneReads) {
   slots[0] = 1;
   TaskTicket prev{};
   for (std::size_t i = 1; i < slots.size(); ++i) {
-    TaskDeps deps;
-    if (i > 1) deps.after.push_back(prev.serial);
-    prev = exec.submit_cpu(
-        1 + (i % 3), std::move(deps), [&slots, i](Device<double>& unit) {
-          slots[i] = slots[i - 1] + 1;
-          unit.charge_cpu(1);
-        });
+    TaskSpec spec{.cost = 1 + (i % 3), .cpu = true};
+    if (i > 1) spec.after.push_back(prev.serial);
+    prev = exec.submit(std::move(spec), [&slots, i](Device<double>& unit) {
+      slots[i] = slots[i - 1] + 1;
+      unit.charge_cpu(1);
+    });
   }
   exec.join();
   EXPECT_EQ(slots.back(), slots.size());
@@ -157,7 +156,7 @@ TEST(EpochRuntime, VirtualBarrierOrdersTheNextEpoch) {
   // after every round-1 write.
   std::vector<std::uint64_t> parts(4, 0);
   for (std::size_t u = 0; u < parts.size(); ++u) {
-    exec.submit_cpu(5, TaskDeps{}, [&parts, u](Device<double>& unit) {
+    exec.submit({.cost = 5, .cpu = true}, [&parts, u](Device<double>& unit) {
       parts[u] = u + 1;
       unit.charge_cpu(5);
     });
@@ -165,7 +164,7 @@ TEST(EpochRuntime, VirtualBarrierOrdersTheNextEpoch) {
   const std::uint64_t epoch = exec.join_epoch();
   EXPECT_GE(epoch, 1u);
   std::uint64_t total = 0;
-  exec.submit_cpu(1, TaskDeps{}, [&parts, &total](Device<double>& unit) {
+  exec.submit({.cost = 1, .cpu = true}, [&](Device<double>& unit) {
     for (const auto v : parts) total += v;
     unit.charge_cpu(1);
   });
@@ -178,24 +177,47 @@ TEST(EpochRuntime, ForwardDependencyIsRejectedWithoutCorruption) {
   PoolExecutor<double> exec(pool);
   std::uint64_t witness = 0;
   const TaskTicket t0 =
-      exec.submit_cpu(1, TaskDeps{}, [&witness](Device<double>& unit) {
+      exec.submit({.cost = 1, .cpu = true}, [&witness](Device<double>& unit) {
         witness += 1;
         unit.charge_cpu(1);
       });
   // A dep on a serial that has not been submitted could never retire.
-  EXPECT_THROW(exec.submit_cpu(1, TaskDeps{.after = {t0.serial + 100}},
-                               [](Device<double>&) {}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      exec.submit({.cost = 1, .after = {t0.serial + 100}, .cpu = true},
+                  [](Device<double>&) {}),
+      std::invalid_argument);
   // The rejection leaked no serial: epoch fences and dep-waits keyed on
   // the ledger's low-water mark still advance, so the executor remains
   // fully usable — including across a subsequent virtual barrier.
   exec.join_epoch();
-  exec.submit_cpu(1, TaskDeps{}, [&witness](Device<double>& unit) {
+  exec.submit({.cost = 1, .cpu = true}, [&witness](Device<double>& unit) {
     witness += 10;
     unit.charge_cpu(1);
   });
   exec.join();
   EXPECT_EQ(witness, 11u);
+}
+
+TEST(EpochRuntime, CpuTaskWithChainIsRejectedBeforeItsSerial) {
+  DevicePool<double> pool(2, {.m = 16, .latency = 3});
+  PoolExecutor<double> exec(pool);
+  bool ran = false;
+  const TaskTicket t0 =
+      exec.submit({.cost = 1, .cpu = true},
+                  [](Device<double>& unit) { unit.charge_cpu(1); });
+  // A CPU task issues no tensor calls, so it cannot realize the hits a
+  // declared chain would be credited with.
+  EXPECT_THROW(exec.submit({.cost = 1, .chain = {7}, .cpu = true},
+                           [&ran](Device<double>&) { ran = true; }),
+               std::invalid_argument);
+  // The rejection allocated no serial: the next ticket follows t0.
+  const TaskTicket t1 =
+      exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true},
+                  [](Device<double>& unit) { unit.charge_cpu(1); });
+  EXPECT_EQ(t1.serial, t0.serial + 1);
+  exec.join();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(pool.aggregate().cpu_ops, 2u);
 }
 
 // ----------------------------------------------------- 10-run determinism

@@ -37,6 +37,7 @@ using tcu::DevicePool;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 using tcu::RoundReport;
+using tcu::TaskTicket;
 using tcu::fault::FaultPlan;
 using tcu::fault::FaultSpec;
 using tcu::fault::ScopedInjection;
@@ -190,7 +191,7 @@ TEST(FaultRecovery, RetryExhaustionRethrowsAndExecutorRecovers) {
     ScopedInjection<double> inject(pool, plan);
     PoolExecutor<double> exec(pool);
     Matrix<double> c(4, 4, 0.0);
-    exec.submit(16 + 1, [&](Device<double>& dev) {
+    exec.submit({.cost = 16 + 1}, [&](Device<double>& dev) {
       dev.gemm(a.view(), b.view(), c.view());
     });
     EXPECT_THROW(exec.join(), tcu::fault::TransientFault);
@@ -230,15 +231,20 @@ TEST(FaultRecovery, ExhaustionIsDecidedBeforeAnyRedealInTheWave) {
   Matrix<double> ck(4, 4, 0.0), cc(4, 4, 0.0), cx(4, 4, 0.0);
   // K (serial 0) kills unit 0; C (serial 1) drains off the dead lane
   // with no attempts consumed; X (serial 2) burns its budget on unit 1.
-  exec.submit_to(0, 16 + 1, [&](Device<double>& dev) {
+  // The declared costs steer the greedy dealer: K (0) ties onto lane 0,
+  // C (1) ties onto lane 0 again, and X (17) takes lane 1 (0 < 1).
+  const TaskTicket k = exec.submit({.cost = 0}, [&](Device<double>& dev) {
     dev.gemm(a.view(), b.view(), ck.view());
   });
-  exec.submit_to(0, 16 + 1, [&](Device<double>& dev) {
+  const TaskTicket c = exec.submit({.cost = 1}, [&](Device<double>& dev) {
     dev.gemm(a.view(), b.view(), cc.view());
   });
-  exec.submit_to(1, 16 + 1, [&](Device<double>& dev) {
+  const TaskTicket x = exec.submit({.cost = 17}, [&](Device<double>& dev) {
     dev.gemm(a.view(), b.view(), cx.view());
   });
+  ASSERT_EQ(k.unit, 0u);
+  ASSERT_EQ(c.unit, 0u);
+  ASSERT_EQ(x.unit, 1u);
   // Wave 1: K trips unit 0's death, C drains, X faults twice. The redeal
   // sends K, C, X to unit 1 (calls 2-6): K completes, C fails twice
   // (attempts = 2, salvageable), X fails twice more (attempts = 4,
@@ -269,7 +275,7 @@ TEST(FaultRecovery, ExhaustionIsDecidedBeforeAnyRedealInTheWave) {
   // Reusable after the rethrow: the next round runs clean on the
   // survivor (no triggers remain past call 6).
   Matrix<double> cy(4, 4, 0.0);
-  exec.submit(16 + 1, [&](Device<double>& dev) {
+  exec.submit({.cost = 16 + 1}, [&](Device<double>& dev) {
     dev.gemm(a.view(), b.view(), cy.view());
   });
   const RoundReport round = exec.join();
@@ -285,13 +291,13 @@ TEST(FaultRecovery, AllUnitsDeadRethrows) {
   auto a = random_matrix(4, 4, 60);
   auto b = random_matrix(4, 4, 61);
   Matrix<double> c(4, 4, 0.0);
-  exec.submit(16, [&](Device<double>& dev) {
+  exec.submit({.cost = 16}, [&](Device<double>& dev) {
     dev.gemm(a.view(), b.view(), c.view());
   });
   EXPECT_THROW(exec.join(), tcu::fault::PermanentUnitFault);
   EXPECT_EQ(exec.healthy_units(), 0u);
   // Further submits are refused outright: there is nowhere to run.
-  EXPECT_THROW(exec.submit(16, [](Device<double>&) {}),
+  EXPECT_THROW(exec.submit({.cost = 16}, [](Device<double>&) {}),
                tcu::fault::PermanentUnitFault);
 }
 
@@ -300,7 +306,7 @@ TEST(FaultRecovery, NonFaultExceptionsKeepTheHistoricalContract) {
   // recovery machinery (no retry, no redeal, no quarantine).
   DevicePool<double> pool(2, {.m = 16});
   PoolExecutor<double> exec(pool);
-  exec.submit(1, [](Device<double>&) {
+  exec.submit({.cost = 1}, [](Device<double>&) {
     throw std::runtime_error("task bug");
   });
   EXPECT_THROW(exec.join(), std::runtime_error);
@@ -343,24 +349,6 @@ TEST(SpawnFault, AllWorkersFailingToSpawnThrows) {
   FaultPlan plan(fault_seed(7), {.spawn_fail = {0, 1}});
   ScopedInjection<double> inject(pool, plan);
   EXPECT_THROW(PoolExecutor<double> exec(pool), tcu::fault::SpawnFault);
-}
-
-TEST(SpawnFault, PinnedSubmitToQuarantinedUnitRedirects) {
-  DevicePool<double> pool(2, {.m = 16, .latency = 1});
-  FaultPlan plan(fault_seed(7), {.spawn_fail = {1}});
-  ScopedInjection<double> inject(pool, plan);
-  PoolExecutor<double> exec(pool);
-  auto a = random_matrix(4, 4, 80);
-  auto b = random_matrix(4, 4, 81);
-  Matrix<double> c(4, 4, 0.0);
-  exec.submit_to(1, 16 + 1, [&](Device<double>& dev) {
-    dev.gemm(a.view(), b.view(), c.view());
-  });
-  exec.join();
-  Device<double> ref({.m = 16, .latency = 1});
-  EXPECT_EQ(c, tcu::linalg::matmul_tcu(ref, a.view(), b.view()));
-  EXPECT_EQ(pool.unit(1).counters().tensor_calls, 0u);
-  EXPECT_EQ(pool.unit(0).counters().tensor_calls, 1u);
 }
 
 // ------------------------------------------------------------ determinism

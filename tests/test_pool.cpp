@@ -157,14 +157,14 @@ TEST(PoolRuntime, WeakModePoolMatchesSerialScheduleWithPreload) {
 TEST(PoolRuntime, ExceptionFromWorkerPropagatesAtJoin) {
   DevicePool<double> pool(2, {.m = 16});
   PoolExecutor<double> exec(pool);
-  exec.submit(1, [](Device<double>&) {
+  exec.submit({.cost = 1}, [](Device<double>&) {
     throw std::runtime_error("worker boom");
   });
   EXPECT_THROW(exec.join(), std::runtime_error);
   // The error is consumed: a subsequent join is clean and the executor
   // still drains new work.
   std::atomic<int> ran{0};
-  exec.submit(1, [&](Device<double>&) { ran.fetch_add(1); });
+  exec.submit({.cost = 1}, [&](Device<double>&) { ran.fetch_add(1); });
   EXPECT_NO_THROW(exec.join());
   EXPECT_EQ(ran.load(), 1);
 }
@@ -174,7 +174,7 @@ TEST(PoolRuntime, FirstOfManyExceptionsWinsAndAllTasksStillRun) {
   PoolExecutor<double> exec(pool);
   std::atomic<int> ran{0};
   for (int t = 0; t < 8; ++t) {
-    exec.submit(1, [&ran](Device<double>&) {
+    exec.submit({.cost = 1}, [&ran](Device<double>&) {
       ran.fetch_add(1);
       throw std::invalid_argument("each task throws");
     });
@@ -186,13 +186,16 @@ TEST(PoolRuntime, FirstOfManyExceptionsWinsAndAllTasksStillRun) {
 TEST(PoolRuntime, SubmitDealsGreedilyByProjectedCost) {
   DevicePool<double> pool(2, {.m = 16});
   PoolExecutor<double> exec(pool);
+  auto deal = [&exec](std::uint64_t cost) {
+    return exec.submit({.cost = cost}, [](Device<double>&) {}).unit;
+  };
   // Costs 10, 1, 1: unit 0 takes the heavy task, unit 1 both light ones.
-  EXPECT_EQ(exec.submit(10, [](Device<double>&) {}), 0u);
-  EXPECT_EQ(exec.submit(1, [](Device<double>&) {}), 1u);
-  EXPECT_EQ(exec.submit(1, [](Device<double>&) {}), 1u);
-  EXPECT_EQ(exec.submit(1, [](Device<double>&) {}), 1u);  // 2 < 10
-  EXPECT_EQ(exec.submit(8, [](Device<double>&) {}), 1u);  // 3 < 10
-  EXPECT_EQ(exec.submit(1, [](Device<double>&) {}), 0u);  // 10 < 11
+  EXPECT_EQ(deal(10), 0u);
+  EXPECT_EQ(deal(1), 1u);
+  EXPECT_EQ(deal(1), 1u);
+  EXPECT_EQ(deal(1), 1u);  // 2 < 10
+  EXPECT_EQ(deal(8), 1u);  // 3 < 10
+  EXPECT_EQ(deal(1), 0u);  // 10 < 11
   exec.join();
 }
 

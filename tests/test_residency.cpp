@@ -9,6 +9,8 @@
 //     (each weight tile's load latency paid exactly once per lane),
 //     LRU thrash below it, and the split_chains mode that re-parallelizes
 //     deep chains at tile granularity with a CPU combine;
+//   * a CPU task between two chained tasks leaves the lane's prediction
+//     mirror intact, so the second chain's hit is predicted and realized;
 //   * evict_all — explicit invalidation on device and executor, and the
 //     executor's re-anchoring after a worker exception.
 
@@ -33,6 +35,7 @@ using tcu::Device;
 using tcu::DevicePool;
 using tcu::Matrix;
 using tcu::PoolExecutor;
+using tcu::TaskTicket;
 using tcu::TileCache;
 
 /// Integer-valued doubles: every sum/product below is exact in double, so
@@ -470,13 +473,13 @@ TEST(Residency, JoinEvictsAllResidencyAfterWorkerException) {
   DevicePool<double> pool(2, {.m = 16, .latency = 5, .resident_tiles = 4});
   PoolExecutor<double> exec(pool);
   Matrix<double> a(4, 4, 1.0), b(4, 4, 2.0), c(4, 4);
-  exec.submit_affine(21, {77}, [&](Device<double>& unit) {
+  exec.submit({.cost = 21, .chain = {77}}, [&](Device<double>& unit) {
     unit.gemm_resident(77, a.view(), b.view(), c.view());
   });
   exec.join();
   EXPECT_TRUE(pool.unit(0).tile_cache().contains(77));
 
-  exec.submit_affine(21, {78}, [](Device<double>&) {
+  exec.submit({.cost = 21, .chain = {78}}, [](Device<double>&) {
     throw std::runtime_error("chain abandoned");
   });
   EXPECT_THROW(exec.join(), std::runtime_error);
@@ -485,11 +488,49 @@ TEST(Residency, JoinEvictsAllResidencyAfterWorkerException) {
   }
   // The executor still runs and predicts correctly after recovery: the
   // tile reloads (no phantom hit from the pre-exception state).
-  exec.submit_affine(21, {77}, [&](Device<double>& unit) {
+  exec.submit({.cost = 21, .chain = {77}}, [&](Device<double>& unit) {
     unit.gemm_resident(77, a.view(), b.view(), c.view());
   });
   exec.join();
   EXPECT_EQ(pool.unit(0).counters().resident_hits, 0u);
+}
+
+// A CPU task issues no tensor calls, so the dealer must leave its lane's
+// prediction mirror alone: the chained task after it still sees its tile
+// resident there. The costs make that hit decide the placement — without
+// it the third task would go to lane 0 — and the checker holds the task
+// to the predicted hit.
+TEST(Residency, CpuTaskKeepsTheLaneMirrorForTheNextChain) {
+  DevicePool<double> pool(2, {.m = 16, .latency = 5, .resident_tiles = 2});
+  tcu::check::ScopedCheck<double> check(pool);
+  PoolExecutor<double> exec(pool);
+  Matrix<double> a(4, 4, 1.0), b(4, 4, 2.0), c1(4, 4), c3(4, 4);
+  const std::uint64_t k = 77;
+  // Lane 0 takes a 30-op CPU task (tie), so the chained task goes to the
+  // idle lane 1: projections 30 / 21 (4 * 4 + l).
+  exec.submit({.cost = 30, .cpu = true},
+              [](Device<double>& unit) { unit.charge_cpu(30); });
+  const TaskTicket first =
+      exec.submit({.cost = 21, .chain = {k}}, [&](Device<double>& unit) {
+        unit.gemm_resident(k, a.view(), b.view(), c1.view());
+      });
+  // The CPU task follows onto lane 1 (21 < 30): projections 30 / 33.
+  const TaskTicket cpu = exec.submit(
+      {.cost = 12, .cpu = true},
+      [](Device<double>& unit) { unit.charge_cpu(12); });
+  // Lane 1 completes at 33 + 21 - l = 49 with the hit, lane 0 at 51.
+  const TaskTicket third =
+      exec.submit({.cost = 21, .chain = {k}}, [&](Device<double>& unit) {
+        unit.gemm_resident(k, a.view(), b.view(), c3.view());
+      });
+  EXPECT_EQ(first.unit, 1u);
+  EXPECT_EQ(cpu.unit, 1u);
+  EXPECT_EQ(third.unit, 1u);
+  exec.join();
+  EXPECT_EQ(pool.unit(1).counters().resident_hits, 1u);
+  EXPECT_EQ(pool.unit(0).counters().tensor_calls, 0u);
+  EXPECT_EQ(c3, c1);
+  check.verify();
 }
 
 // Mlp forwards through one executor: with capacity covering every

@@ -1,7 +1,7 @@
 #pragma once
 // tcu_analyze lexer — pass 0 of the static analyzer behind the `tcu_lint`
 // CLI. Splits a translation unit into per-line code/comment channels
-// (string and character literal contents blanked so `"submit_affine("`
+// (string and character literal contents blanked so `"submit("`
 // in a log message never matches a rule) and tokenizes the code channel
 // into a flat stream the model pass consumes.
 //

@@ -2,7 +2,7 @@
 // contracts. Two passes: tools/tcu_analyze/lexer+model build a
 // statement-ordered, function-scoped model of each translation unit;
 // tools/tcu_analyze/rules runs the line rules (untagged-gemm,
-// empty-chain, missing-anchor, raw-backend, epoch-deps) and the
+// missing-anchor, raw-backend, epoch-deps) and the
 // dataflow rules (stale-ticket, dead-ticket, ticket-before-def,
 // chain-thrash, uncharged-compute) over it. Findings print in the
 // classic text format and optionally as SARIF 2.1.0; a checked-in

@@ -12,16 +12,15 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"annotation", "malformed tcu-lint annotation"},
       {"untagged-gemm",
        "raw untagged gemm call clobbers the resident set"},
-      {"empty-chain", "submit_affine with an empty chain declares nothing"},
       {"missing-anchor",
        "derived-key tagged call in a file that never re-anchors"},
       {"raw-backend",
        "backend-> dereference bypasses Device::issue() accounting"},
       {"epoch-deps",
-       "submit_affine without TaskDeps in an epoch-runtime file"},
+       "chained submit without an after set in an epoch-runtime file"},
       {"stale-ticket",
        "ticket assigned before a join_epoch() fence used as a dep after"},
-      {"dead-ticket", "ticket captured from submit* but never consumed"},
+      {"dead-ticket", "ticket captured from submit but never consumed"},
       {"ticket-before-def",
        "ticket used before any submit assigns it"},
       {"chain-thrash",
@@ -85,6 +84,47 @@ std::string strip_spaces(const std::string& text) {
     if (!std::isspace(static_cast<unsigned char>(c))) out += c;
   }
   return out;
+}
+
+/// The TaskSpec argument at the head of a `submit(` call's argument text,
+/// whitespace stripped, when it is a brace literal (`{.cost=c,.chain={k}}`)
+/// — the only spelling the rules can read. Empty otherwise.
+std::string spec_literal(const std::string& args) {
+  const std::string text = strip_spaces(args);
+  if (text.empty() || text[0] != '{') return std::string();
+  int depth = 0;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (c == '(' || c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == ')' || c == '}' || c == ']') && --depth == 0) {
+      return text.substr(0, i + 1);
+    }
+  }
+  return std::string();
+}
+
+/// Whether the stripped spec literal designates `.field`; if so, `init`
+/// receives its initializer text.
+bool spec_field(const std::string& spec, const std::string& field,
+                std::string& init) {
+  const std::string tag = "." + field + "=";
+  const std::size_t at = spec.find(tag);
+  if (at == std::string::npos) return false;
+  const std::size_t begin = at + tag.size();
+  std::size_t end = begin;
+  for (int depth = 0; end < spec.size(); ++end) {
+    const char c = spec[end];
+    if (c == '(' || c == '{' || c == '[') {
+      ++depth;
+    } else if (c == ')' || c == '}' || c == ']') {
+      if (depth-- == 0) break;
+    } else if (c == ',' && depth == 0) {
+      break;
+    }
+  }
+  init = spec.substr(begin, end - begin);
+  return true;
 }
 
 bool derives_key(const std::string& args) {
@@ -198,7 +238,7 @@ struct TicketVar {
   struct Use {
     std::size_t at;    ///< statement position
     bool guarded;
-    bool dep;          ///< used in a TaskDeps / .after context
+    bool dep;          ///< used in a TaskSpec `.after` context
   };
   std::vector<Use> uses;
 };
@@ -301,8 +341,7 @@ void classify_occurrences(const std::vector<const Statement*>& stmts,
                           TicketVar& var) {
   for (std::size_t pos = 0; pos < stmts.size(); ++pos) {
     const Statement& s = *stmts[pos];
-    const bool dep_ctx = stmt_has_ident(s, "TaskDeps") ||
-                         stmt_has_ident(s, "after");
+    const bool dep_ctx = stmt_has_ident(s, "after");
     for (std::size_t i = 0; i < s.toks.size(); ++i) {
       if (!is_ident(s.toks[i], var.name.c_str())) continue;
       if (pos == var.decl && i > 0 &&
@@ -346,53 +385,31 @@ void classify_occurrences(const std::vector<const Statement*>& stmts,
   std::sort(var.assigns.begin(), var.assigns.end());
 }
 
-/// Parse a submit_affine call in `s` and return the element count of its
-/// chain argument when it is a brace literal, or npos when unknown.
+/// Element count of the brace-literal chain a `submit(` call's TaskSpec
+/// designates (`submit({.cost = c, .chain = {k0, k1}}, task)`), or npos
+/// when the statement has none.
 std::size_t static_chain_length(const Statement& s) {
-  for (std::size_t i = 0; i + 1 < s.toks.size(); ++i) {
-    if (!is_ident(s.toks[i], "submit_affine") ||
-        !is_punct(s.toks[i + 1], "(")) {
+  std::string text;
+  for (const Token& t : s.toks) text += t.text;
+  for (const std::size_t open : find_calls(text, "submit")) {
+    std::string chain;
+    if (!spec_field(spec_literal(text.substr(open + 1)), "chain", chain) ||
+        chain.empty() || chain[0] != '{') {
       continue;
     }
-    // Walk the argument list at depth 1, splitting on top-level commas.
-    std::size_t j = i + 2;
-    int depth = 1;
-    int arg = 0;
-    while (j < s.toks.size() && depth > 0) {
-      const Token& t = s.toks[j];
-      if (is_punct(t, "(") || is_punct(t, "[") || is_punct(t, "{")) {
-        if (depth == 1 && arg == 1 && is_punct(t, "{")) {
-          // Chain argument: count elements of the brace literal.
-          int b = 1;
-          std::size_t elems = 0;
-          bool any = false;
-          std::size_t k = j + 1;
-          while (k < s.toks.size() && b > 0) {
-            const Token& u = s.toks[k];
-            if (is_punct(u, "{") || is_punct(u, "(") || is_punct(u, "[")) {
-              ++b;
-            } else if (is_punct(u, "}") || is_punct(u, ")") ||
-                       is_punct(u, "]")) {
-              --b;
-            } else if (b == 1 && is_punct(u, ",")) {
-              ++elems;
-            } else if (b >= 1) {
-              any = true;
-            }
-            ++k;
-          }
-          return any ? elems + 1 : 0;
-        }
+    if (chain == "{}") return 0;
+    std::size_t elems = 1;
+    int depth = 0;
+    for (const char c : chain) {
+      if (c == '(' || c == '{' || c == '[') {
         ++depth;
-      } else if (is_punct(t, ")") || is_punct(t, "]") ||
-                 is_punct(t, "}")) {
+      } else if (c == ')' || c == '}' || c == ']') {
         --depth;
-      } else if (depth == 1 && is_punct(t, ",")) {
-        ++arg;
+      } else if (c == ',' && depth == 1) {
+        ++elems;
       }
-      ++j;
     }
-    return npos;
+    return elems;
   }
   return npos;
 }
@@ -497,7 +514,7 @@ void dataflow_rules(const FileModel& model,
              "ticket '" + var.name +
                  "' captures a submit result but is never consumed before "
                  "the strict join; the overlap it could declare is lost — "
-                 "drop the capture or wire it into a TaskDeps (annotate "
+                 "drop the capture or list it in a TaskSpec .after (annotate "
                  "with // tcu-lint: dead-ticket-ok(<reason>) if "
                  "deliberate)"});
       }
@@ -540,10 +557,11 @@ void dataflow_rules(const FileModel& model,
       if (model.blessed(line, "uncharged-ok")) continue;
       out.push_back(
           {model.path, line + 1, "uncharged-compute",
-           "arithmetic loop over tile_view/strip_view data outside "
-           "submit_cpu and the backend seam; this work never reaches the "
-           "cost model — move it into submit_cpu (or charge_cpu the "
-           "flops) or annotate with // tcu-lint: uncharged-ok(<reason>)"});
+           "arithmetic loop over tile_view/strip_view data outside a "
+           "submitted task and the backend seam; this work never reaches "
+           "the cost model — move it into a .cpu = true submit (or "
+           "charge_cpu the flops) or annotate with // tcu-lint: "
+           "uncharged-ok(<reason>)"});
     }
   }
 }
@@ -614,32 +632,34 @@ std::vector<Finding> scan_source(const std::string& path,
       }
     }
 
-    // [empty-chain] and [epoch-deps]
-    for (const std::size_t open : find_calls(code, "submit_affine")) {
-      const std::string args = strip_spaces(call_args(lines, i, open));
-      if (args.empty()) continue;  // unbalanced within window; skip
-      if (args.find(",{},") != std::string::npos) {
-        findings.push_back(
-            {path, i + 1, "empty-chain",
-             "submit_affine with an empty chain declares no residency; "
-             "use submit for untagged work"});
-      }
-      if (file_has_join_epoch && args.find("TaskDeps") == std::string::npos &&
+    // [epoch-deps]: a chained task in a file that fences with join_epoch
+    // must state its predecessors (or why the fence alone orders it).
+    for (const std::size_t open : find_calls(code, "submit")) {
+      const std::string spec = spec_literal(call_args(lines, i, open));
+      std::string chain, after;
+      if (!spec_field(spec, "chain", chain) || chain == "{}") continue;
+      if (file_has_join_epoch && !spec_field(spec, "after", after) &&
           !model.blessed(i, "epoch-free-ok")) {
         findings.push_back(
             {path, i + 1, "epoch-deps",
-             "submit_affine in an epoch-runtime file (this file calls "
-             "join_epoch) declares no predecessor set; pass a TaskDeps "
-             "argument or annotate with // tcu-lint: epoch-free-ok(<reason>) "
-             "stating why fence ordering suffices"});
+             "submit with a declared chain in an epoch-runtime file (this "
+             "file calls join_epoch) declares no predecessor set; give its "
+             "TaskSpec an .after list or annotate with // tcu-lint: "
+             "epoch-free-ok(<reason>) stating why fence ordering "
+             "suffices"});
       }
     }
 
-    // [missing-anchor]
-    for (const char* callee : {"gemm_resident", "submit_affine"}) {
+    // [missing-anchor]: the key expression of a gemm_resident call, or
+    // the chain of a submit's TaskSpec.
+    for (const char* callee : {"gemm_resident", "submit"}) {
       for (const std::size_t open : find_calls(code, callee)) {
-        const std::string args = call_args(lines, i, open);
-        if (!derives_key(args)) continue;
+        std::string keys = call_args(lines, i, open);
+        if (callee == std::string("submit") &&
+            !spec_field(spec_literal(keys), "chain", keys)) {
+          continue;
+        }
+        if (!derives_key(keys)) continue;
         if (file_has_evict_all) continue;
         if (model.blessed(i, "anchored-ok")) continue;
         findings.push_back(

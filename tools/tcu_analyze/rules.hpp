@@ -1,14 +1,14 @@
 #pragma once
-// tcu_analyze rules — pass 2 of the analyzer. Runs the PR 6 line rules
-// (untagged-gemm, empty-chain, missing-anchor, raw-backend, epoch-deps)
-// plus the dataflow rules the line lexer could not express:
+// tcu_analyze rules — pass 2 of the analyzer. Runs the line rules
+// (untagged-gemm, missing-anchor, raw-backend, epoch-deps) plus the
+// dataflow rules the line lexer could not express:
 //
 //   [stale-ticket]      a ticket assigned before a join_epoch() fence and
 //                       passed as a dependency after it — the fence
 //                       already orders the work, so the dep is at best
 //                       redundant and at worst a stale serial that hides
 //                       the real predecessor.
-//   [dead-ticket]       a ticket captured from submit* but never consumed
+//   [dead-ticket]       a ticket captured from submit but never consumed
 //                       before the enclosing strict join() — the overlap
 //                       the ticket could declare is silently lost.
 //   [ticket-before-def] an unguarded use of a ticket variable before any
@@ -18,8 +18,9 @@
 //                       statically-known Config::resident_tiles at the
 //                       same call site, without split_chains.
 //   [uncharged-compute] an arithmetic loop over tile_view/strip_view/
-//                       tile_data outside submit_cpu and the backend-seam
-//                       files — work the cost model never charges.
+//                       tile_data outside a submitted task and the
+//                       backend-seam files — work the cost model never
+//                       charges.
 
 #include <cstddef>
 #include <string>

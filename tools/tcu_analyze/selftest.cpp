@@ -1,6 +1,7 @@
 #include "selftest.hpp"
 
 #include <iostream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,18 +69,8 @@ const std::vector<Fixture>& fixtures() {
        "d.evict_all();\n",
        {},
        {}},
-      {"empty-chain-flagged",
-       "exec.submit_affine(cost, {}, [](Dev& u) { run(u); });\n",
-       {"empty-chain"},
-       {}},
-      {"empty-chain-multiline-flagged",
-       "exec.submit_affine(cost,\n"
-       "                   { },\n"
-       "                   [](Dev& u) { run(u); });\n",
-       {"empty-chain"},
-       {}},
       {"nonempty-chain-clean",
-       "exec.submit_affine(cost, {key}, [](Dev& u) { run(u); });\n"
+       "exec.submit({.cost = cost, .chain = {key}}, [](Dev& u) { run(u); });\n"
        "exec.evict_all();\n",
        {},
        {}},
@@ -102,30 +93,42 @@ const std::vector<Fixture>& fixtures() {
        {},
        {}},
       {"derived-key-in-chain",
-       "exec.submit_affine(cost, {panel_key(kb, jb)}, task);\n",
+       "exec.submit({.cost = cost, .chain = {panel_key(kb, jb)}}, task);\n",
        {"missing-anchor"},
        {}},
-      {"epoch-file-affine-without-deps",
-       "exec.submit_affine(cost, {key}, task);\n"
+      {"derived-key-outside-chain-ignored",
+       "exec.submit({.cost = cost, .cpu = true},\n"
+       "            [](Dev& u) { log(panel_key(kb, jb)); });\n",
+       {},
+       {}},
+      {"epoch-file-chain-without-after",
+       "exec.submit({.cost = cost, .chain = {key}}, task);\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
        {"epoch-deps"},
        {}},
-      {"epoch-file-affine-with-deps",
-       "exec.submit_affine(cost, {key}, TaskDeps{{prev.serial}}, task);\n"
+      {"epoch-file-chain-with-after",
+       "exec.submit({.cost = cost, .chain = {key}, .after = {prev.serial}},\n"
+       "            task);\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
        {},
        {}},
-      {"epoch-file-affine-annotated",
+      {"epoch-file-chain-annotated",
        "// tcu-lint: epoch-free-ok(fence-ordered: one level per epoch)\n"
-       "exec.submit_affine(cost, {key}, task);\n"
+       "exec.submit({.cost = cost, .chain = {key}}, task);\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
        {},
        {}},
-      {"barrier-file-affine-exempt",
-       "exec.submit_affine(cost, {key}, task);\n"
+      {"epoch-file-empty-chain-is-untagged",
+       "exec.submit({.cost = cost, .chain = {}}, task);\n"
+       "exec.submit({.cost = cost, .cpu = true}, task);\n"
+       "exec.join_epoch();\n",
+       {},
+       {}},
+      {"barrier-file-chain-exempt",
+       "exec.submit({.cost = cost, .chain = {key}}, task);\n"
        "exec.join();\n"
        "exec.evict_all();\n",
        {},
@@ -156,7 +159,7 @@ const std::vector<Fixture>& fixtures() {
        {},
        {}},
       {"epoch-free-needs-reason",
-       "exec.submit_affine(cost, {key}, task);  "
+       "exec.submit({.cost = cost, .chain = {key}}, task);  "
        "// tcu-lint: epoch-free-ok()\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
@@ -169,7 +172,8 @@ const std::vector<Fixture>& fixtures() {
        {},
        {}},
       {"raw-string-delimited-ignored",
-       "const char* s = R\"x(exec.submit_affine(cost, {}, task);)x\";\n",
+       "const char* s = R\"x(exec.submit({.chain = {k}}, t);)x\";\n"
+       "exec.join_epoch();\n",
        {},
        {}},
       {"raw-string-terminates-correctly",
@@ -208,10 +212,9 @@ const std::vector<Fixture>& fixtures() {
        {},
        {}},
       {"annotation-inside-multiline-call",
-       "exec.submit_affine(cost, {key},\n"
-       "                   // tcu-lint: epoch-free-ok(fence covers the "
-       "level)\n"
-       "                   task);\n"
+       "exec.submit({.cost = cost, .chain = {key}},\n"
+       "            // tcu-lint: epoch-free-ok(fence covers the level)\n"
+       "            task);\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
        {},
@@ -223,105 +226,105 @@ const std::vector<Fixture>& fixtures() {
       // pre-fence serial used after join_epoch() is the static shadow of
       // that dynamic contract (the fence already ordered the work).
       {"stale-ticket-across-fence",
-       "const TaskTicket t0 = exec.submit_cpu(1, TaskDeps{}, task);\n"
+       "const TaskTicket t0 = exec.submit({.cost = 1, .cpu = true}, task);\n"
        "exec.join_epoch();\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t0.serial}}, task);\n",
+       "exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true}, task);\n",
        {"stale-ticket"},
        {3}},
       {"stale-ticket-via-push-back",
        "TaskTicket prev;\n"
-       "prev = exec.submit_cpu(1, TaskDeps{}, task);\n"
+       "prev = exec.submit({.cost = 1, .cpu = true}, task);\n"
        "exec.join_epoch();\n"
-       "TaskDeps deps;\n"
-       "deps.after.push_back(prev.serial);\n"
-       "exec.submit_cpu(1, deps, task);\n",
+       "TaskSpec spec{.cost = 1, .cpu = true};\n"
+       "spec.after.push_back(prev.serial);\n"
+       "exec.submit(std::move(spec), task);\n",
        {"stale-ticket"},
        {5}},
       {"stale-ticket-clean-use-before-fence",
-       "const TaskTicket t0 = exec.submit_cpu(1, TaskDeps{}, task);\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t0.serial}}, task);\n"
+       "const TaskTicket t0 = exec.submit({.cost = 1, .cpu = true}, task);\n"
+       "exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true}, task);\n"
        "exec.join_epoch();\n",
        {},
        {}},
       {"stale-ticket-clean-reassigned-after-fence",
        "TaskTicket t;\n"
-       "t = exec.submit_cpu(1, TaskDeps{}, task);\n"
+       "t = exec.submit({.cost = 1, .cpu = true}, task);\n"
        "exec.join_epoch();\n"
-       "t = exec.submit_cpu(1, TaskDeps{}, task);\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t.serial}}, task);\n",
+       "t = exec.submit({.cost = 1, .cpu = true}, task);\n"
+       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
        {},
        {}},
       {"stale-ticket-annotated",
-       "const TaskTicket t0 = exec.submit_cpu(1, TaskDeps{}, task);\n"
+       "const TaskTicket t0 = exec.submit({.cost = 1, .cpu = true}, task);\n"
        "exec.join_epoch();\n"
        "// tcu-lint: stale-ticket-ok(redundant dep kept for the checker)\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t0.serial}}, task);\n",
+       "exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true}, task);\n",
        {},
        {}},
 
       // ---- [dead-ticket] -----------------------------------------------
       {"dead-ticket-scalar",
-       "const TaskTicket t = exec.submit_cpu(1, TaskDeps{}, task);\n"
+       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n"
        "exec.join();\n",
        {"dead-ticket"},
        {1}},
       {"dead-ticket-vector",
        "std::vector<TaskTicket> tickets;\n"
-       "tickets.push_back(exec.submit_affine(cost, {key}, TaskDeps{}, "
+       "tickets.push_back(exec.submit({.cost = cost, .chain = {key}}, "
        "task));\n"
        "exec.join();\n",
        {"dead-ticket"},
        {2}},
       {"dead-ticket-clean-consumed",
-       "const TaskTicket t = exec.submit_cpu(1, TaskDeps{}, task);\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t.serial}}, task);\n",
+       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n"
+       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
        {},
        {}},
       {"dead-ticket-clean-returned",
        "std::vector<TaskTicket> tickets;\n"
        "tickets.reserve(4);\n"
-       "tickets.push_back(exec.submit_cpu(1, TaskDeps{}, task));\n"
+       "tickets.push_back(exec.submit({.cost = 1, .cpu = true}, task));\n"
        "return tickets;\n",
        {},
        {}},
       {"dead-ticket-annotated",
        "// tcu-lint: dead-ticket-ok(fire-and-forget warmup; join fences "
        "it)\n"
-       "const TaskTicket t = exec.submit_cpu(1, TaskDeps{}, task);\n",
+       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n",
        {},
        {}},
 
       // ---- [ticket-before-def] -------------------------------------------
       {"ticket-before-def-scalar",
        "TaskTicket t;\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t.serial}}, task);\n"
-       "t = exec.submit_cpu(1, TaskDeps{}, task);\n",
+       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n"
+       "t = exec.submit({.cost = 1, .cpu = true}, task);\n",
        {"ticket-before-def"},
        {2}},
       {"ticket-before-def-vector",
        "std::vector<TaskTicket> prev(n);\n"
-       "deps.after.push_back(prev[0].serial);\n"
-       "prev[0] = exec.submit_cpu(1, deps, task);\n",
+       "spec.after.push_back(prev[0].serial);\n"
+       "prev[0] = exec.submit(spec, task);\n",
        {"ticket-before-def"},
        {2}},
       {"ticket-before-def-clean-guarded",
        "std::vector<TaskTicket> prev(n);\n"
        "for (std::size_t k = 0; k < n; ++k) {\n"
-       "  if (k > 0) deps.after.push_back(prev[k - 1].serial);\n"
-       "  prev[k] = exec.submit_cpu(1, deps, task);\n"
+       "  if (k > 0) spec.after.push_back(prev[k - 1].serial);\n"
+       "  prev[k] = exec.submit(spec, task);\n"
        "}\n",
        {},
        {}},
       {"ticket-before-def-clean-assigned-at-decl",
-       "const TaskTicket t = exec.submit_cpu(1, TaskDeps{}, task);\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t.serial}}, task);\n",
+       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n"
+       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
        {},
        {}},
       {"ticket-before-def-annotated",
        "TaskTicket t;\n"
        "// tcu-lint: ticket-before-def-ok(serial 0 is the always-ready "
        "sentinel)\n"
-       "exec.submit_cpu(1, TaskDeps{.after = {t.serial}}, task);\n",
+       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
        {},
        {}},
 
@@ -329,25 +332,25 @@ const std::vector<Fixture>& fixtures() {
       {"chain-thrash-static-capacity",
        "Config cfg;\n"
        "cfg.resident_tiles = 1;\n"
-       "exec.submit_affine(cost, {k0, k1}, task);\n",
+       "exec.submit({.cost = cost, .chain = {k0, k1}}, task);\n",
        {"chain-thrash"},
        {3}},
       {"chain-thrash-designated-init",
        "PoolExecutor<double> exec(p, Config{.resident_tiles = 2});\n"
-       "exec.submit_affine(cost, {a, b, c}, task);\n",
+       "exec.submit({.cost = cost, .chain = {a, b, c}}, task);\n",
        {"chain-thrash"},
        {2}},
       {"chain-thrash-clean-fits",
        "Config cfg;\n"
        "cfg.resident_tiles = 2;\n"
-       "exec.submit_affine(cost, {k0, k1}, task);\n",
+       "exec.submit({.cost = cost, .chain = {k0, k1}}, task);\n",
        {},
        {}},
       {"chain-thrash-clean-split-chains",
        "Config cfg;\n"
        "cfg.resident_tiles = 1;\n"
        "const auto parts = split_chains(chain, cfg.resident_tiles);\n"
-       "exec.submit_affine(cost, {k0, k1}, task);\n",
+       "exec.submit({.cost = cost, .chain = {k0, k1}}, task);\n",
        {},
        {}},
       {"chain-thrash-annotated",
@@ -355,7 +358,7 @@ const std::vector<Fixture>& fixtures() {
        "cfg.resident_tiles = 1;\n"
        "// tcu-lint: chain-thrash-ok(thrash bench: measures the reload "
        "cliff)\n"
-       "exec.submit_affine(cost, {k0, k1}, task);\n",
+       "exec.submit({.cost = cost, .chain = {k0, k1}}, task);\n",
        {},
        {}},
 
@@ -373,8 +376,8 @@ const std::vector<Fixture>& fixtures() {
        "}\n",
        {"uncharged-compute"},
        {2}},
-      {"uncharged-compute-clean-inside-submit-cpu",
-       "exec.submit_cpu(cost, TaskDeps{}, [&](Device<double>& u) {\n"
+      {"uncharged-compute-clean-inside-cpu-task",
+       "exec.submit({.cost = cost, .cpu = true}, [&](Device<double>& u) {\n"
        "  for (std::size_t i = 0; i < n; ++i) acc += A.tile_view(ti, "
        "tj)[i] * s;\n"
        "});\n",
@@ -426,6 +429,27 @@ int run_fixtures() {
         std::cerr << "    " << f.path << ":" << f.line << ": [" << f.rule
                   << "] " << f.message << "\n";
       }
+    }
+  }
+  return failures;
+}
+
+/// Every catalog rule must fire on at least one fixture. A rule keyed to
+/// an API spelling that no longer exists goes silent on real code; this
+/// turns that silence into a self-test failure.
+int check_rule_coverage() {
+  std::set<std::string> fired;
+  for (const Fixture& fixture : fixtures()) {
+    for (const Finding& f : scan_source(fixture.name, fixture.source)) {
+      fired.insert(f.rule);
+    }
+  }
+  int failures = 0;
+  for (const RuleInfo& rule : rule_catalog()) {
+    if (fired.count(rule.id) == 0) {
+      ++failures;
+      std::cerr << "self-test FAILED: no fixture fires rule [" << rule.id
+                << "]\n";
     }
   }
   return failures;
@@ -525,11 +549,12 @@ int check_baseline_gate() {
 
 int self_test() {
   int failures = run_fixtures();
+  failures += check_rule_coverage();
   failures += check_sarif();
   failures += check_baseline_gate();
   if (failures == 0) {
     std::cout << "tcu_lint self-test: " << fixtures().size()
-              << " fixtures + sarif/baseline checks passed\n";
+              << " fixtures + rule coverage/sarif/baseline checks passed\n";
     return 0;
   }
   std::cerr << "tcu_lint self-test: " << failures << " check"
