@@ -123,6 +123,15 @@ struct PoolRecoveryOptions {
   std::size_t max_attempts = 4;
 };
 
+/// Receipt for a submitted task: its submit serial and the lane the dealer
+/// chose. Pass it in a later task's `TaskSpec::after` to order that task
+/// after this one. Serials start at 1, so a default-constructed ticket is
+/// the null ticket, which no submit accepts.
+struct TaskTicket {
+  std::uint64_t serial = 0;
+  std::size_t unit = 0;
+};
+
 /// What the dealer needs to know about one task:
 ///   * `cost` — the exact simulated time the task will charge its unit
 ///     (tensor time including one load latency per chain entry, or the
@@ -132,23 +141,17 @@ struct PoolRecoveryOptions {
 ///     call the task will issue through `gemm_resident` (a 0 entry marks
 ///     an untagged call). An empty chain declares untagged work: its calls
 ///     displace the unit's whole resident set;
-///   * `after` — serials (`TaskTicket::serial`) of the tasks that must
-///     retire before this one may start. They must come from earlier
-///     submits on the same executor round;
+///   * `after` — tickets of the tasks that must retire before this one may
+///     start. Each must come from a submit on the same executor since its
+///     last `join_epoch()` or `join()`; the fence already orders anything
+///     older;
 ///   * `cpu` — the task issues no tensor calls, so the unit's resident set
 ///     is left alone. A CPU task declares no chain.
 struct TaskSpec {
   std::uint64_t cost = 0;
   std::vector<std::uint64_t> chain{};
-  std::vector<std::uint64_t> after{};
+  std::vector<TaskTicket> after{};
   bool cpu = false;
-};
-
-/// Receipt for a submitted task: its submit serial (usable as a
-/// dependency for later tasks) and the lane the dealer chose.
-struct TaskTicket {
-  std::uint64_t serial = 0;
-  std::size_t unit = 0;
 };
 
 /// What one `join()` round survived. Every field is deterministic given
@@ -298,25 +301,33 @@ class PoolExecutor {
   /// Deal `task` to the healthy lane with the smallest projected
   /// completion — its projection plus `spec.cost`, less `l` per hit that
   /// `spec.chain` replays against the lane's mirror — lowest index on
-  /// ties. The task will not start until every serial in `spec.after` has
+  /// ties. The task will not start until every ticket in `spec.after` has
   /// retired into the completion ledger (in addition to the current epoch
   /// fence); dependencies gate *when* it starts, not *where* it lands.
-  /// Returns the task's serial (usable in a later `after`) and its lane.
-  /// Throws std::invalid_argument, before any serial is allocated, for a
-  /// dependency on a not-yet-submitted serial or a CPU task with a chain.
+  /// Returns the task's ticket, usable in a later `after` until the next
+  /// fence. Throws std::invalid_argument, before any serial is allocated
+  /// (so a rejected submit leaks nothing), for a CPU task with a chain or
+  /// for a dependency ticket outside the current epoch: the null ticket,
+  /// one issued before the last `join_epoch()` or `join()`, or a serial
+  /// not yet issued (a forward dep could never retire).
   TaskTicket submit(TaskSpec spec, Task task) {
     if (spec.cpu && !spec.chain.empty()) {
       throw std::invalid_argument(
           "PoolExecutor: a cpu task issues no tensor calls and declares no "
           "chain");
     }
-    check_deps(spec.after);
+    for (const TaskTicket& dep : spec.after) {
+      if (dep.serial < epoch_base_ || dep.serial >= next_serial_) {
+        throw std::invalid_argument(
+            "PoolExecutor: dependency ticket is null, from before the last "
+            "fence, or not yet issued");
+      }
+    }
     PendingTask t;
     t.fn = std::move(task);
     t.spec = std::move(spec);
     t.fence = epoch_fence_;
-    t.serial = next_serial_++;
-    const std::uint64_t serial = t.serial;
+    const std::uint64_t serial = t.serial = next_serial_++;
     return {serial, place(std::move(t))};
   }
 
@@ -368,7 +379,7 @@ class PoolExecutor {
       t.serial = next_serial_++;
       enqueue(i, std::move(t));
     }
-    epoch_fence_ = next_serial_;
+    epoch_fence_ = epoch_base_ = next_serial_;
     return epoch_id_;
   }
 
@@ -476,7 +487,6 @@ class PoolExecutor {
     // Every serial retired: compact the ledger and drop the fence so the
     // next round's tasks take the no-wait fast path.
     reset_ledger();
-    epoch_fence_ = 0;
     report.healthy_units = healthy_units();
     accumulate(report);
     return report;
@@ -579,22 +589,6 @@ class PoolExecutor {
     return best;
   }
 
-  /// Reject dependencies on serials that have not been submitted yet (a
-  /// forward dep could never retire and would deadlock the dep-wait).
-  /// Called on the submit thread *before* the task's serial is allocated
-  /// — the task's own serial would be `next_serial_`, so `< next_serial_`
-  /// is the precise bound, and a rejected submit leaks nothing (an
-  /// allocated-but-never-enqueued serial could never retire and would
-  /// stall every later epoch fence).
-  void check_deps(const std::vector<std::uint64_t>& deps) const {
-    for (const std::uint64_t d : deps) {
-      if (d >= next_serial_) {
-        throw std::invalid_argument(
-            "PoolExecutor: dependency on a not-yet-submitted serial");
-      }
-    }
-  }
-
   /// Mark one serial complete in the ledger and advance the low-water
   /// mark (all serials below it are retired). Worker threads call this
   /// for every task outcome that will not run again.
@@ -613,9 +607,9 @@ class PoolExecutor {
 
   bool deps_ready_locked(const PendingTask& t) const {
     if (low_water_ < t.fence) return false;
-    for (const std::uint64_t d : t.spec.after) {
-      if (d < low_water_) continue;
-      const std::size_t idx = static_cast<std::size_t>(d - ledger_base_);
+    for (const TaskTicket& d : t.spec.after) {
+      if (d.serial < low_water_) continue;
+      const auto idx = static_cast<std::size_t>(d.serial - ledger_base_);
       if (idx >= done_.size() || !done_[idx]) return false;
     }
     return true;
@@ -632,9 +626,12 @@ class PoolExecutor {
     ledger_cv_.notify_all();
   }
 
-  /// Forget every outstanding serial: the round is over (cleanly, or
-  /// abandoned by fail_round, which re-anchors all state anyway).
+  /// Forget every outstanding serial and the epoch fence: the round is
+  /// over (cleanly, or abandoned by fail_round, which re-anchors all state
+  /// anyway), and tickets issued in it no longer name a dependency.
   void reset_ledger() {
+    epoch_fence_ = 0;
+    epoch_base_ = next_serial_;
     std::lock_guard<std::mutex> lock(ledger_mu_);
     low_water_ = next_serial_;
     ledger_base_ = next_serial_;
@@ -696,7 +693,6 @@ class PoolExecutor {
     // Outstanding serials died with the round; forget them so the next
     // round's dep-waits cannot block on tasks that will never run.
     reset_ledger();
-    epoch_fence_ = 0;
   }
 
   void accumulate(const RoundReport& report) {
@@ -892,7 +888,7 @@ class PoolExecutor {
   std::vector<TileCache> lane_cache_;     ///< predicted resident set/lane
   std::vector<char> quarantined_;         ///< submit-thread-only view
   std::vector<std::unique_ptr<Lane>> lanes_;
-  std::uint64_t next_serial_ = 0;
+  std::uint64_t next_serial_ = 1;  ///< 0 is the null ticket's serial
   std::uint64_t spawn_failures_ = 0;
   RoundReport cumulative_;  ///< lifetime fault statistics
   std::mutex error_mu_;
@@ -903,8 +899,8 @@ class PoolExecutor {
   std::mutex ledger_mu_;
   std::condition_variable ledger_cv_;
   std::vector<std::uint8_t> done_;
-  std::uint64_t ledger_base_ = 0;
-  std::uint64_t low_water_ = 0;
+  std::uint64_t ledger_base_ = 1;
+  std::uint64_t low_water_ = 1;
   bool ledger_stop_ = false;
   /// Raised by any outcome that strands a serial (fault, funneled task,
   /// non-fault error): dep-waiting workers defer to the strict barrier
@@ -912,6 +908,7 @@ class PoolExecutor {
   std::atomic<bool> recovery_flag_{false};
   // Epoch state (submit-thread-only, like the dealer's projections).
   std::uint64_t epoch_fence_ = 0;  ///< fence stamped onto new tasks
+  std::uint64_t epoch_base_ = 1;   ///< oldest serial a dep may name
   std::uint64_t epoch_id_ = 0;
 };
 

@@ -160,7 +160,7 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
   for (std::size_t kb = 0; kb < t; ++kb) {
     auto diag = X.subview(kb * s, kb * s, s, s);
     TaskSpec a_spec{.cost = s3, .cpu = true};
-    if (kb > 0) a_spec.after.push_back(d_prev[kb].serial);
+    if (kb > 0) a_spec.after.push_back(d_prev[kb]);
     const TaskTicket a =
         exec.submit(std::move(a_spec), [diag, s3](Device<Vert>& unit) {
           kernel_a(diag);
@@ -169,7 +169,7 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
     std::vector<TaskTicket> b_now(t), c_now(t);
     for (std::size_t jb = 0; jb < t; ++jb) {
       if (jb == kb) continue;
-      TaskSpec b_spec{.cost = s3, .after = {a.serial}, .cpu = true};
+      TaskSpec b_spec{.cost = s3, .after = {a}, .cpu = true};
       if (kb > 0) {
         if (jb == kb - 1) {
           // The old pivot column: C(k-1, k) wrote this block, and every
@@ -178,12 +178,12 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
           // orders D(k, k-1)'s writes into the old pivot column (and its
           // diagonal) behind all of pivot k-1's readers, since each
           // D(k-1, x) depends on B(k-1, x) and every C(k-1, i).
-          b_spec.after.push_back(c_prev[kb].serial);
+          b_spec.after.push_back(c_prev[kb]);
           for (std::size_t x = 0; x < t; ++x) {
-            if (x != kb - 1) b_spec.after.push_back(d_prev[x].serial);
+            if (x != kb - 1) b_spec.after.push_back(d_prev[x]);
           }
         } else {
-          b_spec.after.push_back(d_prev[jb].serial);
+          b_spec.after.push_back(d_prev[jb]);
         }
       }
       auto block = X.subview(kb * s, jb * s, s, s);
@@ -195,8 +195,8 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
     }
     for (std::size_t ib = 0; ib < t; ++ib) {
       if (ib == kb) continue;
-      TaskSpec c_spec{.cost = s3, .after = {a.serial}, .cpu = true};
-      if (kb > 0 && ib == kb - 1) c_spec.after.push_back(b_prev[kb].serial);
+      TaskSpec c_spec{.cost = s3, .after = {a}, .cpu = true};
+      if (kb > 0 && ib == kb - 1) c_spec.after.push_back(b_prev[kb]);
       auto block = X.subview(ib * s, kb * s, s, s);
       c_now[ib] = exec.submit(
           std::move(c_spec), [block, diag, s3](Device<Vert>& unit) {
@@ -209,9 +209,9 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
     if (kb + 1 < t) cost += projected_gemm_cost(unit0, n - (kb + 1) * s);
     for (std::size_t jb = 0; jb < t; ++jb) {
       if (jb == kb) continue;
-      TaskSpec d_spec{.cost = cost, .after = {b_now[jb].serial}};
+      TaskSpec d_spec{.cost = cost, .after = {b_now[jb]}};
       for (std::size_t ib = 0; ib < t; ++ib) {
-        if (ib != kb) d_spec.after.push_back(c_now[ib].serial);
+        if (ib != kb) d_spec.after.push_back(c_now[ib]);
       }
       d_prev[jb] = exec.submit(
           std::move(d_spec), [X, kb, jb, s, t, n](Device<Vert>& unit) {

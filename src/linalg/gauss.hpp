@@ -265,7 +265,7 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
   auto xp_view = xp.view();
   for (std::size_t kb = 0; kb < t; ++kb) {
     TaskSpec a_spec{.cost = a_cost, .cpu = true};
-    if (kb > 0) a_spec.after.push_back(d_prev[kb].serial);
+    if (kb > 0) a_spec.after.push_back(d_prev[kb]);
     const TaskTicket a = exec.submit(
         std::move(a_spec), [X, kb, s](Device<T>& unit) {
           unit.charge_cpu(
@@ -273,8 +273,8 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
         });
     std::vector<TaskTicket> b_tickets(t);
     for (std::size_t jb = kb + 1; jb < t; ++jb) {
-      TaskSpec b_spec{.cost = b_cost, .after = {a.serial}, .cpu = true};
-      if (kb > 0) b_spec.after.push_back(d_prev[jb].serial);
+      TaskSpec b_spec{.cost = b_cost, .after = {a}, .cpu = true};
+      if (kb > 0) b_spec.after.push_back(d_prev[jb]);
       b_tickets[jb] = exec.submit(
           std::move(b_spec), [X, xp_view, kb, jb, s](Device<T>& unit) {
             unit.charge_cpu(ge_detail::kernel_b_ops(
@@ -283,16 +283,15 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
                 xp_view.subview(0, jb * s, s, s)));
           });
     }
-    std::vector<std::uint64_t> c_serials;
+    std::vector<TaskTicket> c_tickets;
     for (std::size_t ib = kb + 1; ib < t; ++ib) {
-      const TaskTicket c = exec.submit(
-          {.cost = c_cost, .after = {a.serial}, .cpu = true},
+      c_tickets.push_back(exec.submit(
+          {.cost = c_cost, .after = {a}, .cpu = true},
           [X, kb, ib, s](Device<T>& unit) {
             unit.charge_cpu(ge_detail::kernel_c_ops(
                 X.subview(ib * s, kb * s, s, s),
                 X.subview(kb * s, kb * s, s, s)));
-          });
-      c_serials.push_back(c.serial);
+          }));
     }
     if (kb + 1 == t) break;
     const std::size_t top = (kb + 1) * s;
@@ -302,9 +301,9 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
     for (std::size_t jb = kb + 1; jb < t; ++jb) {
       const std::uint64_t key = ge_panel_key(kb, jb);
       TaskSpec d_spec{
-          .cost = cost, .chain = {key}, .after = {b_tickets[jb].serial}};
-      d_spec.after.insert(d_spec.after.end(), c_serials.begin(),
-                          c_serials.end());
+          .cost = cost, .chain = {key}, .after = {b_tickets[jb]}};
+      d_spec.after.insert(d_spec.after.end(), c_tickets.begin(),
+                          c_tickets.end());
       d_prev[jb] = exec.submit(
           std::move(d_spec),
           [X, xp_view, key, top, tall_rows, kb, jb, s](Device<T>& unit) {

@@ -113,7 +113,7 @@ void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
     const std::uint64_t cost =
         static_cast<std::uint64_t>(rows) * jw * (relu ? 2 : 1);
     exec.submit(
-        {.cost = cost, .after = {tickets[jb / s].serial}, .cpu = true},
+        {.cost = cost, .after = {tickets[jb / s]}, .cpu = true},
         [out, this, relu, jb, jw, rows, cost](Device<double>& unit) {
           for (std::size_t i = 0; i < rows; ++i) {
             for (std::size_t j = jb; j < jb + jw; ++j) {

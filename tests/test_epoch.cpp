@@ -6,7 +6,8 @@
 // Contracts pinned here:
 //   * raw runtime ordering: explicit `after` chains serialize
 //     cross-lane reads, a virtual barrier orders the next epoch's tasks
-//     after everything before it, and forward deps are rejected without
+//     after everything before it, and submit rejects every ticket outside
+//     the current epoch (null, pre-fence, not yet issued) without
 //     corrupting the executor;
 //   * 10-run determinism at p = 1/2/4/8 for all four pooled workloads,
 //     down to every per-unit counter field (the dealer schedules off
@@ -19,9 +20,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -131,7 +135,7 @@ TEST(EpochRuntime, DepChainSerializesCrossLaneReads) {
   TaskTicket prev{};
   for (std::size_t i = 1; i < slots.size(); ++i) {
     TaskSpec spec{.cost = 1 + (i % 3), .cpu = true};
-    if (i > 1) spec.after.push_back(prev.serial);
+    if (i > 1) spec.after.push_back(prev);
     prev = exec.submit(std::move(spec), [&slots, i](Device<double>& unit) {
       slots[i] = slots[i - 1] + 1;
       unit.charge_cpu(1);
@@ -172,30 +176,61 @@ TEST(EpochRuntime, VirtualBarrierOrdersTheNextEpoch) {
   EXPECT_EQ(total, 10u);
 }
 
-TEST(EpochRuntime, ForwardDependencyIsRejectedWithoutCorruption) {
+TEST(EpochRuntime, SubmitRejectsEveryTicketOutsideTheEpoch) {
   DevicePool<double> pool(2, {.m = 16, .latency = 3});
   PoolExecutor<double> exec(pool);
-  std::uint64_t witness = 0;
-  const TaskTicket t0 =
-      exec.submit({.cost = 1, .cpu = true}, [&witness](Device<double>& unit) {
-        witness += 1;
-        unit.charge_cpu(1);
-      });
-  // A dep on a serial that has not been submitted could never retire.
-  EXPECT_THROW(
-      exec.submit({.cost = 1, .after = {t0.serial + 100}, .cpu = true},
-                  [](Device<double>&) {}),
-      std::invalid_argument);
-  // The rejection leaked no serial: epoch fences and dep-waits keyed on
-  // the ledger's low-water mark still advance, so the executor remains
-  // fully usable — including across a subsequent virtual barrier.
-  exec.join_epoch();
-  exec.submit({.cost = 1, .cpu = true}, [&witness](Device<double>& unit) {
-    witness += 10;
-    unit.charge_cpu(1);
-  });
-  exec.join();
-  EXPECT_EQ(witness, 11u);
+  std::atomic<std::uint64_t> ran{0};
+  std::uint64_t accepted = 0;
+  const auto submit = [&](std::vector<TaskTicket> after) {
+    const TaskTicket t = exec.submit(
+        {.cost = 1, .after = std::move(after), .cpu = true},
+        [&ran](Device<double>& unit) {
+          ran.fetch_add(1);
+          unit.charge_cpu(1);
+        });
+    ++accepted;
+    return t;
+  };
+  TaskTicket last;
+  // Each case sets up the executor and returns a ticket no dependency
+  // may name: the null ticket, one a fence already ordered, or one that
+  // could never retire.
+  const std::vector<std::pair<std::string, std::function<TaskTicket()>>>
+      cases = {
+          {"default-constructed", [] { return TaskTicket{}; }},
+          {"issued before join_epoch",
+           [&] {
+             const TaskTicket old = submit({});
+             exec.join_epoch();
+             last = submit({});
+             return old;
+           }},
+          {"issued before join",
+           [&] {
+             const TaskTicket old = submit({});
+             exec.join();
+             last = submit({});
+             return old;
+           }},
+          {"not yet issued",
+           [&] { return TaskTicket{.serial = last.serial + 1}; }},
+      };
+  for (const auto& [what, make_bad] : cases) {
+    last = submit({});
+    const TaskTicket bad = make_bad();
+    // ASSERTs: an accepted bad dep or a leaked serial would stall the
+    // joins below, so fail before them (the destructor unblocks waiters).
+    ASSERT_THROW(submit({bad}), std::invalid_argument) << what;
+    // The rejection leaked no serial: the next ticket follows `last`.
+    const TaskTicket next = submit({last});
+    ASSERT_EQ(next.serial, last.serial + 1) << what;
+    // A following epoch still runs: its fence clears only once every
+    // serial below it retires, so a leaked serial would stall it.
+    exec.join_epoch();
+    submit({});
+    exec.join();
+    EXPECT_EQ(ran.load(), accepted) << what;
+  }
 }
 
 TEST(EpochRuntime, CpuTaskWithChainIsRejectedBeforeItsSerial) {
@@ -212,7 +247,7 @@ TEST(EpochRuntime, CpuTaskWithChainIsRejectedBeforeItsSerial) {
                std::invalid_argument);
   // The rejection allocated no serial: the next ticket follows t0.
   const TaskTicket t1 =
-      exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true},
+      exec.submit({.cost = 1, .after = {t0}, .cpu = true},
                   [](Device<double>& unit) { unit.charge_cpu(1); });
   EXPECT_EQ(t1.serial, t0.serial + 1);
   exec.join();

@@ -229,8 +229,8 @@ TEST(FaultRecovery, ExhaustionIsDecidedBeforeAnyRedealInTheWave) {
   auto a = random_matrix(4, 4, 80);
   auto b = random_matrix(4, 4, 81);
   Matrix<double> ck(4, 4, 0.0), cc(4, 4, 0.0), cx(4, 4, 0.0);
-  // K (serial 0) kills unit 0; C (serial 1) drains off the dead lane
-  // with no attempts consumed; X (serial 2) burns its budget on unit 1.
+  // K (serial 1) kills unit 0; C (serial 2) drains off the dead lane
+  // with no attempts consumed; X (serial 3) burns its budget on unit 1.
   // The declared costs steer the greedy dealer: K (0) ties onto lane 0,
   // C (1) ties onto lane 0 again, and X (17) takes lane 1 (0 < 1).
   const TaskTicket k = exec.submit({.cost = 0}, [&](Device<double>& dev) {

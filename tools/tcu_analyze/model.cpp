@@ -6,9 +6,8 @@ namespace tcu_analyze {
 
 const std::vector<std::string>& annotation_kinds() {
   static const std::vector<std::string> kinds = {
-      "untagged-ok",          "anchored-ok",     "epoch-free-ok",
-      "backend-ok",           "stale-ticket-ok", "dead-ticket-ok",
-      "ticket-before-def-ok", "chain-thrash-ok", "uncharged-ok"};
+      "untagged-ok", "anchored-ok",     "epoch-free-ok",
+      "backend-ok",  "chain-thrash-ok", "uncharged-ok"};
   return kinds;
 }
 
@@ -53,11 +52,8 @@ std::string callee_of(const std::vector<Token>& toks) {
   return std::string();
 }
 
-/// Scope stack entry. `kind`: 'G' global, 'N' namespace, 'T' type,
-/// 'F' function, 'B' plain/control block.
+/// Scope stack entry: a namespace, type, function or block.
 struct Scope {
-  char kind = 'G';
-  bool cond = false;  ///< if/else/switch/catch block
   bool loop = false;  ///< for/while/do block
   std::size_t func = npos;
 };
@@ -71,9 +67,9 @@ struct Builder {
 
   std::size_t cur_func() const { return stack.back().func; }
 
-  bool under(bool Scope::* flag) const {
+  bool in_loop() const {
     for (const Scope& s : stack) {
-      if (s.*flag) return true;
+      if (s.loop) return true;
     }
     return false;
   }
@@ -84,13 +80,7 @@ struct Builder {
     stmt.first_line = pending.front().line;
     stmt.last_line = end_line;
     stmt.func = cur_func();
-    stmt.guarded = under(&Scope::cond) || under(&Scope::loop) ||
-                   contains_ident(pending, "if") ||
-                   contains_ident(pending, "else") ||
-                   contains_ident(pending, "for") ||
-                   contains_ident(pending, "while") ||
-                   contains_ident(pending, "switch");
-    stmt.looped = under(&Scope::loop) || contains_ident(pending, "for") ||
+    stmt.looped = in_loop() || contains_ident(pending, "for") ||
                   contains_ident(pending, "while") ||
                   contains_ident(pending, "do");
     stmt.toks = std::move(pending);
@@ -103,7 +93,7 @@ struct Builder {
 
   /// Classify and open the scope a depth-0 `{` introduces. The pending
   /// header is flushed as a statement of the *enclosing* scope first, so
-  /// function signatures never leak parameters into dataflow.
+  /// function signatures never leak parameters into the function body.
   void open_block(const Token& brace) {
     const std::string prev = pending.empty() ? "" : pending.back().text;
     const bool type_header = (contains_ident(pending, "struct") ||
@@ -111,14 +101,9 @@ struct Builder {
                               contains_ident(pending, "union") ||
                               contains_ident(pending, "enum")) &&
                              !contains_punct(pending, "(");
-    if (contains_ident(pending, "namespace")) {
+    if (type_header || contains_ident(pending, "namespace")) {
       flush(brace.line);
-      stack.push_back({'N', false, false, npos});
-      return;
-    }
-    if (type_header) {
-      flush(brace.line);
-      stack.push_back({'T', false, false, npos});
+      stack.push_back({false, npos});
       return;
     }
     const bool control =
@@ -131,9 +116,8 @@ struct Builder {
       const bool loop = contains_ident(pending, "for") ||
                         contains_ident(pending, "while") ||
                         contains_ident(pending, "do");
-      const bool cond = !loop && !contains_ident(pending, "try");
       flush(brace.line);
-      stack.push_back({'B', cond, loop, cur_func()});
+      stack.push_back({loop, cur_func()});
       return;
     }
     // Not a control/type/namespace header. An expression brace (braced
@@ -151,31 +135,21 @@ struct Builder {
     // plain blocks of the enclosing scope, not new named functions.
     if (cur_func() == npos && !name.empty() &&
         !contains_punct(pending, "[")) {
-      // Free/member function definition at namespace or type scope.
-      Function fn;
-      fn.name = name;
-      fn.first_line =
-          pending.empty() ? brace.line : pending.front().line;
+      // Free/member function definition at namespace or type scope. Its
+      // signature must not feed the file-scope statements.
       flush(brace.line);
-      // The signature's parameter list must not feed dataflow (a
-      // TaskTicket-returning header is not a ticket declaration).
       model.statements.back().func_header = true;
-      stack.push_back({'F', false, false, model.functions.size()});
-      model.functions.push_back(std::move(fn));
+      stack.push_back({false, model.functions.size()});
+      model.functions.emplace_back();
       return;
     }
     flush(brace.line);
-    stack.push_back({'B', false, false, cur_func()});
+    stack.push_back({false, cur_func()});
   }
 
   void close_block(const Token& brace) {
     flush(brace.line);
-    if (stack.size() > 1) {
-      if (stack.back().kind == 'F') {
-        model.functions[stack.back().func].last_line = brace.line;
-      }
-      stack.pop_back();
-    }
+    if (stack.size() > 1) stack.pop_back();
   }
 
   void feed(const Token& tok) {
@@ -261,8 +235,6 @@ FileModel build_model(std::string path, const std::string& text) {
       }
       Annotation ann;
       ann.kind = kind;
-      ann.reason = reason;
-      ann.line = i;
       // Resolve to a code line: this one if it has code, else the next.
       std::size_t target = i;
       if (!has_code(lines[i].code)) {

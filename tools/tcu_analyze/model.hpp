@@ -1,13 +1,12 @@
 #pragma once
 // tcu_analyze model — pass 1 of the analyzer. Consumes the token stream
 // and builds, per translation unit, a statement-ordered model with
-// function scoping: which statements belong to which function, which
-// are guarded (under `if`/`else`/`switch` or a loop) and which sit in a
-// loop body, plus every tcu-lint annotation resolved to the
-// *statement* it blesses. Statement anchoring is what fixes the PR 6
-// adjacency bug: an annotation above (or inside) a multi-line call
-// blesses the whole statement, so findings anchored to the call's first
-// line match annotations written near its closing paren.
+// function scoping: which statements belong to which function and which
+// sit in a loop body, plus every tcu-lint annotation resolved to the
+// *statement* it blesses. Statement anchoring makes an annotation above
+// (or inside) a multi-line call bless the whole statement, so findings
+// anchored to the call's first line match annotations written near its
+// closing paren.
 
 #include <cstddef>
 #include <string>
@@ -23,8 +22,6 @@ inline constexpr std::size_t npos = static_cast<std::size_t>(-1);
 /// comment whose grammar annotation_kinds() enumerates.
 struct Annotation {
   std::string kind;
-  std::string reason;
-  std::size_t line = 0;         ///< 0-based line the annotation is on
   std::size_t target_line = 0;  ///< code line it resolves to (legacy rule)
   std::size_t stmt = npos;      ///< statement it blesses (npos if none)
 };
@@ -37,15 +34,11 @@ struct Statement {
   std::size_t first_line = 0;  ///< 0-based
   std::size_t last_line = 0;   ///< 0-based
   std::size_t func = npos;     ///< enclosing function, npos at file scope
-  bool guarded = false;  ///< under if/else/switch or a loop (or inline)
   bool looped = false;   ///< under a for/while body (or inline for/while)
   bool func_header = false;  ///< a function signature (parameter list)
 };
 
 struct Function {
-  std::string name;
-  std::size_t first_line = 0;
-  std::size_t last_line = 0;
   std::vector<std::size_t> stmts;  ///< indices into FileModel::statements
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdint>
 #include <cstdlib>
 
 namespace tcu_analyze {
@@ -18,11 +17,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "backend-> dereference bypasses Device::issue() accounting"},
       {"epoch-deps",
        "chained submit without an after set in an epoch-runtime file"},
-      {"stale-ticket",
-       "ticket assigned before a join_epoch() fence used as a dep after"},
-      {"dead-ticket", "ticket captured from submit but never consumed"},
-      {"ticket-before-def",
-       "ticket used before any submit assigns it"},
       {"chain-thrash",
        "declared chain longer than the static resident_tiles capacity"},
       {"uncharged-compute",
@@ -226,164 +220,7 @@ bool stmt_has_submit(const Statement& s) {
   return false;
 }
 
-// ------------------------------------------------- per-function dataflow
-
-/// One tracked TaskTicket (or std::vector<TaskTicket>) variable.
-struct TicketVar {
-  std::string name;
-  bool vec = false;
-  std::size_t decl = 0;  ///< position in the function's statement list
-  std::vector<std::size_t> assigns;  ///< statement positions that assign
-  bool submit_assigned = false;      ///< some assignment RHS calls submit*
-  struct Use {
-    std::size_t at;    ///< statement position
-    bool guarded;
-    bool dep;          ///< used in a TaskSpec `.after` context
-  };
-  std::vector<Use> uses;
-};
-
-/// Methods on a ticket vector that neither assign nor consume tickets.
-bool neutral_member(const std::string& name) {
-  return name == "reserve" || name == "clear" || name == "resize" ||
-         name == "size" || name == "empty" || name == "capacity" ||
-         name == "shrink_to_fit";
-}
-
-/// Find ticket variables declared in `stmts` (a function's statements,
-/// in textual order, indexed by position).
-std::vector<TicketVar> collect_ticket_vars(
-    const std::vector<const Statement*>& stmts) {
-  std::vector<TicketVar> vars;
-  for (std::size_t pos = 0; pos < stmts.size(); ++pos) {
-    const std::vector<Token>& toks = stmts[pos]->toks;
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-      if (!is_ident(toks[i], "TaskTicket")) continue;
-      const bool vec = i > 0 && is_punct(toks[i - 1], "<");
-      std::size_t j = i + 1;
-      if (vec) {
-        // std::vector<TaskTicket> name — skip to past the closing '>'.
-        int angle = 1;
-        while (j < toks.size() && angle > 0) {
-          if (is_punct(toks[j], "<")) ++angle;
-          if (is_punct(toks[j], ">")) --angle;
-          ++j;
-        }
-      }
-      // Skip cv/ref tokens between the type and the declarator.
-      while (j < toks.size() &&
-             (is_punct(toks[j], "&") || is_punct(toks[j], "*") ||
-              is_ident(toks[j], "const"))) {
-        ++j;
-      }
-      // Declarator list: name [init] [, name [init]]*.
-      while (j < toks.size() && toks[j].kind == Token::Kind::kIdent) {
-        const std::string name = toks[j].text;
-        std::size_t k = j + 1;
-        bool assigned = false;
-        // `TaskTicket f(args...)` is a function declaration, not a
-        // variable, unless the vector form's sizing constructor.
-        if (!vec && k < toks.size() && is_punct(toks[k], "(")) break;
-        if (k < toks.size() &&
-            (is_punct(toks[k], "(") || is_punct(toks[k], "{"))) {
-          const bool brace = is_punct(toks[k], "{");
-          int depth = 0;
-          std::size_t body = 0;
-          do {
-            if (is_punct(toks[k], brace ? "{" : "(")) ++depth;
-            if (is_punct(toks[k], brace ? "}" : ")")) --depth;
-            if (depth > 0) ++body;
-            ++k;
-          } while (k < toks.size() && depth > 0);
-          // `TaskTicket t{};` and `vector<TaskTicket> v(n)` stay
-          // default-constructed; `TaskTicket t{serial, unit}` assigns.
-          assigned = brace && body > 1;
-        } else if (k < toks.size() && is_punct(toks[k], "=")) {
-          assigned = true;
-          int depth = 0;
-          while (k < toks.size() &&
-                 !(depth == 0 && is_punct(toks[k], ","))) {
-            if (is_punct(toks[k], "(") || is_punct(toks[k], "{") ||
-                is_punct(toks[k], "[")) {
-              ++depth;
-            }
-            if (is_punct(toks[k], ")") || is_punct(toks[k], "}") ||
-                is_punct(toks[k], "]")) {
-              --depth;
-            }
-            ++k;
-          }
-        }
-        TicketVar var;
-        var.name = name;
-        var.vec = vec;
-        var.decl = pos;
-        if (assigned) {
-          var.assigns.push_back(pos);
-          var.submit_assigned = stmt_has_submit(*stmts[pos]);
-        }
-        vars.push_back(std::move(var));
-        if (k < toks.size() && is_punct(toks[k], ",")) {
-          j = k + 1;
-          continue;
-        }
-        break;
-      }
-      break;  // one declaration per statement is enough
-    }
-  }
-  return vars;
-}
-
-/// Classify every occurrence of `var` in the function's statements as an
-/// assignment, a neutral member call, or a use.
-void classify_occurrences(const std::vector<const Statement*>& stmts,
-                          TicketVar& var) {
-  for (std::size_t pos = 0; pos < stmts.size(); ++pos) {
-    const Statement& s = *stmts[pos];
-    const bool dep_ctx = stmt_has_ident(s, "after");
-    for (std::size_t i = 0; i < s.toks.size(); ++i) {
-      if (!is_ident(s.toks[i], var.name.c_str())) continue;
-      if (pos == var.decl && i > 0 &&
-          (is_ident(s.toks[i - 1], "TaskTicket") ||
-           is_punct(s.toks[i - 1], ">") || is_punct(s.toks[i - 1], "&") ||
-           is_punct(s.toks[i - 1], "*") || is_punct(s.toks[i - 1], ",") ||
-           is_ident(s.toks[i - 1], "const"))) {
-        // The declarator itself, including later names in a
-        // multi-declarator list; initializers are handled at collection.
-        continue;
-      }
-      std::size_t j = i + 1;
-      if (j < s.toks.size() && is_punct(s.toks[j], "[")) {
-        int depth = 1;
-        ++j;
-        while (j < s.toks.size() && depth > 0) {
-          if (is_punct(s.toks[j], "[")) ++depth;
-          if (is_punct(s.toks[j], "]")) --depth;
-          ++j;
-        }
-      }
-      if (j < s.toks.size() && is_punct(s.toks[j], "=")) {
-        var.assigns.push_back(pos);
-        var.submit_assigned |= stmt_has_submit(s);
-        continue;
-      }
-      if (j < s.toks.size() && is_punct(s.toks[j], ".") &&
-          j + 1 < s.toks.size() &&
-          s.toks[j + 1].kind == Token::Kind::kIdent) {
-        const std::string& member = s.toks[j + 1].text;
-        if (member == "push_back" || member == "emplace_back") {
-          var.assigns.push_back(pos);
-          var.submit_assigned |= stmt_has_submit(s);
-          continue;
-        }
-        if (neutral_member(member)) continue;
-      }
-      var.uses.push_back({pos, s.guarded, dep_ctx});
-    }
-  }
-  std::sort(var.assigns.begin(), var.assigns.end());
-}
+// ------------------------------------------------- per-function rules
 
 /// Element count of the brace-literal chain a `submit(` call's TaskSpec
 /// designates (`submit({.cost = c, .chain = {k0, k1}}, task)`), or npos
@@ -440,85 +277,15 @@ bool stmt_arithmetic(const Statement& s) {
          (stmt_has_punct(s, "*") || stmt_has_punct(s, "+"));
 }
 
-/// Run the dataflow rules over one function's statements.
-void dataflow_rules(const FileModel& model,
+/// Run the per-function rules over one function's statements.
+void function_rules(const FileModel& model,
                     const std::vector<const Statement*>& stmts,
                     std::vector<Finding>& out) {
-  std::vector<std::size_t> fences;  // positions of join_epoch() calls
   bool has_split_chains = false;
   bool charges = false;
-  for (std::size_t pos = 0; pos < stmts.size(); ++pos) {
-    if (stmt_calls(*stmts[pos], "join_epoch")) fences.push_back(pos);
-    has_split_chains |= stmt_has_ident(*stmts[pos], "split_chains");
-    charges |= stmt_calls(*stmts[pos], "charge_cpu") ||
-               stmt_calls(*stmts[pos], "charge");
-  }
-
-  std::vector<TicketVar> vars = collect_ticket_vars(stmts);
-  for (TicketVar& var : vars) {
-    classify_occurrences(stmts, var);
-    const std::size_t first_assign =
-        var.assigns.empty() ? npos : var.assigns.front();
-
-    // [ticket-before-def]
-    for (const TicketVar::Use& use : var.uses) {
-      if (use.guarded) continue;
-      if (first_assign != npos && use.at >= first_assign) continue;
-      const std::size_t line = stmts[use.at]->first_line;
-      if (model.blessed(line, "ticket-before-def-ok")) continue;
-      out.push_back(
-          {model.path, line + 1, "ticket-before-def",
-           "ticket '" + var.name +
-               "' is used before any submit assigns it; a "
-               "default-constructed ticket's serial 0 is always ready, so "
-               "this declares no ordering (guard the use or assign first; "
-               "annotate with // tcu-lint: ticket-before-def-ok(<reason>) "
-               "if the always-ready dep is intended)"});
-      break;  // one finding per variable is enough
-    }
-
-    // [stale-ticket]
-    for (const TicketVar::Use& use : var.uses) {
-      if (!use.dep) continue;
-      std::size_t last_assign = npos;
-      for (const std::size_t a : var.assigns) {
-        if (a < use.at) last_assign = a;
-      }
-      if (last_assign == npos) continue;
-      bool fenced = false;
-      for (const std::size_t f : fences) {
-        fenced |= last_assign < f && f < use.at;
-      }
-      if (!fenced) continue;
-      const std::size_t line = stmts[use.at]->first_line;
-      if (model.blessed(line, "stale-ticket-ok")) continue;
-      out.push_back(
-          {model.path, line + 1, "stale-ticket",
-           "ticket '" + var.name +
-               "' was assigned before a join_epoch() fence and is passed "
-               "as a dependency after it; the fence already orders that "
-               "work, so the serial is stale — depend on a post-fence "
-               "ticket or drop the dep (annotate with // tcu-lint: "
-               "stale-ticket-ok(<reason>) if the redundancy is "
-               "deliberate)"});
-      break;
-    }
-
-    // [dead-ticket]
-    if (var.submit_assigned && var.uses.empty()) {
-      const std::size_t pos = var.assigns.front();
-      const std::size_t line = stmts[pos]->first_line;
-      if (!model.blessed(line, "dead-ticket-ok")) {
-        out.push_back(
-            {model.path, line + 1, "dead-ticket",
-             "ticket '" + var.name +
-                 "' captures a submit result but is never consumed before "
-                 "the strict join; the overlap it could declare is lost — "
-                 "drop the capture or list it in a TaskSpec .after (annotate "
-                 "with // tcu-lint: dead-ticket-ok(<reason>) if "
-                 "deliberate)"});
-      }
-    }
+  for (const Statement* s : stmts) {
+    has_split_chains |= stmt_has_ident(*s, "split_chains");
+    charges |= stmt_calls(*s, "charge_cpu") || stmt_calls(*s, "charge");
   }
 
   // [chain-thrash]
@@ -575,14 +342,16 @@ std::vector<Finding> scan_source(const std::string& path,
   std::vector<Finding> findings;
 
   // ---- malformed annotations (kept first within a line) ----------------
+  std::string kinds;
+  for (const std::string& kind : annotation_kinds()) {
+    kinds += (kinds.empty() ? "" : ", ") + kind;
+  }
   for (const std::size_t line : model.malformed) {
     findings.push_back(
         {path, line + 1, "annotation",
          "malformed tcu-lint annotation; expected 'tcu-lint: "
          "<kind>(<reason>)' with a non-empty reason, where <kind> is one "
-         "of: untagged-ok, anchored-ok, epoch-free-ok, backend-ok, "
-         "stale-ticket-ok, dead-ticket-ok, ticket-before-def-ok, "
-         "chain-thrash-ok, uncharged-ok"});
+         "of: " + kinds});
   }
 
   // ---- line rules (PR 6 behavior, statement-anchored annotations) ------
@@ -674,7 +443,7 @@ std::vector<Finding> scan_source(const std::string& path,
     }
   }
 
-  // ---- dataflow rules, per function ------------------------------------
+  // ---- per-function rules ---------------------------------------------
   std::vector<Finding> flow;
   for (const Function& fn : model.functions) {
     std::vector<const Statement*> stmts;
@@ -682,7 +451,7 @@ std::vector<Finding> scan_source(const std::string& path,
     for (const std::size_t si : fn.stmts) {
       stmts.push_back(&model.statements[si]);
     }
-    dataflow_rules(model, stmts, flow);
+    function_rules(model, stmts, flow);
   }
   // Statements outside any function (fixture snippets, file-scope code)
   // form an implicit function so self-test sources need no wrappers.
@@ -691,7 +460,7 @@ std::vector<Finding> scan_source(const std::string& path,
     for (const Statement& s : model.statements) {
       if (s.func == npos && !s.func_header) stmts.push_back(&s);
     }
-    if (!stmts.empty()) dataflow_rules(model, stmts, flow);
+    if (!stmts.empty()) function_rules(model, stmts, flow);
   }
   std::sort(flow.begin(), flow.end(), [](const Finding& a, const Finding& b) {
     return a.line < b.line;

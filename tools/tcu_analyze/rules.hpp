@@ -1,19 +1,8 @@
 #pragma once
 // tcu_analyze rules — pass 2 of the analyzer. Runs the line rules
 // (untagged-gemm, missing-anchor, raw-backend, epoch-deps) plus the
-// dataflow rules the line lexer could not express:
+// per-function rules the line lexer could not express:
 //
-//   [stale-ticket]      a ticket assigned before a join_epoch() fence and
-//                       passed as a dependency after it — the fence
-//                       already orders the work, so the dep is at best
-//                       redundant and at worst a stale serial that hides
-//                       the real predecessor.
-//   [dead-ticket]       a ticket captured from submit but never consumed
-//                       before the enclosing strict join() — the overlap
-//                       the ticket could declare is silently lost.
-//   [ticket-before-def] an unguarded use of a ticket variable before any
-//                       submit assigns it (a default ticket's serial 0 is
-//                       "always ready" — almost never what was meant).
 //   [chain-thrash]      a declared chain statically longer than the
 //                       statically-known Config::resident_tiles at the
 //                       same call site, without split_chains.
@@ -21,6 +10,9 @@
 //                       tile_data outside a submitted task and the
 //                       backend-seam files — work the cost model never
 //                       charges.
+//
+// Task-dependency misuse (a null, pre-fence or not-yet-issued ticket in
+// TaskSpec::after) needs no rule: PoolExecutor::submit rejects it.
 
 #include <cstddef>
 #include <string>
@@ -42,8 +34,8 @@ struct Finding {
   std::size_t line = 0;  ///< 1-based
   std::string rule;
   std::string message;
-  /// Whitespace-stripped code of the finding line — the baseline matches
-  /// on (rule, path, context), so findings survive line-number drift.
+  /// Whitespace-stripped code of the finding line — the SARIF partial
+  /// fingerprint, so code scanning tracks findings across line drift.
   std::string context;
 };
 

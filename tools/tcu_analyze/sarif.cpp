@@ -1,192 +1,11 @@
 #include "sarif.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <sstream>
-#include <tuple>
 
 namespace tcu_analyze {
 
-// ----------------------------------------------------------- tiny JSON
-
-const Json* Json::find(const std::string& key) const {
-  if (type != Type::kObject) return nullptr;
-  for (const auto& [k, v] : object) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 namespace {
-
-struct Parser {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  void skip_ws() {
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos]))) {
-      ++pos;
-    }
-  }
-
-  bool literal(const char* word) {
-    const std::size_t n = std::string(word).size();
-    if (text.compare(pos, n, word) != 0) return false;
-    pos += n;
-    return true;
-  }
-
-  bool parse_string(std::string& out) {
-    if (pos >= text.size() || text[pos] != '"') return false;
-    ++pos;
-    while (pos < text.size()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos >= text.size()) return false;
-        const char e = text[pos++];
-        switch (e) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos + 4 > text.size()) return false;
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text[pos++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                return false;
-              }
-            }
-            // The baseline/SARIF corpus is ASCII; keep it simple.
-            out += code < 0x80 ? static_cast<char>(code) : '?';
-            break;
-          }
-          default:
-            return false;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-
-  bool parse_value(Json& out) {
-    skip_ws();
-    if (pos >= text.size()) return false;
-    const char c = text[pos];
-    if (c == '{') {
-      ++pos;
-      out.type = Json::Type::kObject;
-      skip_ws();
-      if (pos < text.size() && text[pos] == '}') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(key)) return false;
-        skip_ws();
-        if (pos >= text.size() || text[pos] != ':') return false;
-        ++pos;
-        Json value;
-        if (!parse_value(value)) return false;
-        out.object.emplace_back(std::move(key), std::move(value));
-        skip_ws();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (pos < text.size() && text[pos] == '}') {
-          ++pos;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '[') {
-      ++pos;
-      out.type = Json::Type::kArray;
-      skip_ws();
-      if (pos < text.size() && text[pos] == ']') {
-        ++pos;
-        return true;
-      }
-      while (true) {
-        Json value;
-        if (!parse_value(value)) return false;
-        out.array.push_back(std::move(value));
-        skip_ws();
-        if (pos < text.size() && text[pos] == ',') {
-          ++pos;
-          continue;
-        }
-        if (pos < text.size() && text[pos] == ']') {
-          ++pos;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '"') {
-      out.type = Json::Type::kString;
-      return parse_string(out.str);
-    }
-    if (literal("true")) {
-      out.type = Json::Type::kBool;
-      out.boolean = true;
-      return true;
-    }
-    if (literal("false")) {
-      out.type = Json::Type::kBool;
-      out.boolean = false;
-      return true;
-    }
-    if (literal("null")) {
-      out.type = Json::Type::kNull;
-      return true;
-    }
-    // number
-    const std::size_t start = pos;
-    if (pos < text.size() && (text[pos] == '-' || text[pos] == '+')) ++pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '.' || text[pos] == 'e' || text[pos] == 'E' ||
-            text[pos] == '-' || text[pos] == '+')) {
-      ++pos;
-    }
-    if (pos == start) return false;
-    out.type = Json::Type::kNumber;
-    out.number = std::strtod(text.substr(start, pos - start).c_str(), nullptr);
-    return true;
-  }
-};
-
-}  // namespace
-
-bool json_parse(const std::string& text, Json& out) {
-  Parser p{text};
-  if (!p.parse_value(out)) return false;
-  p.skip_ws();
-  return p.pos == text.size();
-}
 
 std::string json_escape(const std::string& text) {
   std::string out;
@@ -212,8 +31,8 @@ std::string json_escape(const std::string& text) {
   return out;
 }
 
-// ------------------------------------------------------------ baseline
-
+/// Repo-relative form of a scan path: the suffix starting at the first
+/// `src/` / `tools/` / `tests/` path component, else the path as given.
 std::string norm_path(const std::string& path) {
   for (const char* root : {"src/", "tools/", "tests/"}) {
     const std::size_t pos = path.find(root);
@@ -225,69 +44,9 @@ std::string norm_path(const std::string& path) {
   return path;
 }
 
-BaselineEntry baseline_identity(const Finding& f) {
-  return {f.rule, norm_path(f.path), f.context};
-}
+}  // namespace
 
-std::string write_baseline(const std::vector<BaselineEntry>& entries) {
-  std::ostringstream out;
-  out << "{\n  \"version\": 1,\n  \"findings\": [";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    out << (i == 0 ? "\n" : ",\n");
-    out << "    {\"rule\": \"" << json_escape(entries[i].rule)
-        << "\", \"path\": \"" << json_escape(entries[i].path)
-        << "\", \"context\": \"" << json_escape(entries[i].context)
-        << "\"}";
-  }
-  out << (entries.empty() ? "]\n}\n" : "\n  ]\n}\n");
-  return out.str();
-}
-
-bool parse_baseline(const std::string& text,
-                    std::vector<BaselineEntry>& out) {
-  Json doc;
-  if (!json_parse(text, doc)) return false;
-  const Json* findings = doc.find("findings");
-  if (findings == nullptr || findings->type != Json::Type::kArray) {
-    return false;
-  }
-  for (const Json& entry : findings->array) {
-    const Json* rule = entry.find("rule");
-    const Json* path = entry.find("path");
-    const Json* context = entry.find("context");
-    if (rule == nullptr || rule->type != Json::Type::kString ||
-        path == nullptr || path->type != Json::Type::kString ||
-        context == nullptr || context->type != Json::Type::kString) {
-      return false;
-    }
-    out.push_back({rule->str, path->str, context->str});
-  }
-  return true;
-}
-
-std::vector<bool> match_baseline(const std::vector<Finding>& findings,
-                                 const std::vector<BaselineEntry>& baseline) {
-  std::map<std::tuple<std::string, std::string, std::string>, std::size_t>
-      pool;
-  for (const BaselineEntry& e : baseline) {
-    ++pool[{e.rule, e.path, e.context}];
-  }
-  std::vector<bool> is_new(findings.size(), true);
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const BaselineEntry e = baseline_identity(findings[i]);
-    const auto it = pool.find({e.rule, e.path, e.context});
-    if (it != pool.end() && it->second > 0) {
-      --it->second;
-      is_new[i] = false;
-    }
-  }
-  return is_new;
-}
-
-// --------------------------------------------------------------- SARIF
-
-std::string to_sarif(const std::vector<Finding>& findings,
-                     const std::vector<bool>& new_flags) {
+std::string to_sarif(const std::vector<Finding>& findings) {
   std::ostringstream out;
   out << "{\n"
       << "  \"$schema\": "
@@ -316,12 +75,7 @@ std::string to_sarif(const std::vector<Finding>& findings,
         << json_escape(norm_path(f.path))
         << "\"}, \"region\": {\"startLine\": " << f.line << "}}}], "
         << "\"partialFingerprints\": {\"tcuLintContext/v1\": \""
-        << json_escape(f.context) << "\"}";
-    if (new_flags.size() == findings.size()) {
-      out << ", \"baselineState\": \""
-          << (new_flags[i] ? "new" : "unchanged") << "\"";
-    }
-    out << "}";
+        << json_escape(f.context) << "\"}}";
   }
   out << "\n      ]\n    }\n  ]\n}\n";
   return out.str();

@@ -1,71 +1,17 @@
 #pragma once
-// tcu_analyze SARIF + baseline — the CI-facing output layer. Findings
-// are serialized as SARIF 2.1.0 (for github/codeql-action/upload-sarif
-// PR annotations) and gated against a checked-in baseline so only *new*
-// findings fail the job. No third-party JSON dependency: a minimal
-// parser/writer pair lives here, and the self-test round-trips the
-// generated SARIF through the parser to keep the writer honest.
+// tcu_analyze SARIF — the CI-facing output layer. Findings are serialized
+// as SARIF 2.1.0 for github/codeql-action/upload-sarif PR annotations.
+// No third-party JSON dependency: the writer is hand-rolled, and the
+// `tcu_lint_sarif` CTest parses its output with CMake's string(JSON).
 
-#include <cstddef>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "rules.hpp"
 
 namespace tcu_analyze {
 
-// ----------------------------------------------------------- tiny JSON
-
-struct Json {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<Json> array;
-  std::vector<std::pair<std::string, Json>> object;
-
-  const Json* find(const std::string& key) const;
-};
-
-/// Parse a JSON document (objects, arrays, strings, numbers, booleans,
-/// null). Returns false on any syntax error or trailing garbage.
-bool json_parse(const std::string& text, Json& out);
-
-std::string json_escape(const std::string& text);
-
-// ------------------------------------------------------------ baseline
-
-struct BaselineEntry {
-  std::string rule;
-  std::string path;     ///< repo-relative (normalized)
-  std::string context;  ///< whitespace-stripped finding-line code
-};
-
-/// Repo-relative form of a scan path: the suffix starting at the first
-/// `src/` / `tools/` / `tests/` path component, else the path as given.
-std::string norm_path(const std::string& path);
-
-BaselineEntry baseline_identity(const Finding& f);
-
-std::string write_baseline(const std::vector<BaselineEntry>& entries);
-
-/// Parse a baseline document. Returns false on malformed JSON or a
-/// missing/ill-typed `findings` array.
-bool parse_baseline(const std::string& text,
-                    std::vector<BaselineEntry>& out);
-
-/// Multiset-match findings against the baseline. Returns a vector
-/// parallel to `findings`: true means NEW (not covered by the baseline).
-std::vector<bool> match_baseline(const std::vector<Finding>& findings,
-                                 const std::vector<BaselineEntry>& baseline);
-
-// --------------------------------------------------------------- SARIF
-
-/// SARIF 2.1.0 document. `new_flags` may be empty (no baseline run) or
-/// parallel to `findings`, setting each result's baselineState.
-std::string to_sarif(const std::vector<Finding>& findings,
-                     const std::vector<bool>& new_flags);
+/// SARIF 2.1.0 document: the full rule table and one result per finding.
+std::string to_sarif(const std::vector<Finding>& findings);
 
 }  // namespace tcu_analyze

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "rules.hpp"
-#include "sarif.hpp"
 
 namespace tcu_analyze {
 
@@ -55,6 +54,11 @@ const std::vector<Fixture>& fixtures() {
        "d.gemm(a, b, c);  // tcu-lint: whatever-ok(reason)\n",
        {"annotation", "untagged-gemm"},
        {}},
+      {"annotation-retired-kind",  // its rule is enforced by submit now
+       "// tcu-lint: stale-ticket-ok(redundant dep kept for the checker)\n"
+       "exec.submit({.cost = 1, .after = {t0}, .cpu = true}, task);\n",
+       {"annotation"},
+       {1}},
       {"gemm-in-comment-ignored",
        "// an untagged d.gemm(a, b, c) would clobber\n"
        "int x = 0;\n",
@@ -108,7 +112,7 @@ const std::vector<Fixture>& fixtures() {
        {"epoch-deps"},
        {}},
       {"epoch-file-chain-with-after",
-       "exec.submit({.cost = cost, .chain = {key}, .after = {prev.serial}},\n"
+       "exec.submit({.cost = cost, .chain = {key}, .after = {prev}},\n"
        "            task);\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
@@ -217,114 +221,6 @@ const std::vector<Fixture>& fixtures() {
        "            task);\n"
        "exec.join_epoch();\n"
        "exec.evict_all();\n",
-       {},
-       {}},
-
-      // ---- [stale-ticket] ----------------------------------------------
-      // Mirrors tests/test_epoch.cpp ForwardDependencyIsRejected: the
-      // runtime throws std::invalid_argument on forward deps, and a
-      // pre-fence serial used after join_epoch() is the static shadow of
-      // that dynamic contract (the fence already ordered the work).
-      {"stale-ticket-across-fence",
-       "const TaskTicket t0 = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.join_epoch();\n"
-       "exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true}, task);\n",
-       {"stale-ticket"},
-       {3}},
-      {"stale-ticket-via-push-back",
-       "TaskTicket prev;\n"
-       "prev = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.join_epoch();\n"
-       "TaskSpec spec{.cost = 1, .cpu = true};\n"
-       "spec.after.push_back(prev.serial);\n"
-       "exec.submit(std::move(spec), task);\n",
-       {"stale-ticket"},
-       {5}},
-      {"stale-ticket-clean-use-before-fence",
-       "const TaskTicket t0 = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true}, task);\n"
-       "exec.join_epoch();\n",
-       {},
-       {}},
-      {"stale-ticket-clean-reassigned-after-fence",
-       "TaskTicket t;\n"
-       "t = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.join_epoch();\n"
-       "t = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
-       {},
-       {}},
-      {"stale-ticket-annotated",
-       "const TaskTicket t0 = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.join_epoch();\n"
-       "// tcu-lint: stale-ticket-ok(redundant dep kept for the checker)\n"
-       "exec.submit({.cost = 1, .after = {t0.serial}, .cpu = true}, task);\n",
-       {},
-       {}},
-
-      // ---- [dead-ticket] -----------------------------------------------
-      {"dead-ticket-scalar",
-       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.join();\n",
-       {"dead-ticket"},
-       {1}},
-      {"dead-ticket-vector",
-       "std::vector<TaskTicket> tickets;\n"
-       "tickets.push_back(exec.submit({.cost = cost, .chain = {key}}, "
-       "task));\n"
-       "exec.join();\n",
-       {"dead-ticket"},
-       {2}},
-      {"dead-ticket-clean-consumed",
-       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
-       {},
-       {}},
-      {"dead-ticket-clean-returned",
-       "std::vector<TaskTicket> tickets;\n"
-       "tickets.reserve(4);\n"
-       "tickets.push_back(exec.submit({.cost = 1, .cpu = true}, task));\n"
-       "return tickets;\n",
-       {},
-       {}},
-      {"dead-ticket-annotated",
-       "// tcu-lint: dead-ticket-ok(fire-and-forget warmup; join fences "
-       "it)\n"
-       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n",
-       {},
-       {}},
-
-      // ---- [ticket-before-def] -------------------------------------------
-      {"ticket-before-def-scalar",
-       "TaskTicket t;\n"
-       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n"
-       "t = exec.submit({.cost = 1, .cpu = true}, task);\n",
-       {"ticket-before-def"},
-       {2}},
-      {"ticket-before-def-vector",
-       "std::vector<TaskTicket> prev(n);\n"
-       "spec.after.push_back(prev[0].serial);\n"
-       "prev[0] = exec.submit(spec, task);\n",
-       {"ticket-before-def"},
-       {2}},
-      {"ticket-before-def-clean-guarded",
-       "std::vector<TaskTicket> prev(n);\n"
-       "for (std::size_t k = 0; k < n; ++k) {\n"
-       "  if (k > 0) spec.after.push_back(prev[k - 1].serial);\n"
-       "  prev[k] = exec.submit(spec, task);\n"
-       "}\n",
-       {},
-       {}},
-      {"ticket-before-def-clean-assigned-at-decl",
-       "const TaskTicket t = exec.submit({.cost = 1, .cpu = true}, task);\n"
-       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
-       {},
-       {}},
-      {"ticket-before-def-annotated",
-       "TaskTicket t;\n"
-       "// tcu-lint: ticket-before-def-ok(serial 0 is the always-ready "
-       "sentinel)\n"
-       "exec.submit({.cost = 1, .after = {t.serial}, .cpu = true}, task);\n",
        {},
        {}},
 
@@ -455,106 +351,13 @@ int check_rule_coverage() {
   return failures;
 }
 
-/// The generated SARIF must parse back as JSON with the 2.1.0 shape:
-/// one run, the full rule table, one result per finding.
-int check_sarif() {
-  const Fixture& seeded = fixtures()[1];  // raw-gemm-flagged
-  const std::vector<Finding> findings =
-      scan_source(seeded.name, seeded.source);
-  const std::string sarif = to_sarif(findings, {});
-  Json doc;
-  if (!json_parse(sarif, doc)) {
-    std::cerr << "self-test FAILED: SARIF output is not valid JSON\n";
-    return 1;
-  }
-  const Json* version = doc.find("version");
-  const Json* runs = doc.find("runs");
-  if (version == nullptr || version->str != "2.1.0" || runs == nullptr ||
-      runs->type != Json::Type::kArray || runs->array.size() != 1) {
-    std::cerr << "self-test FAILED: SARIF version/runs shape\n";
-    return 1;
-  }
-  const Json& run = runs->array[0];
-  const Json* tool = run.find("tool");
-  const Json* driver = tool != nullptr ? tool->find("driver") : nullptr;
-  const Json* rules = driver != nullptr ? driver->find("rules") : nullptr;
-  if (rules == nullptr || rules->array.size() != rule_catalog().size()) {
-    std::cerr << "self-test FAILED: SARIF rule table incomplete\n";
-    return 1;
-  }
-  const Json* results = run.find("results");
-  if (results == nullptr || results->array.size() != findings.size()) {
-    std::cerr << "self-test FAILED: SARIF results do not match findings\n";
-    return 1;
-  }
-  const Json* rule_id = results->array[0].find("ruleId");
-  if (rule_id == nullptr || rule_id->str != "untagged-gemm") {
-    std::cerr << "self-test FAILED: SARIF ruleId mismatch\n";
-    return 1;
-  }
-  return 0;
-}
-
-/// The baseline must round-trip, suppress known findings, and flag a
-/// seeded regression as new — the contract the CI gate relies on.
-int check_baseline_gate() {
-  const std::string base_src = "void f(Dev& d) { d.gemm(a, b, c); }\n";
-  const std::vector<Finding> before =
-      scan_source("src/linalg/fixture.hpp", base_src);
-  if (before.size() != 1) {
-    std::cerr << "self-test FAILED: baseline fixture expected 1 finding\n";
-    return 1;
-  }
-  std::vector<BaselineEntry> entries;
-  for (const Finding& f : before) entries.push_back(baseline_identity(f));
-  const std::string text = write_baseline(entries);
-  std::vector<BaselineEntry> parsed;
-  if (!parse_baseline(text, parsed) || parsed.size() != entries.size()) {
-    std::cerr << "self-test FAILED: baseline does not round-trip\n";
-    return 1;
-  }
-  const std::vector<bool> unchanged = match_baseline(before, parsed);
-  for (const bool is_new : unchanged) {
-    if (is_new) {
-      std::cerr << "self-test FAILED: baselined finding reported as new\n";
-      return 1;
-    }
-  }
-  // Seed a regression: a second raw gemm the baseline has never seen.
-  const std::string regressed =
-      base_src + "void g(Dev& d) { d.gemm(x, y, z); }\n";
-  const std::vector<Finding> after =
-      scan_source("src/linalg/fixture.hpp", regressed);
-  const std::vector<bool> flags = match_baseline(after, parsed);
-  std::size_t fresh = 0;
-  for (const bool is_new : flags) fresh += is_new ? 1 : 0;
-  if (after.size() != 2 || fresh != 1) {
-    std::cerr << "self-test FAILED: seeded regression not gated "
-              << "(findings=" << after.size() << ", new=" << fresh << ")\n";
-    return 1;
-  }
-  // An empty baseline must report everything as new.
-  const std::vector<bool> no_base = match_baseline(after, {});
-  for (const bool is_new : no_base) {
-    if (!is_new) {
-      std::cerr << "self-test FAILED: empty baseline suppressed a "
-                << "finding\n";
-      return 1;
-    }
-  }
-  return 0;
-}
-
 }  // namespace
 
 int self_test() {
-  int failures = run_fixtures();
-  failures += check_rule_coverage();
-  failures += check_sarif();
-  failures += check_baseline_gate();
+  const int failures = run_fixtures() + check_rule_coverage();
   if (failures == 0) {
     std::cout << "tcu_lint self-test: " << fixtures().size()
-              << " fixtures + rule coverage/sarif/baseline checks passed\n";
+              << " fixtures + rule coverage check passed\n";
     return 0;
   }
   std::cerr << "tcu_lint self-test: " << failures << " check"

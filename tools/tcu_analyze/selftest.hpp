@@ -2,8 +2,7 @@
 // tcu_analyze self-test — embedded fixtures for every rule (seeded
 // violations and clean counterparts), the lexer regression fixtures
 // (raw strings, line continuations), statement-anchored annotation
-// adjacency, and programmatic SARIF well-formedness + baseline-gate
-// checks. Run with `tcu_lint --self-test`.
+// adjacency, and a rule-coverage check. Run with `tcu_lint --self-test`.
 
 namespace tcu_analyze {
 
