@@ -20,7 +20,8 @@ void BM_MultiUnitDense(benchmark::State& state) {
   tcu::DevicePool<double> pool(units, {.m = 256, .latency = ell});
   for (auto _ : state) {
     pool.reset();
-    auto c = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+    tcu::PoolExecutor<double> exec(pool);
+    auto c = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
     benchmark::DoNotOptimize(c.data());
   }
   tcu::Device<double> single({.m = 256, .latency = ell});

@@ -72,14 +72,6 @@ struct PoolBenchRecord {
   std::uint64_t resident_hits = 0;   ///< aggregate resident-tile hits
   std::uint64_t latency_saved = 0;   ///< latency charges skipped by hits
   std::uint64_t evictions = 0;       ///< LRU displacements under pressure
-  /// Measured backend execution wall time (nanoseconds): the sum of
-  /// `Device::wall_ns()` across the pool's units for the last timed
-  /// iteration — real steady_clock time spent inside the GEMM backend,
-  /// under the same accounting boundary that charges `sim_cost`.
-  /// Machine-dependent by nature, so the gate never regresses on it; it
-  /// sits next to `sim_cost` so model predictions can be read against
-  /// real execution time per record.
-  std::uint64_t wall_ns = 0;
   /// Extra metric columns (e.g. latency totals).
   std::vector<std::pair<std::string, double>> extra;
 };
@@ -104,8 +96,7 @@ class PoolBenchJson {
           << ", \"counters_match\": " << (r.counters_match ? "true" : "false")
           << ", \"resident_hits\": " << r.resident_hits
           << ", \"latency_saved\": " << r.latency_saved
-          << ", \"evictions\": " << r.evictions
-          << ", \"wall_ns\": " << r.wall_ns;
+          << ", \"evictions\": " << r.evictions;
       for (const auto& [key, value] : r.extra) {
         out << ", \"" << key << "\": " << value;
       }
@@ -125,19 +116,6 @@ class PoolBenchJson {
 inline bool bench_tiny() {
   const char* scale = std::getenv("TCU_BENCH_SCALE");
   return scale != nullptr && std::string(scale) == "tiny";
-}
-
-/// The record's `wall_ns`: aggregate backend execution time across the
-/// pool's units (each `Device::wall_ns()` accumulates steady_clock time
-/// around its backend's runs; `reset()` clears it, so after a timed loop
-/// this reads the last iteration).
-template <typename Pool>
-std::uint64_t pool_wall_ns(const Pool& pool) {
-  std::uint64_t total = 0;
-  for (std::size_t u = 0; u < pool.size(); ++u) {
-    total += pool.unit(u).wall_ns();
-  }
-  return total;
 }
 
 /// Aggregate-vs-serial counter equality (the pool determinism contract).

@@ -148,7 +148,6 @@ void BM_FaultRecovery(benchmark::State& state) {
        .sim_cost = pool.makespan(),
        .sim_speedup = sim_speedup,
        .counters_match = match,
-       .wall_ns = tcu::bench::pool_wall_ns(pool),
        .extra = {
            {"retried", static_cast<double>(report.retried)},
            {"redealt", static_cast<double>(report.redealt)},

@@ -34,8 +34,7 @@ tcu::bench::PoolBenchJson json_out("pool_algos");
 constexpr std::uint64_t kEll = 256;
 
 void record(benchmark::State& state, const char* name, std::size_t units,
-            std::uint64_t makespan, const tcu::Counters& ref, bool match,
-            std::uint64_t wall_ns) {
+            std::uint64_t makespan, const tcu::Counters& ref, bool match) {
   const double sim_speedup =
       static_cast<double>(ref.time()) / static_cast<double>(makespan);
   state.counters["units"] = static_cast<double>(units);
@@ -47,7 +46,6 @@ void record(benchmark::State& state, const char* name, std::size_t units,
                 .sim_cost = makespan,
                 .sim_speedup = sim_speedup,
                 .counters_match = match,
-                .wall_ns = wall_ns,
                 .extra = {}});
 }
 
@@ -66,14 +64,15 @@ void BM_StrassenPool(benchmark::State& state) {
   tcu::Matrix<double> got;
   for (auto _ : state) {
     pool.reset();
-    got = tcu::linalg::matmul_strassen_tcu_pool(pool, a.view(), b.view());
+    tcu::PoolExecutor<double> exec(pool);
+    got = tcu::linalg::matmul_strassen_tcu_pool(exec, a.view(), b.view());
     benchmark::DoNotOptimize(got.data());
   }
   const bool match =
       got == expect &&
       tcu::bench::counters_match_serial(pool.aggregate(), single.counters());
   record(state, "strassen_pool", units, pool.makespan(), single.counters(),
-         match, tcu::bench::pool_wall_ns(pool));
+         match);
 }
 
 void BM_ClosurePool(benchmark::State& state) {
@@ -91,14 +90,15 @@ void BM_ClosurePool(benchmark::State& state) {
   for (auto _ : state) {
     pool.reset();
     pool_d = adj;
-    tcu::graph::closure_tcu(pool, pool_d.view());
+    tcu::PoolExecutor<tcu::graph::Vert> exec(pool);
+    tcu::graph::closure_tcu(exec, pool_d.view());
     benchmark::DoNotOptimize(pool_d.data());
   }
   const bool match =
       pool_d == serial_d &&
       tcu::bench::counters_match_serial(pool.aggregate(), single.counters());
   record(state, "closure_pool", units, pool.makespan(), single.counters(),
-         match, tcu::bench::pool_wall_ns(pool));
+         match);
 }
 
 void BM_ApsdPool(benchmark::State& state) {
@@ -127,14 +127,15 @@ void BM_ApsdPool(benchmark::State& state) {
   tcu::Matrix<std::int64_t> got;
   for (auto _ : state) {
     pool.reset();
-    got = tcu::graph::apsd_seidel(pool, adj.view());
+    tcu::PoolExecutor<std::int64_t> exec(pool);
+    got = tcu::graph::apsd_seidel(exec, adj.view());
     benchmark::DoNotOptimize(got.data());
   }
   const bool match =
       got == expect &&
       tcu::bench::counters_match_serial(pool.aggregate(), single.counters());
   record(state, "apsd_pool", units, pool.makespan(), single.counters(),
-         match, tcu::bench::pool_wall_ns(pool));
+         match);
 }
 
 void BM_DftPool(benchmark::State& state) {
@@ -160,7 +161,8 @@ void BM_DftPool(benchmark::State& state) {
   for (auto _ : state) {
     pool.reset();
     pool_batch = input;
-    tcu::dft::dft_batch_tcu(pool, pool_batch.view());
+    tcu::PoolExecutor<Complex> exec(pool);
+    tcu::dft::dft_batch_tcu(exec, pool_batch.view());
     benchmark::DoNotOptimize(pool_batch.data());
   }
   // Contract: identical bits, identical counters except the per-unit
@@ -175,7 +177,7 @@ void BM_DftPool(benchmark::State& state) {
       agg.latency_time - ref.latency_time ==
           (agg.tensor_calls - ref.tensor_calls) * kEll;
   record(state, "dft_pool", units, pool.makespan(), single.counters(),
-         match, tcu::bench::pool_wall_ns(pool));
+         match);
   state.counters["latency_overhead"] =
       static_cast<double>(agg.latency_time - ref.latency_time);
 }
@@ -198,8 +200,7 @@ bool chunked_counters_match(const tcu::Counters& agg,
 void record_residency(benchmark::State& state, const char* name,
                       std::size_t units, std::size_t cache_capacity,
                       std::uint64_t makespan, const tcu::Counters& agg,
-                      const tcu::Counters& ref, bool match,
-                      std::uint64_t wall_ns) {
+                      const tcu::Counters& ref, bool match) {
   const double sim_speedup =
       static_cast<double>(ref.time()) / static_cast<double>(makespan);
   state.counters["units"] = static_cast<double>(units);
@@ -217,7 +218,6 @@ void record_residency(benchmark::State& state, const char* name,
                 .resident_hits = agg.resident_hits,
                 .latency_saved = agg.latency_saved,
                 .evictions = agg.evictions,
-                .wall_ns = wall_ns,
                 .extra = {}});
 }
 
@@ -237,7 +237,8 @@ void BM_StencilPool(benchmark::State& state) {
   tcu::Matrix<double> got;
   for (auto _ : state) {
     pool.reset();
-    got = tcu::stencil::stencil_tcu_pool(pool, grid.view(), w, k);
+    tcu::PoolExecutor<Complex> exec(pool);
+    got = tcu::stencil::stencil_tcu_pool(exec, grid.view(), w, k);
     benchmark::DoNotOptimize(got.data());
   }
   const tcu::Counters agg = pool.aggregate();
@@ -245,7 +246,7 @@ void BM_StencilPool(benchmark::State& state) {
                      chunked_counters_match(agg, single.counters()) &&
                      agg.resident_hits > 0;
   record_residency(state, "stencil_pool", units, 1, pool.makespan(), agg,
-                   single.counters(), match, tcu::bench::pool_wall_ns(pool));
+                   single.counters(), match);
 }
 
 void BM_GePool(benchmark::State& state) {
@@ -272,7 +273,8 @@ void BM_GePool(benchmark::State& state) {
   for (auto _ : state) {
     pool.reset();
     got = c0;
-    tcu::linalg::ge_forward_tcu_pool(pool, got.view());
+    tcu::PoolExecutor<double> exec(pool);
+    tcu::linalg::ge_forward_tcu_pool(exec, got.view());
     benchmark::DoNotOptimize(got.data());
   }
   // Kernel-D keys are unique per (pivot, block column), so the pool
@@ -286,7 +288,7 @@ void BM_GePool(benchmark::State& state) {
                      agg.resident_hits == ref.resident_hits &&
                      agg.latency_saved == ref.latency_saved;
   record_residency(state, "gauss_pool", units, 1, pool.makespan(), agg, ref,
-                   match, tcu::bench::pool_wall_ns(pool));
+                   match);
 }
 
 void BM_Conv2dPool(benchmark::State& state) {
@@ -327,7 +329,7 @@ void BM_Conv2dPool(benchmark::State& state) {
                      agg.resident_hits > 0 &&
                      single.counters().resident_hits > 0;
   record_residency(state, "conv2d_pool", units, cache, pool.makespan(), agg,
-                   single.counters(), match, tcu::bench::pool_wall_ns(pool));
+                   single.counters(), match);
 }
 
 }  // namespace

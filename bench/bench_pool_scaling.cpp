@@ -94,7 +94,6 @@ void BM_PoolScaling(benchmark::State& state) {
                 .sim_cost = pool.makespan(),
                 .sim_speedup = sim_speedup,
                 .counters_match = match,
-                .wall_ns = tcu::bench::pool_wall_ns(pool),
                 .extra = {}});
 }
 
@@ -179,7 +178,6 @@ void BM_BatchAffinity(benchmark::State& state) {
        .resident_hits = affine.resident_hits,
        .latency_saved = affine.latency_saved,
        .evictions = affine.evictions,
-       .wall_ns = tcu::bench::pool_wall_ns(pool_affine),
        .extra = {{"latency_plain", static_cast<double>(plain.latency_time)},
                  {"latency_affine",
                   static_cast<double>(affine.latency_time)}}});

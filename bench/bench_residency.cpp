@@ -135,7 +135,6 @@ void BM_MlpResidency(benchmark::State& state) {
                 .resident_hits = agg.resident_hits,
                 .latency_saved = agg.latency_saved,
                 .evictions = agg.evictions,
-                .wall_ns = tcu::bench::pool_wall_ns(pool),
                 .extra = {{"latency_serial",
                            static_cast<double>(ref.latency_time)},
                           {"latency_affine",
@@ -225,7 +224,6 @@ void BM_SplitResidency(benchmark::State& state) {
                 .resident_hits = split.resident_hits,
                 .latency_saved = split.latency_saved,
                 .evictions = split.evictions,
-                .wall_ns = tcu::bench::pool_wall_ns(pool_split),
                 .extra = {{"latency_whole",
                            static_cast<double>(whole.latency_time)},
                           {"latency_split",

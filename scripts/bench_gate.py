@@ -1,28 +1,24 @@
 #!/usr/bin/env python3
-"""Speedup-floor gate for the pool bench JSONs (CI bench-smoke).
+"""Regression gate for the pool bench JSONs (CI bench-smoke).
 
 Usage: bench_gate.py <fresh_dir> <baseline_dir>
 
 Reads the freshly generated BENCH_*.json records from <fresh_dir> and the
 checked-in reference copies from <baseline_dir>, then enforces:
 
+  * no record anywhere reports counters_match == false;
   * every `pool_scaling` record keeps sim_speedup >= p — the dense-matmul
     strip deal is embarrassingly parallel in the model, so anything below
-    p is a scheduling regression, not noise (the simulated cost model is
-    deterministic);
-  * the dependent-workload records of bench_pool_algos (closure_pool,
-    gauss_pool, dft_pool) never regress below the checked-in sim_speedup
-    at the same p — these are the epoch runtime's overlap wins, and a
-    drop means a barrier crept back in;
-  * no record anywhere reports counters_match == false.
-
-Records also carry a measured `wall_ns` (real backend execution time).
-It is machine-dependent by nature and is deliberately NOT gated — the
-simulated costs are the reproducible quantities; wall_ns is reported for
-human comparison only.
+    p is a scheduling regression, not noise;
+  * every fresh file equals its checked-in copy: the same files, the same
+    records in the same order, each with the same fields in the same
+    order and the same values. Every field is a deterministic model
+    quantity (simulated costs, counters, recovery tallies), so any
+    difference is a behaviour change — regenerate the checked-in copies
+    at TCU_BENCH_SCALE=tiny when the change is intended.
 
 Exits nonzero with a ::error:: line per violation, each naming the file
-and record that failed. The model costs are exact integers, so
+and record that failed. The model costs are exact integers, so float
 comparisons use a 1e-6 slack only to absorb the JSON's decimal
 formatting.
 """
@@ -32,10 +28,8 @@ import sys
 from pathlib import Path
 
 SLACK = 1e-6
-GATED_ALGOS = ("closure_pool", "gauss_pool", "dft_pool")
 
 # Fields every record must carry for the gate to reason about it.
-# (wall_ns is intentionally absent: accepted, never required or gated.)
 REQUIRED_FIELDS = ("name", "p", "sim_speedup", "counters_match")
 
 
@@ -52,15 +46,16 @@ def describe(path: Path, rec) -> str:
 
 
 def validated_records(path: Path, failures):
-    """Yield records that carry every gated field; report the rest."""
+    """Return the records that carry every gated field; report the rest."""
     try:
         records = load(path)
     except (OSError, json.JSONDecodeError) as err:
         failures.append(f"{path.name}: unreadable ({err})")
-        return
+        return []
     if not isinstance(records, list):
         failures.append(f"{path.name}: expected a JSON array of records")
-        return
+        return []
+    valid = []
     for rec in records:
         missing = [f for f in REQUIRED_FIELDS if f not in rec]
         if missing:
@@ -68,7 +63,37 @@ def validated_records(path: Path, failures):
                 f"{describe(path, rec)} is missing required field(s) "
                 f"{', '.join(missing)}")
             continue
-        yield rec
+        valid.append(rec)
+    return valid
+
+
+def values_equal(got, want) -> bool:
+    """Exact equality, except numbers compare within SLACK (bools exact)."""
+    if isinstance(got, bool) or isinstance(want, bool):
+        return got is want
+    if isinstance(got, (int, float)) and isinstance(want, (int, float)):
+        return abs(got - want) <= SLACK
+    return got == want
+
+
+def compare_file(path: Path, fresh, baseline, failures):
+    """Record-by-record, field-by-field equality with the checked-in copy."""
+    if len(fresh) != len(baseline):
+        failures.append(f"{path.name}: {len(fresh)} records, checked-in "
+                        f"copy has {len(baseline)}")
+    for got, want in zip(fresh, baseline):
+        if (got["name"], got["p"]) != (want["name"], want["p"]):
+            failures.append(f"{describe(path, got)}: checked-in copy has "
+                            f"name={want['name']} p={want['p']} here")
+            continue
+        if list(got) != list(want):
+            failures.append(f"{describe(path, got)}: fields {list(got)} "
+                            f"differ from checked-in {list(want)}")
+            continue
+        for key, value in got.items():
+            if not values_equal(value, want[key]):
+                failures.append(f"{describe(path, got)}: {key} {value} "
+                                f"differs from checked-in {want[key]}")
 
 
 def main() -> int:
@@ -78,59 +103,39 @@ def main() -> int:
     fresh_dir, base_dir = Path(sys.argv[1]), Path(sys.argv[2])
     failures = []
 
-    fresh_files = sorted(fresh_dir.glob("BENCH_*.json"))
+    fresh_files = {p.name: p for p in fresh_dir.glob("BENCH_*.json")}
+    base_files = {p.name: p for p in base_dir.glob("BENCH_*.json")}
     if not fresh_files:
         failures.append(f"no BENCH_*.json found in {fresh_dir}")
+    for name in sorted(base_files.keys() - fresh_files.keys()):
+        failures.append(f"{name} missing from fresh run")
+    for name in sorted(fresh_files.keys() - base_files.keys()):
+        failures.append(f"{name} has no checked-in copy in {base_dir}")
 
-    for path in fresh_files:
-        for rec in validated_records(path, failures):
+    for name, path in sorted(fresh_files.items()):
+        fresh = validated_records(path, failures)
+        for rec in fresh:
             if rec["counters_match"] is False:
                 failures.append(
                     f"{describe(path, rec)} reports counters_match == false")
-
-    # Floor 1: pooled matmul must scale at least linearly in the model.
-    scaling = fresh_dir / "BENCH_pool_scaling.json"
-    if scaling.exists():
-        for rec in validated_records(scaling, failures):
-            if rec["name"] != "pool_scaling":
-                continue
-            if rec["sim_speedup"] < rec["p"] - SLACK:
-                failures.append(
-                    f"{describe(scaling, rec)}: sim_speedup "
-                    f"{rec['sim_speedup']} < p={rec['p']}")
-    else:
-        failures.append("BENCH_pool_scaling.json missing from fresh run")
-
-    # Floor 2: the dependent workloads must not regress below the
-    # checked-in reference at the same unit count.
-    base_algos = base_dir / "BENCH_pool_algos.json"
-    fresh_algos = fresh_dir / "BENCH_pool_algos.json"
-    if base_algos.exists() and fresh_algos.exists():
-        baseline = {(r["name"], r["p"]): r["sim_speedup"]
-                    for r in validated_records(base_algos, failures)
-                    if r["name"] in GATED_ALGOS}
-        fresh = {(r["name"], r["p"]): r["sim_speedup"]
-                 for r in validated_records(fresh_algos, failures)
-                 if r["name"] in GATED_ALGOS}
-        for key, floor in sorted(baseline.items()):
-            got = fresh.get(key)
-            if got is None:
-                failures.append(
-                    f"{fresh_algos.name}: record name={key[0]} p={key[1]} "
-                    "missing from fresh run")
-            elif got < floor - SLACK:
-                failures.append(
-                    f"{fresh_algos.name}: record name={key[0]} p={key[1]}: "
-                    f"sim_speedup {got} regressed below checked-in {floor}")
-    else:
-        for p in (base_algos, fresh_algos):
-            if not p.exists():
-                failures.append(f"{p} missing")
+        # Floor: pooled matmul must scale at least linearly in the model.
+        if name == "BENCH_pool_scaling.json":
+            for rec in fresh:
+                if (rec["name"] == "pool_scaling" and
+                        rec["sim_speedup"] < rec["p"] - SLACK):
+                    failures.append(
+                        f"{describe(path, rec)}: sim_speedup "
+                        f"{rec['sim_speedup']} < p={rec['p']}")
+        if name in base_files:
+            compare_file(path, fresh,
+                         validated_records(base_files[name], failures),
+                         failures)
 
     for msg in failures:
         print(f"::error::{msg}")
     if not failures:
-        print("bench gate: all speedup floors hold")
+        print("bench gate: speedup floor holds, records match the "
+              "checked-in copies")
     return 1 if failures else 0
 
 

@@ -589,16 +589,6 @@ void idft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
   ctx.sync();
 }
 
-void dft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch) {
-  PoolExecutor<Complex> exec(pool);
-  dft_batch_tcu(exec, batch);
-}
-
-void idft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch) {
-  PoolExecutor<Complex> exec(pool);
-  idft_batch_tcu(exec, batch);
-}
-
 CVec dft_tcu(CplxDevice& dev, const CVec& x, bool inverse) {
   if (x.empty()) return {};
   Matrix<Complex> batch(1, x.size());

@@ -96,11 +96,8 @@ void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 /// (`join_epoch`) and the recursion read-outs run as fenced CPU tasks.
 /// The transform is strict-joined only before submit-thread reads
 /// (transposes, Bluestein glue, pointwise products) and at the return.
-void dft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch);
-void idft_batch_tcu(DevicePool<Complex>& pool, MatrixView<Complex> batch);
-
-/// Same, over a caller-owned persistent executor (one thread spawn for
-/// the whole recursion / a stream of transforms).
+/// One persistent executor serves the whole recursion or a stream of
+/// transforms.
 void dft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
                    const DftOptions& opts = {});
 void idft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,

@@ -148,13 +148,6 @@ Matrix<std::int64_t> apsd_seidel(PoolExecutor<std::int64_t>& exec,
   return seidel_with_ctx(ctx, adjacency);
 }
 
-Matrix<std::int64_t> apsd_seidel(DevicePool<std::int64_t>& pool,
-                                 ConstMatrixView<std::int64_t> adjacency,
-                                 ApsdOptions opts) {
-  PoolExecutor<std::int64_t> exec(pool);
-  return apsd_seidel(exec, adjacency, opts);
-}
-
 Matrix<std::int64_t> apsd_bfs(ConstMatrixView<std::int64_t> adjacency,
                               Counters& counters) {
   const std::size_t n = adjacency.rows;

@@ -35,13 +35,8 @@ Matrix<std::int64_t> apsd_seidel(Device<std::int64_t>& dev,
 /// squares the previous one's graph) but the two n x n products per level
 /// run across the pool — Theorem 2 strips, or the pool Strassen's leaf
 /// fan-out with `use_strassen`. Output and aggregate counters match the
-/// single-device apsd_seidel bit-for-bit.
-Matrix<std::int64_t> apsd_seidel(DevicePool<std::int64_t>& pool,
-                                 ConstMatrixView<std::int64_t> adjacency,
-                                 ApsdOptions opts = {});
-
-/// Same, over a caller-owned persistent executor (one thread spawn for
-/// all O(log n) recursion levels).
+/// single-device apsd_seidel bit-for-bit. One persistent executor serves
+/// all O(log n) recursion levels.
 Matrix<std::int64_t> apsd_seidel(PoolExecutor<std::int64_t>& exec,
                                  ConstMatrixView<std::int64_t> adjacency,
                                  ApsdOptions opts = {});

@@ -289,11 +289,6 @@ void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d) {
   pool.charge_cpu(n * n);
 }
 
-void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d) {
-  PoolExecutor<Vert> exec(pool);
-  closure_tcu(exec, d);
-}
-
 AdjMatrix closure_bfs_oracle(ConstMatrixView<Vert> adjacency) {
   const std::size_t n = adjacency.rows;
   if (adjacency.cols != n) {

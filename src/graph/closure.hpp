@@ -44,9 +44,6 @@ void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d);
 /// with a single strict join — see closure.cpp for the dependence graph.
 /// Output bits and aggregate counters are identical to the single-device
 /// closure_tcu at every unit count.
-void closure_tcu(DevicePool<Vert>& pool, MatrixView<Vert> d);
-
-/// Same, over a caller-owned persistent executor.
 void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d);
 
 /// Reference oracle for tests: reachability by BFS from every vertex.

@@ -104,9 +104,11 @@ std::vector<Matrix<T>> matmul_batch_shared_b(
 /// default the B tiles are dealt with affinity — a steady stream of
 /// batches against the same resident B pays each tile's load latency
 /// once, not once per round, with the units' `resident_hits` counters
-/// recording the savings. Pass `{.affinity = false}` for PR 1's pure
+/// recording the savings. Pass `{.affinity = false}` for the pure
 /// least-loaded reload-every-round schedule (the benches use it as the
-/// comparison baseline).
+/// comparison baseline). A deep shared B (chain k > 1) can pass
+/// `{.affinity = true, .split_chains = true}` to split the chains at tile
+/// granularity when the cache capacity is below k.
 template <typename T>
 std::vector<Matrix<T>> matmul_batch_shared_b(
     PoolExecutor<T>& exec, const std::vector<Matrix<T>>& batch,
@@ -157,22 +159,6 @@ std::vector<Matrix<T>> matmul_batch_shared_b(
   exec.pool().charge_cpu(C.pack_cost());
   exec.pool().charge_cpu(product.rows() * product.cols());
   return detail::unstack_batch(product, batch.size(), batch.front().rows());
-}
-
-/// Multi-unit batched product with a throwaway executor per call. Tile
-/// affinity still applies across calls — the units remember their
-/// resident sets — but thread startup is re-paid; prefer the
-/// PoolExecutor overload in serving loops. A deep shared B (chain k > 1)
-/// can pass `{.affinity = true, .split_chains = true}` to split the
-/// chains at tile granularity when the cache capacity is below k.
-template <typename T>
-std::vector<Matrix<T>> matmul_batch_shared_b(
-    DevicePool<T>& pool, const std::vector<Matrix<T>>& batch,
-    std::type_identity_t<ConstMatrixView<T>> B,
-    PoolMatmulOptions opts = {.affinity = true}) {
-  if (batch.empty()) return {};
-  PoolExecutor<T> exec(pool);
-  return matmul_batch_shared_b(exec, batch, B, opts);
 }
 
 }  // namespace tcu::linalg

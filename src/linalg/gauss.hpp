@@ -317,13 +317,6 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
   exec.join();
 }
 
-/// Pool forward elimination with a throwaway executor for the call.
-template <typename T>
-void ge_forward_tcu_pool(DevicePool<T>& pool, MatrixView<T> X) {
-  PoolExecutor<T> exec(pool);
-  ge_forward_tcu_pool(exec, X);
-}
-
 /// Build the (R x R) augmented matrix of Figure 2 for the system A x = b
 /// (A: d x d, b: d), embedding into dimension R >= d + 1 by appending
 /// trivial equations x_t = 0, so blocked elimination sees a multiple of

@@ -95,16 +95,6 @@ struct PoolMatmulOptions {
   std::size_t row_chunks = 0;
 };
 
-/// True iff A * B can run on the pool fast path without padding. The pool
-/// matmul itself now accepts ragged shapes; this remains for callers that
-/// want to know whether scratch padding will be involved.
-template <typename T>
-bool pool_shapes_aligned(const DevicePool<T>& pool, ConstMatrixView<T> A,
-                         ConstMatrixView<T> B) {
-  const std::size_t s = pool.unit(0).tile_dim();
-  return (A.rows % s) == 0 && (A.cols % s) == 0 && (B.cols % s) == 0;
-}
-
 namespace detail {
 
 /// Exact tensor time of one tile of a strip chain (left operand rows x s).
@@ -458,18 +448,6 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
   return tickets;
 }
 
-/// C = A * B across the pool's units with a throwaway executor (spawns and
-/// joins the worker threads). Prefer the PoolExecutor overload in loops.
-template <typename T>
-void matmul_tcu_pool_into(DevicePool<T>& pool,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          std::type_identity_t<ConstMatrixView<T>> B,
-                          std::type_identity_t<MatrixView<T>> C,
-                          PoolMatmulOptions opts = {}) {
-  PoolExecutor<T> exec(pool);
-  matmul_tcu_pool_into(exec, A, B, C, opts);
-}
-
 /// Allocating wrapper over the persistent-executor path.
 template <typename T>
 Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
@@ -478,17 +456,6 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
                           PoolMatmulOptions opts = {}) {
   Matrix<T> C(A.rows, B.cols, T{});
   matmul_tcu_pool_into(exec, A, B, C.view(), opts);
-  return C;
-}
-
-/// Allocating wrapper for `matmul_tcu_pool_into`.
-template <typename T>
-Matrix<T> matmul_tcu_pool(DevicePool<T>& pool,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          std::type_identity_t<ConstMatrixView<T>> B,
-                          PoolMatmulOptions opts = {}) {
-  Matrix<T> C(A.rows, B.cols, T{});
-  matmul_tcu_pool_into(pool, A, B, C.view(), opts);
   return C;
 }
 

@@ -343,16 +343,6 @@ Matrix<T> matmul_strassen_tcu_pool(PoolExecutor<T>& exec,
   return C;
 }
 
-/// DevicePool convenience overload (throwaway executor per call).
-template <typename T>
-Matrix<T> matmul_strassen_tcu_pool(DevicePool<T>& pool,
-                                   std::type_identity_t<ConstMatrixView<T>> A,
-                                   std::type_identity_t<ConstMatrixView<T>> B,
-                                   StrassenOptions opts = {}) {
-  PoolExecutor<T> exec(pool);
-  return matmul_strassen_tcu_pool(exec, A, B, opts);
-}
-
 /// Theorem 1: multiply two square matrices with a Strassen-like recursion
 /// whose leaves are executed by the tensor unit. Inputs of awkward sizes
 /// are zero-padded to the nearest s * 2^k dimension (the paper assumes

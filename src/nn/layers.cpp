@@ -148,13 +148,6 @@ Matrix<double> Mlp::forward(Device<double>& dev,
   return cur;
 }
 
-Matrix<double> Mlp::forward(DevicePool<double>& pool,
-                            ConstMatrixView<double> batch) const {
-  if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  PoolExecutor<double> exec(pool);  // one spawn for the whole pass
-  return forward(exec, batch);
-}
-
 Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
                             ConstMatrixView<double> batch,
                             const linalg::PoolMatmulOptions& opts) const {
@@ -327,16 +320,6 @@ Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
   Matrix<double> out = conv_relayout(lo, gem);
   pool.charge_cpu(lo.channels_out * lo.oh * lo.ow);
   return out;
-}
-
-Matrix<double> conv2d_tcu_pool(DevicePool<double>& pool,
-                               ConstMatrixView<double> input,
-                               std::size_t channels_in,
-                               ConstMatrixView<double> filters,
-                               std::size_t kh, std::size_t kw,
-                               const linalg::PoolMatmulOptions& opts) {
-  PoolExecutor<double> exec(pool);
-  return conv2d_tcu_pool(exec, input, channels_in, filters, kh, kw, opts);
 }
 
 Matrix<double> conv2d_ram(ConstMatrixView<double> input,

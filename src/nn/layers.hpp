@@ -97,20 +97,14 @@ class Mlp {
   Matrix<double> forward(Device<double>& dev,
                          ConstMatrixView<double> batch) const;
 
-  /// Forward pass across a multi-unit pool (layers stay sequential; each
-  /// layer's weight product parallelizes over output strips). One
-  /// executor serves the whole forward, so thread startup is paid once
-  /// per pass, not once per layer.
-  Matrix<double> forward(DevicePool<double>& pool,
-                         ConstMatrixView<double> batch) const;
-
-  /// Forward pass over a caller-owned persistent executor: an inference
-  /// server keeps one executor alive across requests and pays thread
-  /// startup never and weight-tile load latency only on first touch —
-  /// with enough `resident_tiles` capacity, every layer's whole chain of
-  /// weight tiles stays resident on its lane across requests. `opts` is
-  /// forwarded to every layer's strip dealing (see
-  /// DenseLayer::forward_epoch).
+  /// Forward pass across a multi-unit pool's persistent executor (layers
+  /// stay sequential; each layer's weight product parallelizes over
+  /// output strips). An inference server keeps one executor alive across
+  /// requests and pays thread startup never and weight-tile load latency
+  /// only on first touch — with enough `resident_tiles` capacity, every
+  /// layer's whole chain of weight tiles stays resident on its lane
+  /// across requests. `opts` is forwarded to every layer's strip dealing
+  /// (see DenseLayer::forward_epoch).
   ///
   /// The layers run as one dependency-ordered round: per-strip epilogue
   /// tasks depend on their own strip's ticket, consecutive layers are
@@ -161,15 +155,6 @@ Matrix<double> conv2d_tcu(Device<double>& dev, ConstMatrixView<double> input,
 /// combine, serving banks deeper than the tile cache (see
 /// PoolMatmulOptions); `{.affinity = false}` is the untagged baseline.
 Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
-                               ConstMatrixView<double> input,
-                               std::size_t channels_in,
-                               ConstMatrixView<double> filters,
-                               std::size_t kh, std::size_t kw,
-                               const linalg::PoolMatmulOptions& opts = {
-                                   .affinity = true});
-
-/// Same, with a throwaway executor spawned for the call.
-Matrix<double> conv2d_tcu_pool(DevicePool<double>& pool,
                                ConstMatrixView<double> input,
                                std::size_t channels_in,
                                ConstMatrixView<double> filters,

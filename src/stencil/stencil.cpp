@@ -308,11 +308,4 @@ Matrix<double> stencil_tcu_pool(PoolExecutor<Complex>& exec,
   return stencil_impl(StencilCtx{.exec = &exec}, grid, w, k);
 }
 
-Matrix<double> stencil_tcu_pool(DevicePool<Complex>& pool,
-                                ConstMatrixView<double> grid,
-                                const Kernel3& w, std::size_t k) {
-  PoolExecutor<Complex> exec(pool);
-  return stencil_tcu_pool(exec, grid, w, k);
-}
-
 }  // namespace tcu::stencil

@@ -86,9 +86,4 @@ Matrix<double> stencil_tcu_pool(PoolExecutor<Complex>& exec,
                                 ConstMatrixView<double> grid,
                                 const Kernel3& w, std::size_t k);
 
-/// Same, with a throwaway executor spawned for the call.
-Matrix<double> stencil_tcu_pool(DevicePool<Complex>& pool,
-                                ConstMatrixView<double> grid,
-                                const Kernel3& w, std::size_t k);
-
 }  // namespace tcu::stencil

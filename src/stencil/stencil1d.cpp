@@ -153,12 +153,4 @@ std::vector<double> stencil1d_tcu_pool(PoolExecutor<dft::Complex>& exec,
   return stencil1d_impl(Stencil1dCtx{.exec = &exec}, signal, w, k);
 }
 
-std::vector<double> stencil1d_tcu_pool(DevicePool<dft::Complex>& pool,
-                                       const std::vector<double>& signal,
-                                       const std::array<double, 3>& w,
-                                       std::size_t k) {
-  PoolExecutor<dft::Complex> exec(pool);
-  return stencil1d_tcu_pool(exec, signal, w, k);
-}
-
 }  // namespace tcu::stencil

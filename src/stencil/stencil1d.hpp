@@ -44,10 +44,4 @@ std::vector<double> stencil1d_tcu_pool(PoolExecutor<dft::Complex>& exec,
                                        const std::array<double, 3>& w,
                                        std::size_t k);
 
-/// Same, with a throwaway executor spawned for the call.
-std::vector<double> stencil1d_tcu_pool(DevicePool<dft::Complex>& pool,
-                                       const std::vector<double>& signal,
-                                       const std::array<double, 3>& w,
-                                       std::size_t k);
-
 }  // namespace tcu::stencil

@@ -268,7 +268,8 @@ TEST(EpochDeterminism, ClosureTenRunsEveryUnitCount) {
     for (int run = 0; run < 10; ++run) {
       tcu::graph::AdjMatrix d = adj;
       DevicePool<Vert> pool(p, {.m = 64, .latency = 7});
-      tcu::graph::closure_tcu(pool, d.view());
+      PoolExecutor<Vert> exec(pool);
+      tcu::graph::closure_tcu(exec, d.view());
       ASSERT_EQ(d, serial_d) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -292,7 +293,8 @@ TEST(EpochDeterminism, GaussTenRunsEveryUnitCount) {
     for (int run = 0; run < 10; ++run) {
       Matrix<double> got = x;
       DevicePool<double> pool(p, {.m = 16, .latency = 5});
-      tcu::linalg::ge_forward_tcu_pool(pool, got.view());
+      PoolExecutor<double> exec(pool);
+      tcu::linalg::ge_forward_tcu_pool(exec, got.view());
       ASSERT_EQ(got, serial_x) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -363,7 +365,8 @@ TEST(EpochOneUnit, MatchesSerialInEveryField) {
     Device<Vert> dev({.m = 64, .latency = 7});
     tcu::graph::closure_tcu(dev, serial_d.view());
     DevicePool<Vert> pool(1, {.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(pool, pool_d.view());
+    PoolExecutor<Vert> exec(pool);
+    tcu::graph::closure_tcu(exec, pool_d.view());
     EXPECT_EQ(pool_d, serial_d);
     expect_counters_bitwise(pool.aggregate(), dev.counters(), "closure p=1");
   }
@@ -373,7 +376,8 @@ TEST(EpochOneUnit, MatchesSerialInEveryField) {
     Device<double> dev({.m = 16, .latency = 5});
     tcu::linalg::ge_forward_tcu(dev, serial_x.view());
     DevicePool<double> pool(1, {.m = 16, .latency = 5});
-    tcu::linalg::ge_forward_tcu_pool(pool, pool_x.view());
+    PoolExecutor<double> exec(pool);
+    tcu::linalg::ge_forward_tcu_pool(exec, pool_x.view());
     EXPECT_EQ(pool_x, serial_x);
     expect_counters_bitwise(pool.aggregate(), dev.counters(), "GE p=1");
   }
@@ -413,7 +417,8 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     tcu::graph::AdjMatrix serial_d = adj;
     Device<Vert> dev({.m = 64, .latency = 7});
     tcu::graph::closure_tcu(dev, serial_d.view());
-    tcu::graph::closure_tcu(pool, adj.view());
+    PoolExecutor<Vert> exec(pool);
+    tcu::graph::closure_tcu(exec, adj.view());
     EXPECT_EQ(adj, serial_d);
     check.verify();
   }

@@ -240,7 +240,8 @@ TEST_P(PoolSweep, ParallelMatmulMatchesSingleUnit) {
     }
   }
   DevicePool<double> pool(units, {.m = 64, .latency = 16});
-  auto c_pool = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  tcu::PoolExecutor<double> exec(pool);
+  auto c_pool = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 64, .latency = 16});
   auto c_single = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   for (std::size_t i = 0; i < d; ++i) {
@@ -258,17 +259,18 @@ INSTANTIATE_TEST_SUITE_P(Units, PoolSweep, ::testing::Values(1, 2, 4, 8));
 
 TEST(DevicePool, ParallelMatmulValidatesShapes) {
   DevicePool<double> pool(2, {.m = 16});
+  tcu::PoolExecutor<double> exec(pool);
   // Ragged rows no longer throw: the final partial strip is padded in
   // worker-local scratch, bit-identical to the single-device path.
   Matrix<double> a(10, 8, 1.0), b(8, 8, 2.0);
-  auto c_pool = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  auto c_pool = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 16});
   auto c_single = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   EXPECT_EQ(c_pool, c_single);
   // Genuine shape mismatches still throw.
   Matrix<double> c(8, 6), d(5, 8);
   EXPECT_THROW(
-      (void)tcu::linalg::matmul_tcu_pool(pool, c.view(), d.view()),
+      (void)tcu::linalg::matmul_tcu_pool(exec, c.view(), d.view()),
       std::invalid_argument);
 }
 
@@ -278,7 +280,8 @@ TEST(DevicePool, WorkConservation) {
   const std::size_t d = 128;
   Matrix<double> a(d, d, 1.0), b(d, d, 1.0);
   DevicePool<double> pool(4, {.m = 256, .latency = 3});
-  (void)tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  tcu::PoolExecutor<double> exec(pool);
+  (void)tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 256, .latency = 3});
   (void)tcu::linalg::matmul_tcu(single, a.view(), b.view());
   EXPECT_EQ(pool.total_tensor_time(), single.counters().tensor_time);

@@ -410,7 +410,8 @@ TEST(FaultDeterminism, StragglersPerturbNothingButWallClock) {
   auto b = random_matrix(d, d, 96);
 
   DevicePool<double> clean_pool(2, {.m = 256, .latency = 6});
-  auto expect = tcu::linalg::matmul_tcu_pool(clean_pool, a.view(), b.view());
+  PoolExecutor<double> clean_exec(clean_pool);
+  auto expect = tcu::linalg::matmul_tcu_pool(clean_exec, a.view(), b.view());
 
   DevicePool<double> pool(2, {.m = 256, .latency = 6});
   FaultPlan plan(fault_seed(7),

@@ -183,11 +183,12 @@ TEST(Integration, PoolProductsMatchSingleDeviceInPipeline) {
     }
   }
   tcu::DevicePool<double> pool(3, {.m = 256, .latency = 10});
+  tcu::PoolExecutor<double> exec(pool);
   Device<double> single({.m = 256, .latency = 10});
-  auto c1 = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  auto c1 = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   auto c2 = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   // Chain a second product to make it a pipeline.
-  auto d1 = tcu::linalg::matmul_tcu_pool(pool, c1.view(), a.view());
+  auto d1 = tcu::linalg::matmul_tcu_pool(exec, c1.view(), a.view());
   auto d2 = tcu::linalg::matmul_tcu(single, c2.view(), a.view());
   for (std::size_t i = 0; i < d; ++i) {
     for (std::size_t j = 0; j < d; ++j) {

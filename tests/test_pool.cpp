@@ -48,7 +48,8 @@ TEST(PoolRuntime, CountersDeterministicAcrossRuns) {
   Matrix<double> first;
   for (int run = 0; run < 10; ++run) {
     DevicePool<double> pool(3, {.m = 256, .latency = 7});
-    auto c = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+    PoolExecutor<double> exec(pool);
+    auto c = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
     if (run == 0) first = c;
     std::vector<std::uint64_t> times;
     for (std::size_t u = 0; u < pool.size(); ++u) {
@@ -76,7 +77,8 @@ TEST(PoolRuntime, OneUnitPoolMatchesSerialBitExactly) {
   tcu::linalg::matmul_tcu_into(single, a.view(), b.view(), c_single.view());
 
   DevicePool<double> pool(1, {.m = 64, .latency = 11});
-  auto c_pool = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  auto c_pool = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
 
   EXPECT_EQ(c_pool, c_single);  // exact ==, not near: same FP op order
   const Counters& su = single.counters();
@@ -99,7 +101,8 @@ TEST(PoolRuntime, AggregateCountersMatchSerialSchedule) {
   (void)tcu::linalg::matmul_tcu(single, a.view(), b.view());
   for (std::size_t units : {2u, 4u, 8u}) {
     DevicePool<double> pool(units, {.m = 256, .latency = 13});
-    (void)tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+    PoolExecutor<double> exec(pool);
+    (void)tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
     const Counters agg = pool.aggregate();
     EXPECT_EQ(agg.tensor_calls, single.counters().tensor_calls);
     EXPECT_EQ(agg.tensor_time, single.counters().tensor_time);
@@ -142,7 +145,8 @@ TEST(PoolRuntime, WeakModePoolMatchesSerialScheduleWithPreload) {
 
   DevicePool<double> pool(3, cfg);
   pool.unit(1).gemm(tall.view(), tiny.view(), tall_c.view());
-  (void)tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  (void)tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
 
   for (std::size_t u = 0; u < pool.size(); ++u) {
     EXPECT_EQ(pool.unit(u).counters().tensor_time,
@@ -208,7 +212,8 @@ TEST(PoolRuntime, BatchSharedBPoolMatchesSingleDevice) {
   auto expect = tcu::linalg::matmul_batch_shared_b(dev, batch, b.view());
 
   DevicePool<double> pool(2, {.m = 64, .latency = 9});
-  auto got = tcu::linalg::matmul_batch_shared_b(pool, batch, b.view());
+  PoolExecutor<double> exec(pool);
+  auto got = tcu::linalg::matmul_batch_shared_b(exec, batch, b.view());
 
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t t = 0; t < got.size(); ++t) {
@@ -229,7 +234,8 @@ TEST(PoolRuntime, BatchSharedBPoolFallsBackOnRaggedShapes) {
   Device<double> dev({.m = 64, .latency = 5});
   auto expect = tcu::linalg::matmul_batch_shared_b(dev, batch, b.view());
   DevicePool<double> pool(2, {.m = 64, .latency = 5});
-  auto got = tcu::linalg::matmul_batch_shared_b(pool, batch, b.view());
+  PoolExecutor<double> exec(pool);
+  auto got = tcu::linalg::matmul_batch_shared_b(exec, batch, b.view());
   ASSERT_EQ(got.size(), expect.size());
   for (std::size_t t = 0; t < got.size(); ++t) EXPECT_EQ(got[t], expect[t]);
 }
@@ -246,7 +252,8 @@ TEST(PoolRuntime, RaggedPoolMatmulMatchesSerialCounters) {
     Device<double> single(cfg);
     auto expect = tcu::linalg::matmul_tcu(single, a.view(), b.view());
     DevicePool<double> pool(3, cfg);
-    auto got = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+    PoolExecutor<double> exec(pool);
+    auto got = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
     EXPECT_EQ(got, expect) << "tall=" << tall;
     const Counters agg = pool.aggregate();
     const Counters& ref = single.counters();
@@ -274,8 +281,15 @@ TEST(PoolRuntime, PersistentExecutorReuseMatchesFreshExecutors) {
   auto r2 = tcu::linalg::matmul_tcu_pool(exec, b.view(), a.view());
 
   DevicePool<double> pool_fresh(3, cfg);
-  auto f1 = tcu::linalg::matmul_tcu_pool(pool_fresh, a.view(), b.view());
-  auto f2 = tcu::linalg::matmul_tcu_pool(pool_fresh, b.view(), a.view());
+  Matrix<double> f1, f2;
+  {
+    PoolExecutor<double> e(pool_fresh);
+    f1 = tcu::linalg::matmul_tcu_pool(e, a.view(), b.view());
+  }
+  {
+    PoolExecutor<double> e(pool_fresh);
+    f2 = tcu::linalg::matmul_tcu_pool(e, b.view(), a.view());
+  }
 
   EXPECT_EQ(r1, f1);
   EXPECT_EQ(r2, f2);
@@ -373,7 +387,8 @@ TEST(PoolRuntime, MlpForwardPoolMatchesSingleDevice) {
   auto expect = mlp.forward(dev, batch.view());
 
   DevicePool<double> pool(4, {.m = 16, .latency = 3});
-  auto got = mlp.forward(pool, batch.view());
+  PoolExecutor<double> exec(pool);
+  auto got = mlp.forward(exec, batch.view());
 
   EXPECT_EQ(got, expect);
   EXPECT_EQ(pool.aggregate().tensor_calls, dev.counters().tensor_calls);

@@ -87,7 +87,8 @@ TEST(PoolAlgos, StrassenPoolMatchesSerialBitExactly) {
       auto expect = tcu::linalg::matmul_strassen_tcu(dev, a.view(), b.view(),
                                                      {.p0 = p0});
       DevicePool<double> pool(units, {.m = 16, .latency = 9});
-      auto got = tcu::linalg::matmul_strassen_tcu_pool(pool, a.view(),
+      PoolExecutor<double> exec(pool);
+      auto got = tcu::linalg::matmul_strassen_tcu_pool(exec, a.view(),
                                                        b.view(), {.p0 = p0});
       EXPECT_EQ(got, expect) << "p0=" << p0 << " units=" << units;
       expect_counters_eq(pool.aggregate(), dev.counters());
@@ -102,7 +103,8 @@ TEST(PoolAlgos, StrassenPoolHandlesPaddedSizes) {
   Device<double> dev({.m = 16, .latency = 4});
   auto expect = tcu::linalg::matmul_strassen_tcu(dev, a.view(), b.view());
   DevicePool<double> pool(2, {.m = 16, .latency = 4});
-  auto got = tcu::linalg::matmul_strassen_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  auto got = tcu::linalg::matmul_strassen_tcu_pool(exec, a.view(), b.view());
   EXPECT_EQ(got, expect);
   expect_counters_eq(pool.aggregate(), dev.counters());
 }
@@ -114,7 +116,8 @@ TEST(PoolAlgos, StrassenPoolSplitsWorkAcrossUnits) {
   Device<double> dev({.m = 16, .latency = 2});
   (void)tcu::linalg::matmul_strassen_tcu(dev, a.view(), b.view());
   DevicePool<double> pool(4, {.m = 16, .latency = 2});
-  (void)tcu::linalg::matmul_strassen_tcu_pool(pool, a.view(), b.view());
+  PoolExecutor<double> exec(pool);
+  (void)tcu::linalg::matmul_strassen_tcu_pool(exec, a.view(), b.view());
   for (std::size_t u = 0; u < pool.size(); ++u) {
     EXPECT_GT(pool.unit(u).counters().tensor_calls, 0u) << "unit " << u;
   }
@@ -130,7 +133,8 @@ TEST(PoolAlgos, ClosurePoolMatchesSerial) {
 
     tcu::graph::AdjMatrix pool_d = adj;
     DevicePool<tcu::graph::Vert> pool(3, {.m = 64, .latency = 7});
-    tcu::graph::closure_tcu(pool, pool_d.view());
+    PoolExecutor<tcu::graph::Vert> exec(pool);
+    tcu::graph::closure_tcu(exec, pool_d.view());
 
     EXPECT_EQ(pool_d, serial_d) << "n=" << n;
     expect_counters_eq(pool.aggregate(), dev.counters());
@@ -140,7 +144,7 @@ TEST(PoolAlgos, ClosurePoolMatchesSerial) {
 
 TEST(PoolAlgos, ClosurePoolReusedExecutorAcrossCalls) {
   // One persistent executor across two closure computations is
-  // bit-identical to two throwaway executors.
+  // bit-identical to one fresh executor per computation.
   auto adj = random_digraph(32, 0.1, 500);
   DevicePool<tcu::graph::Vert> pool_a(2, {.m = 64, .latency = 3});
   DevicePool<tcu::graph::Vert> pool_b(2, {.m = 64, .latency = 3});
@@ -149,8 +153,14 @@ TEST(PoolAlgos, ClosurePoolReusedExecutorAcrossCalls) {
   PoolExecutor<tcu::graph::Vert> exec(pool_a);
   tcu::graph::closure_tcu(exec, da1.view());
   tcu::graph::closure_tcu(exec, da2.view());
-  tcu::graph::closure_tcu(pool_b, db1.view());
-  tcu::graph::closure_tcu(pool_b, db2.view());
+  {
+    PoolExecutor<tcu::graph::Vert> e(pool_b);
+    tcu::graph::closure_tcu(e, db1.view());
+  }
+  {
+    PoolExecutor<tcu::graph::Vert> e(pool_b);
+    tcu::graph::closure_tcu(e, db2.view());
+  }
 
   EXPECT_EQ(da1, db1);
   EXPECT_EQ(da2, db2);
@@ -168,7 +178,8 @@ TEST(PoolAlgos, ApsdPoolMatchesSerial) {
     auto expect = tcu::graph::apsd_seidel(dev, adj.view(),
                                           {.use_strassen = strassen});
     DevicePool<std::int64_t> pool(3, {.m = 16, .latency = 5});
-    auto got = tcu::graph::apsd_seidel(pool, adj.view(),
+    PoolExecutor<std::int64_t> exec(pool);
+    auto got = tcu::graph::apsd_seidel(exec, adj.view(),
                                        {.use_strassen = strassen});
     EXPECT_EQ(got, expect) << "strassen=" << strassen;
     expect_counters_eq(pool.aggregate(), dev.counters());
@@ -194,7 +205,8 @@ TEST(PoolAlgos, DftPoolOneUnitMatchesSerialExactly) {
   tcu::dft::dft_batch_tcu(dev, serial_batch.view());
 
   DevicePool<Complex> pool(1, {.m = 16, .latency = 11});
-  tcu::dft::dft_batch_tcu(pool, pool_batch.view());
+  PoolExecutor<Complex> exec(pool);
+  tcu::dft::dft_batch_tcu(exec, pool_batch.view());
 
   EXPECT_EQ(pool_batch, serial_batch);
   expect_counters_eq(pool.aggregate(), dev.counters());
@@ -216,7 +228,8 @@ TEST(PoolAlgos, DftPoolMultiUnitMatchesSerialModuloReloadLatency) {
   tcu::dft::dft_batch_tcu(dev, serial_batch.view());
 
   DevicePool<Complex> pool(3, {.m = 16, .latency = 11});
-  tcu::dft::dft_batch_tcu(pool, pool_batch.view());
+  PoolExecutor<Complex> exec(pool);
+  tcu::dft::dft_batch_tcu(exec, pool_batch.view());
 
   // Bit-identical outputs: the row split does not change any FP op order.
   EXPECT_EQ(pool_batch, serial_batch);
@@ -255,7 +268,8 @@ TEST(PoolAlgos, DftPoolWeakModeMatchesSerialExactly) {
   tcu::dft::dft_batch_tcu(dev, serial_batch.view());
 
   DevicePool<Complex> pool(2, cfg);
-  tcu::dft::dft_batch_tcu(pool, pool_batch.view());
+  PoolExecutor<Complex> exec(pool);
+  tcu::dft::dft_batch_tcu(exec, pool_batch.view());
 
   EXPECT_EQ(pool_batch, serial_batch);
   expect_counters_eq(pool.aggregate(), dev.counters());
@@ -358,8 +372,9 @@ TEST(PoolAlgos, DftPoolInverseRoundTrips) {
   }
   Matrix<Complex> original = batch;
   DevicePool<Complex> pool(2, {.m = 16, .latency = 3});
-  tcu::dft::dft_batch_tcu(pool, batch.view());
-  tcu::dft::idft_batch_tcu(pool, batch.view());
+  PoolExecutor<Complex> exec(pool);
+  tcu::dft::dft_batch_tcu(exec, batch.view());
+  tcu::dft::idft_batch_tcu(exec, batch.view());
   for (std::size_t r = 0; r < b; ++r) {
     for (std::size_t j = 0; j < len; ++j) {
       EXPECT_NEAR(batch(r, j).real(), original(r, j).real(), 1e-9);

@@ -108,7 +108,8 @@ TEST(StencilPool, MatchesSerialAtEveryUnitCount) {
 
   for (std::size_t p : {1u, 2u, 4u, 8u}) {
     DevicePool<Complex> pool(p, {.m = 16, .latency = ell});
-    auto got = tcu::stencil::stencil_tcu_pool(pool, grid.view(), w, k);
+    PoolExecutor<Complex> exec(pool);
+    auto got = tcu::stencil::stencil_tcu_pool(exec, grid.view(), w, k);
     EXPECT_EQ(got, expect) << "p=" << p;  // bit-identical, not just close
     const Counters agg = pool.aggregate();
     expect_counters_match_chunked(agg, single.counters(), ell);
@@ -131,7 +132,8 @@ TEST(StencilPool, OneDimensionalMatchesSerial) {
 
   for (std::size_t p : {1u, 2u, 4u, 8u}) {
     DevicePool<Complex> pool(p, {.m = 16, .latency = ell});
-    auto got = tcu::stencil::stencil1d_tcu_pool(pool, signal, w, k);
+    PoolExecutor<Complex> exec(pool);
+    auto got = tcu::stencil::stencil1d_tcu_pool(exec, signal, w, k);
     EXPECT_EQ(got, expect) << "p=" << p;
     expect_counters_match_chunked(pool.aggregate(), single.counters(), ell);
     if (p == 1) {
@@ -148,7 +150,8 @@ TEST(StencilPool, DegenerateShapes) {
   Device<Complex> single({.m = 16, .latency = 3});
   auto expect = tcu::stencil::stencil_tcu(single, grid.view(), w, 1);
   DevicePool<Complex> pool(8, {.m = 16, .latency = 3});
-  auto got = tcu::stencil::stencil_tcu_pool(pool, grid.view(), w, 1);
+  PoolExecutor<Complex> exec(pool);
+  auto got = tcu::stencil::stencil_tcu_pool(exec, grid.view(), w, 1);
   EXPECT_EQ(got, expect);
   expect_counters_match_chunked(pool.aggregate(), single.counters(), 3);
 
@@ -171,7 +174,8 @@ TEST(StencilPool, DeterministicAcrossRuns) {
     std::vector<std::uint64_t> first_times;
     for (int run = 0; run < 10; ++run) {
       DevicePool<Complex> pool(p, {.m = 16, .latency = 11});
-      auto got = tcu::stencil::stencil_tcu_pool(pool, grid.view(), w, k);
+      PoolExecutor<Complex> exec(pool);
+      auto got = tcu::stencil::stencil_tcu_pool(exec, grid.view(), w, k);
       std::vector<std::uint64_t> times;
       for (std::size_t u = 0; u < pool.size(); ++u) {
         times.push_back(pool.unit(u).counters().tensor_time);
@@ -215,7 +219,8 @@ TEST(GaussPool, MatchesSerialBitExactlyTallAndWeak) {
     for (std::size_t p : {1u, 2u, 4u, 8u}) {
       DevicePool<double> pool(p, cfg);
       Matrix<double> got = c0;
-      tcu::linalg::ge_forward_tcu_pool(pool, got.view());
+      PoolExecutor<double> exec(pool);
+      tcu::linalg::ge_forward_tcu_pool(exec, got.view());
       EXPECT_EQ(got, serial) << "tall=" << tall << " p=" << p;
       // Every key is unique per (k, j), so dealing can neither create
       // nor destroy hits: the aggregate matches serial in every field.
@@ -276,7 +281,8 @@ TEST(GaussPool, SolvesTheSystem) {
   tcu::linalg::ge_forward_naive(reference.view(), naive);
 
   DevicePool<double> pool(3, {.m = 16, .latency = 2});
-  tcu::linalg::ge_forward_tcu_pool(pool, c.view());
+  PoolExecutor<double> exec(pool);
+  tcu::linalg::ge_forward_tcu_pool(exec, c.view());
   Counters back;
   auto x_pool = tcu::linalg::back_substitute(c.view().as_const(), back);
   auto x_ref = tcu::linalg::back_substitute(reference.view().as_const(), back);
@@ -331,7 +337,8 @@ TEST(ConvPool, MatchesSerialAtEveryUnitCount) {
 
   for (std::size_t p : {1u, 2u, 4u, 8u}) {
     DevicePool<double> pool(p, {.m = 16, .latency = ell});
-    auto got = tcu::nn::conv2d_tcu_pool(pool, f.input.view(), f.channels_in,
+    PoolExecutor<double> exec(pool);
+    auto got = tcu::nn::conv2d_tcu_pool(exec, f.input.view(), f.channels_in,
                                         f.filters.view(), f.kh, f.kw);
     EXPECT_EQ(got, expect) << "p=" << p;
     expect_counters_match_chunked(pool.aggregate(), single.counters(), ell);
@@ -430,7 +437,8 @@ TEST(ConvPool, OneByOneKernelAndFewerStripsThanUnits) {
     }
   }
   DevicePool<double> pool(8, {.m = 16, .latency = 5});
-  auto got = tcu::nn::conv2d_tcu_pool(pool, input.view(), 1, filters.view(),
+  PoolExecutor<double> exec(pool);
+  auto got = tcu::nn::conv2d_tcu_pool(exec, input.view(), 1, filters.view(),
                                       1, 1);
   EXPECT_EQ(got, expect);
   expect_counters_match_chunked(pool.aggregate(), single.counters(), 5);
@@ -442,7 +450,8 @@ TEST(ConvPool, MatchesRamReference) {
   auto oracle = tcu::nn::conv2d_ram(f.input.view(), f.channels_in,
                                     f.filters.view(), f.kh, f.kw, ram);
   DevicePool<double> pool(3, {.m = 16, .latency = 7});
-  auto got = tcu::nn::conv2d_tcu_pool(pool, f.input.view(), f.channels_in,
+  PoolExecutor<double> exec(pool);
+  auto got = tcu::nn::conv2d_tcu_pool(exec, f.input.view(), f.channels_in,
                                       f.filters.view(), f.kh, f.kw);
   ASSERT_EQ(got.rows(), oracle.rows());
   ASSERT_EQ(got.cols(), oracle.cols());
@@ -460,7 +469,8 @@ TEST(ConvPool, DeterministicAcrossRuns) {
     std::vector<std::uint64_t> first_times;
     for (int run = 0; run < 10; ++run) {
       DevicePool<double> pool(p, {.m = 16, .latency = 9});
-      auto got = tcu::nn::conv2d_tcu_pool(pool, f.input.view(),
+      PoolExecutor<double> exec(pool);
+      auto got = tcu::nn::conv2d_tcu_pool(exec, f.input.view(),
                                           f.channels_in, f.filters.view(),
                                           f.kh, f.kw);
       std::vector<std::uint64_t> times;

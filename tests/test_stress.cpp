@@ -124,7 +124,8 @@ TEST(Stress, PoolWithMoreUnitsThanStrips) {
     }
   }
   tcu::DevicePool<double> pool(8, {.m = 256, .latency = 5});
-  auto c1 = tcu::linalg::matmul_tcu_pool(pool, a.view(), b.view());
+  tcu::PoolExecutor<double> exec(pool);
+  auto c1 = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view());
   Device<double> single({.m = 256, .latency = 5});
   auto c2 = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   for (std::size_t i = 0; i < d; ++i) {

@@ -535,7 +535,7 @@ struct PoolOptions {
 };
 
 /// One dependent workload, serial vs pooled: `serial` runs on a
-/// Device<T>, `pooled` on a DevicePool<T>; both must produce the same
+/// Device<T>, `pooled` on a PoolExecutor<T>; both must produce the same
 /// bits. Returns the process exit status (nonzero on mismatch).
 template <typename T, typename Serial, typename Pooled>
 int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
@@ -544,12 +544,13 @@ int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
 
   tcu::DevicePool<T> pool(
       po.p, {.m = po.m, .latency = po.latency, .backend = po.backend});
-  const auto got = pooled(pool);
+  tcu::PoolExecutor<T> exec(pool);
+  const auto got = pooled(exec);
   const bool outputs_match = got == expect;
 
-  std::uint64_t pool_wall = 0;
+  std::uint64_t pool_busy = 0;
   for (std::size_t u = 0; u < pool.size(); ++u) {
-    pool_wall += pool.unit(u).wall_ns();
+    pool_busy += pool.unit(u).wall_ns();
   }
   const auto serial_time = static_cast<double>(ref.counters().time());
   std::cout << "  backend              : " << ref.backend_name() << "\n"
@@ -559,7 +560,7 @@ int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
             << ", sim speedup "
             << tcu::util::fmt(
                    serial_time / static_cast<double>(pool.makespan()), 2)
-            << "  (backend wall " << pool_wall << " ns)\n"
+            << "  (backend busy, Σ units " << pool_busy << " ns)\n"
             << "  outputs bit-identical: "
             << (outputs_match ? "yes" : "NO") << "\n";
   return outputs_match ? 0 : 1;
@@ -629,9 +630,9 @@ int run_pool(int argc, char** argv) {
           tcu::graph::closure_tcu(dev, c.view());
           return c;
         },
-        [&](tcu::DevicePool<tcu::graph::Vert>& pool) {
+        [&](tcu::PoolExecutor<tcu::graph::Vert>& exec) {
           auto c = adj;
-          tcu::graph::closure_tcu(pool, c.view());
+          tcu::graph::closure_tcu(exec, c.view());
           return c;
         });
   }
@@ -654,9 +655,9 @@ int run_pool(int argc, char** argv) {
           tcu::linalg::ge_forward_tcu(dev, c.view());
           return c;
         },
-        [&](tcu::DevicePool<double>& pool) {
+        [&](tcu::PoolExecutor<double>& exec) {
           auto c = x;
-          tcu::linalg::ge_forward_tcu_pool(pool, c.view());
+          tcu::linalg::ge_forward_tcu_pool(exec, c.view());
           return c;
         });
   }
@@ -675,9 +676,8 @@ int run_pool(int argc, char** argv) {
           tcu::dft::dft_batch_tcu(dev, b.view(), {.affinity = true});
           return b;
         },
-        [&](tcu::DevicePool<Complex>& pool) {
+        [&](tcu::PoolExecutor<Complex>& exec) {
           auto b = batch;
-          tcu::PoolExecutor<Complex> exec(pool);
           tcu::dft::dft_batch_tcu(exec, b.view(), {.affinity = true});
           return b;
         });
@@ -695,8 +695,7 @@ int run_pool(int argc, char** argv) {
     return pool_drive<double>(
         po,
         [&](Device<double>& dev) { return mlp.forward(dev, batch.view()); },
-        [&](tcu::DevicePool<double>& pool) {
-          tcu::PoolExecutor<double> exec(pool);
+        [&](tcu::PoolExecutor<double>& exec) {
           return mlp.forward(exec, batch.view(), {.affinity = true});
         });
   }
