@@ -281,25 +281,6 @@ void UnitChecker::on_join(const std::vector<std::uint64_t>& mirror_entries) {
   verify();
 }
 
-void UnitChecker::on_epoch(const std::vector<std::uint64_t>& mirror_entries,
-                           std::uint64_t epoch) {
-  // Virtual-barrier bracket: the executor sends this between two tasks on
-  // the lane's FIFO (never inside one), and only on lanes untouched by
-  // fault recovery, so the dealer's epoch-time mirror snapshot must match
-  // the unit's resident set exactly like the strict join's check does.
-  if (mode_ != TaskMode::kNone) {
-    fail("epoch marker reached this unit while a task was still active");
-  }
-  if (!synced_ || needs_anchor_) return;
-  if (mirror_entries != shadow_.entries()) {
-    fail("at epoch " + std::to_string(epoch) +
-         ", the dealer's prediction mirror " + format_keys(mirror_entries) +
-         " diverged from the unit's resident set " +
-         format_keys(shadow_.entries()));
-  }
-  verify();
-}
-
 void UnitChecker::verify() const {
   if (!synced_) return;
   check_standing(last_);

@@ -99,8 +99,6 @@ class UnitChecker final : public UnitObserver {
                      bool hits_valid) override;
   void on_task_end(bool failed) override;
   void on_join(const std::vector<std::uint64_t>& mirror_entries) override;
-  void on_epoch(const std::vector<std::uint64_t>& mirror_entries,
-                std::uint64_t epoch) override;
 
   /// Re-check the standing invariants (conservation law, hit bound) and
   /// throw ContractError on violation. on_join calls this automatically;

@@ -143,19 +143,6 @@ class UnitObserver {
   virtual void on_join(const std::vector<std::uint64_t>& mirror_entries) {
     (void)mirror_entries;
   }
-
-  /// A `join_epoch()` virtual barrier crossed this lane: every task
-  /// submitted before the epoch has run on this unit, none submitted
-  /// after it has. Runs on the unit's worker thread (unlike `on_join`),
-  /// ordered by the lane's FIFO. `mirror_entries` is the dealer's
-  /// prediction mirror snapshot at the epoch (LRU -> MRU), which must
-  /// equal the unit's live resident set; the executor skips the call on
-  /// lanes desynced by fault recovery (the strict join re-checks).
-  virtual void on_epoch(const std::vector<std::uint64_t>& mirror_entries,
-                        std::uint64_t epoch) {
-    (void)mirror_entries;
-    (void)epoch;
-  }
 };
 
 /// Factory for the auto-attached checker used by -DTCU_CHECK=ON builds.

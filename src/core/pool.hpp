@@ -111,18 +111,6 @@ class DevicePool {
   Counters cpu_;
 };
 
-/// Recovery budgets for fault-tolerant execution (src/fault/ injects the
-/// faults; `PoolExecutor` survives them). A transient fault retries the
-/// task in place up to `same_lane_retries` times, then hands it back to
-/// the join barrier for redealing to a healthy lane; a task whose faulted
-/// executions reach `max_attempts` exhausts recovery and `join()`
-/// rethrows its last fault. Both budgets count *faulted executions* — a
-/// funneled (never-run) task consumes nothing.
-struct PoolRecoveryOptions {
-  std::size_t same_lane_retries = 1;
-  std::size_t max_attempts = 4;
-};
-
 /// Receipt for a submitted task: its submit serial and the lane the dealer
 /// chose. Pass it in a later task's `TaskSpec::after` to order that task
 /// after this one. Serials start at 1, so a default-constructed ticket is
@@ -143,8 +131,7 @@ struct TaskTicket {
 ///     displace the unit's whole resident set;
 ///   * `after` — tickets of the tasks that must retire before this one may
 ///     start. Each must come from a submit on the same executor since its
-///     last `join_epoch()` or `join()`; the fence already orders anything
-///     older;
+///     last `join()`; the join already ordered anything older;
 ///   * `cpu` — the task issues no tensor calls, so the unit's resident set
 ///     is left alone. A CPU task declares no chain.
 struct TaskSpec {
@@ -227,9 +214,17 @@ class PoolExecutor {
   /// (plus any disjoint output it was given).
   using Task = std::function<void(Device<T>&)>;
 
-  explicit PoolExecutor(DevicePool<T>& pool, PoolRecoveryOptions recovery = {})
+  /// Recovery budgets, both counting *faulted executions* (a funneled,
+  /// never-run task consumes nothing): a transient fault retries the task
+  /// in place up to kSameLaneRetries times, then hands it back to the join
+  /// barrier for redealing to a healthy lane; a task whose faulted
+  /// executions reach kMaxAttempts exhausts recovery and `join()` rethrows
+  /// its last fault.
+  static constexpr std::size_t kSameLaneRetries = 1;
+  static constexpr std::size_t kMaxAttempts = 4;
+
+  explicit PoolExecutor(DevicePool<T>& pool)
       : pool_(pool),
-        recovery_(recovery),
         latency_(pool.unit(0).latency()),
         projected_(pool.size()),
         quarantined_(pool.size(), 0) {
@@ -302,14 +297,13 @@ class PoolExecutor {
   /// completion — its projection plus `spec.cost`, less `l` per hit that
   /// `spec.chain` replays against the lane's mirror — lowest index on
   /// ties. The task will not start until every ticket in `spec.after` has
-  /// retired into the completion ledger (in addition to the current epoch
-  /// fence); dependencies gate *when* it starts, not *where* it lands.
-  /// Returns the task's ticket, usable in a later `after` until the next
-  /// fence. Throws std::invalid_argument, before any serial is allocated
-  /// (so a rejected submit leaks nothing), for a CPU task with a chain or
-  /// for a dependency ticket outside the current epoch: the null ticket,
-  /// one issued before the last `join_epoch()` or `join()`, or a serial
-  /// not yet issued (a forward dep could never retire).
+  /// retired into the completion ledger; dependencies gate *when* it
+  /// starts, not *where* it lands. Returns the task's ticket, usable in a
+  /// later `after` until the next `join()`. Throws std::invalid_argument,
+  /// before any serial is allocated (so a rejected submit leaks nothing),
+  /// for a CPU task with a chain or for a dependency ticket outside the
+  /// current round: the null ticket, one issued before the last `join()`,
+  /// or a serial not yet issued (a forward dep could never retire).
   TaskTicket submit(TaskSpec spec, Task task) {
     if (spec.cpu && !spec.chain.empty()) {
       throw std::invalid_argument(
@@ -317,16 +311,15 @@ class PoolExecutor {
           "chain");
     }
     for (const TaskTicket& dep : spec.after) {
-      if (dep.serial < epoch_base_ || dep.serial >= next_serial_) {
+      if (dep.serial < round_base_ || dep.serial >= next_serial_) {
         throw std::invalid_argument(
             "PoolExecutor: dependency ticket is null, from before the last "
-            "fence, or not yet issued");
+            "join, or not yet issued");
       }
     }
     PendingTask t;
     t.fn = std::move(task);
     t.spec = std::move(spec);
-    t.fence = epoch_fence_;
     const std::uint64_t serial = t.serial = next_serial_++;
     return {serial, place(std::move(t))};
   }
@@ -352,37 +345,6 @@ class PoolExecutor {
   /// first-error contract), a task whose attempt budget is exhausted, or
   /// no healthy unit left — leaving the executor reusable: residency
   /// re-anchored at empty, projections reseeded, queues drained.
-  /// Virtual barrier: order without idling. Everything submitted before
-  /// this call must retire (into the completion ledger) before anything
-  /// submitted after it starts — but the submitting thread does not
-  /// block, and a worker that finishes its pre-epoch queue early starts
-  /// on post-epoch work as soon as the ledger's low-water mark crosses
-  /// the fence. Because every task carries its exact declared cost, the
-  /// dealer's greedy projections and lane cache mirrors are already the
-  /// virtual post-drain state, so no reseed is needed: dealing after a
-  /// `join_epoch()` is bit-identical to dealing after a strict `join()`
-  /// for the same submission sequence. When a checker is attached, each
-  /// healthy lane gets a zero-cost marker that validates the dealer's
-  /// mirror against the unit's live resident set exactly at the epoch
-  /// boundary (the per-epoch analogue of the join-time mirror check).
-  /// Faults are *not* recovered here — a faulted round's redeal happens
-  /// at the next strict `join()`, which remains the only place errors
-  /// are surfaced. Returns the new epoch id.
-  std::uint64_t join_epoch() {
-    ++epoch_id_;
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      if (quarantined_[i] || !pool_.unit(i).observer()) continue;
-      PendingTask t;
-      t.marker = true;
-      t.epoch = epoch_id_;
-      t.mirror = lane_cache_[i].entries();
-      t.serial = next_serial_++;
-      enqueue(i, std::move(t));
-    }
-    epoch_fence_ = epoch_base_ = next_serial_;
-    return epoch_id_;
-  }
-
   RoundReport join() {
     RoundReport report;
     report.spawn_failures = spawn_failures_;
@@ -437,7 +399,7 @@ class PoolExecutor {
         lane_cache_[i].clear();
       }
       // Re-arm dependency waiting before any redeal is placed: redealt
-      // tasks carry their original deps/fences, and a still-raised
+      // tasks carry their original deps, and a still-raised
       // recovery flag would make them defer right back to this barrier.
       recovery_flag_.store(false, std::memory_order_release);
       if (failed.empty()) break;
@@ -463,7 +425,7 @@ class PoolExecutor {
       // fault exactly like the historical error path (the executor
       // stays reusable, queues drained).
       for (const auto& t : failed) {
-        if (t.attempts >= recovery_.max_attempts) {
+        if (t.attempts >= kMaxAttempts) {
           std::exception_ptr last = t.last_fault;
           fail_round(report);
           std::rethrow_exception(last);
@@ -484,8 +446,8 @@ class PoolExecutor {
       }
     }
     reseed();
-    // Every serial retired: compact the ledger and drop the fence so the
-    // next round's tasks take the no-wait fast path.
+    // Every serial retired: compact the ledger, which also expires this
+    // round's tickets.
     reset_ledger();
     report.healthy_units = healthy_units();
     accumulate(report);
@@ -506,16 +468,6 @@ class PoolExecutor {
     std::uint64_t serial = 0;  ///< submit order, stable across redeals
     std::size_t attempts = 0;  ///< faulted executions so far
     std::exception_ptr last_fault;
-    // Epoch runtime state. `fence` orders the task after every serial
-    // below it (0 = unfenced); `spec.after` lists explicit predecessors.
-    // Markers are zero-cost checker probes enqueued by join_epoch():
-    // FIFO order makes them run exactly after the lane's pre-epoch tasks,
-    // where `mirror` (the dealer's lane-cache snapshot) must equal the
-    // unit's live resident set.
-    std::uint64_t fence = 0;
-    bool marker = false;
-    std::uint64_t epoch = 0;
-    std::vector<std::uint64_t> mirror;
   };
 
   struct Lane {
@@ -606,7 +558,6 @@ class PoolExecutor {
   }
 
   bool deps_ready_locked(const PendingTask& t) const {
-    if (low_water_ < t.fence) return false;
     for (const TaskTicket& d : t.spec.after) {
       if (d.serial < low_water_) continue;
       const auto idx = static_cast<std::size_t>(d.serial - ledger_base_);
@@ -626,12 +577,11 @@ class PoolExecutor {
     ledger_cv_.notify_all();
   }
 
-  /// Forget every outstanding serial and the epoch fence: the round is
-  /// over (cleanly, or abandoned by fail_round, which re-anchors all state
-  /// anyway), and tickets issued in it no longer name a dependency.
+  /// Forget every outstanding serial: the round is over (cleanly, or
+  /// abandoned by fail_round, which re-anchors all state anyway), and
+  /// tickets issued in it no longer name a dependency.
   void reset_ledger() {
-    epoch_fence_ = 0;
-    epoch_base_ = next_serial_;
+    round_base_ = next_serial_;
     std::lock_guard<std::mutex> lock(ledger_mu_);
     low_water_ = next_serial_;
     ledger_base_ = next_serial_;
@@ -641,12 +591,12 @@ class PoolExecutor {
 
   enum class DepWait { kRun, kDefer, kStop };
 
-  /// Block until the task's fence and predecessor serials have retired.
+  /// Block until the task's predecessor serials have retired.
   /// Returns kDefer when recovery is underway (the task goes back to the
   /// barrier for redealing — its predecessors may be in `failed` and
   /// unable to retire until then) and kStop on executor shutdown.
   DepWait wait_deps(const PendingTask& task) {
-    if (task.fence == 0 && task.spec.after.empty()) return DepWait::kRun;
+    if (task.spec.after.empty()) return DepWait::kRun;
     std::unique_lock<std::mutex> lock(ledger_mu_);
     ledger_cv_.wait(lock, [&] {
       return ledger_stop_ || deps_ready_locked(task) ||
@@ -751,38 +701,9 @@ class PoolExecutor {
   /// funneled back unrun. Non-fault exceptions go to `first_error_`.
   void run_one(Lane& lane, Device<T>& unit, PendingTask task, bool dead) {
     if (dead) {
-      if (task.marker) {
-        // Checker probes are lane-local and meaningless on a dead lane;
-        // retire so the epoch's fence can still clear.
-        retire(task.serial);
-        return;
-      }
       std::lock_guard<std::mutex> lock(lane.mu);
       ++lane.drained;
       lane.failed.push_back(std::move(task));
-      return;
-    }
-    check::UnitObserver* obs = unit.observer();
-    if (task.marker) {
-      // Epoch boundary on this lane: every pre-epoch task here has run
-      // (FIFO), so the dealer's mirror snapshot must equal the unit's
-      // live resident set — unless a fault already desynced them (the
-      // strict barrier re-anchors and re-checks in that case).
-      bool stale;
-      {
-        std::lock_guard<std::mutex> lock(lane.mu);
-        stale = lane.dirty || lane.dead;
-      }
-      if (obs && !stale && !recovery_flag_.load(std::memory_order_acquire)) {
-        try {
-          obs->on_epoch(task.mirror, task.epoch);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-          signal_recovery();
-        }
-      }
-      retire(task.serial);
       return;
     }
     switch (wait_deps(task)) {
@@ -802,6 +723,7 @@ class PoolExecutor {
         return;
       }
     }
+    check::UnitObserver* obs = unit.observer();
     std::size_t lane_retries = 0;
     for (;;) {
       if (obs) {
@@ -831,8 +753,8 @@ class PoolExecutor {
         if (obs) obs->on_task_end(/*failed=*/true);
         task.last_fault = std::current_exception();
         ++task.attempts;
-        const bool retry_here = task.attempts < recovery_.max_attempts &&
-                                lane_retries < recovery_.same_lane_retries;
+        const bool retry_here = task.attempts < kMaxAttempts &&
+                                lane_retries < kSameLaneRetries;
         {
           std::lock_guard<std::mutex> lock(lane.mu);
           lane.dirty = true;
@@ -882,7 +804,6 @@ class PoolExecutor {
   }
 
   DevicePool<T>& pool_;
-  PoolRecoveryOptions recovery_;
   std::uint64_t latency_;                 ///< the units' load latency l
   std::vector<std::uint64_t> projected_;  ///< submit-thread-only state
   std::vector<TileCache> lane_cache_;     ///< predicted resident set/lane
@@ -906,10 +827,9 @@ class PoolExecutor {
   /// non-fault error): dep-waiting workers defer to the strict barrier
   /// instead of blocking on a retire that will never come.
   std::atomic<bool> recovery_flag_{false};
-  // Epoch state (submit-thread-only, like the dealer's projections).
-  std::uint64_t epoch_fence_ = 0;  ///< fence stamped onto new tasks
-  std::uint64_t epoch_base_ = 1;   ///< oldest serial a dep may name
-  std::uint64_t epoch_id_ = 0;
+  /// Oldest serial a dep may name: the first serial since the last join.
+  /// Submit-thread-only, like the dealer's projections.
+  std::uint64_t round_base_ = 1;
 };
 
 }  // namespace tcu

@@ -58,20 +58,28 @@ struct DftCtx {
   /// Fourier tiles, per-recursion `next` buffers). Owned by the public
   /// entry point, released at each strict join. Null on the serial path.
   std::vector<std::shared_ptr<Matrix<Complex>>>* keep = nullptr;
+  /// Pool-path ordering: the tickets of the last submitted stage (one
+  /// level's chunks, a base case, or a read-out). Every task of the next
+  /// stage lists all of them in `after`, so the stages run in submit order
+  /// without idling the submit thread. Owned by the public entry point
+  /// like `keep`; emptied by sync(), whose join already ordered them.
+  std::vector<TaskTicket>* stage = nullptr;
 
-  bool epoch() const { return exec != nullptr; }
+  bool pooled() const { return exec != nullptr; }
 
   /// Strict join before a submit-thread read of task-written data
   /// (transposes, Bluestein glue, pointwise products) and at the public
   /// API boundary. No-op on the serial path, whose device calls complete
-  /// before they return. The arena is NOT released here: enclosing
+  /// before they return. Clears `stage`: submit rejects tickets issued
+  /// before a join. The arena is NOT released here: enclosing
   /// recursion frames (a Bluestein sync runs deep inside the level stack)
   /// still hold views into it and submit read-out tasks against them
   /// after we return — only the public entry point, where the whole
   /// recursion has unwound, may drop `keep`.
   void sync() const {
-    if (!epoch()) return;
+    if (!pooled()) return;
     exec->join();
+    stage->clear();
   }
 
   std::size_t tile_dim() const {
@@ -100,6 +108,22 @@ struct DftCtx {
     // tcu-lint: untagged-ok(Theorem 7 pays l per level by contract)
     dev->gemm(A, B, C);
   }
+};
+
+/// The pool path's per-call state, owned by each public entry point: the
+/// arena and the last stage's tickets that `ctx` points into.
+struct PoolCall {
+  std::vector<std::shared_ptr<Matrix<Complex>>> keep;
+  std::vector<TaskTicket> stage;
+  DftCtx ctx;
+
+  PoolCall(PoolExecutor<Complex>& exec, const DftOptions& opts)
+      : ctx{.exec = &exec,
+            .affinity = opts.affinity,
+            .keep = &keep,
+            .stage = &stage} {}
+  PoolCall(const PoolCall&) = delete;
+  PoolCall& operator=(const PoolCall&) = delete;
 };
 
 void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch);
@@ -166,11 +190,10 @@ void ct_level(const DftCtx& ctx, MatrixView<Complex> batch, std::size_t n1,
 /// aggregate cpu_ops, and every output bit match the serial ct_level; only
 /// the call count and load latency grow with the split (see DftCtx). Rows
 /// of the tall matrix touch pairwise-disjoint elements of `batch` and
-/// `next`, so chunks race on nothing. Ends with a virtual barrier (join_epoch): the
-/// next stage's tasks are fence-ordered behind this level's without
-/// idling the submit thread.
-void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
-                    std::size_t n1, MatrixView<Complex> next) {
+/// `next`, so chunks race on nothing. Every chunk runs after the previous
+/// stage, and the chunks' tickets become the stage the next one waits on.
+void ct_level_pooled(const DftCtx& ctx, MatrixView<Complex> batch,
+                     std::size_t n1, MatrixView<Complex> next) {
   const std::size_t b = batch.rows;
   const std::size_t len = batch.cols;
   const std::size_t n2 = len / n1;
@@ -199,6 +222,7 @@ void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
   // without it the chunks declare no chain (untagged dealing).
   std::vector<std::uint64_t> chain;
   if (affinity) chain.push_back(key);
+  std::vector<TaskTicket> tickets;
   std::size_t r0 = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t tile_cnt = tiles / chunks + (c < tiles % chunks);
@@ -240,11 +264,12 @@ void ct_level_epoch(const DftCtx& ctx, MatrixView<Complex> batch,
     const std::uint64_t glue = 3ull * nr * n1;
     const std::uint64_t cost =
         tcu::linalg::detail::strip_tile_cost(unit0, nr, affinity) + glue;
-    // tcu-lint: epoch-free-ok(fence-ordered: join_epoch brackets every level)
-    exec.submit({.cost = cost, .chain = chain}, std::move(run_chunk));
+    tickets.push_back(exec.submit(
+        {.cost = cost, .chain = chain, .after = *ctx.stage},
+        std::move(run_chunk)));
     r0 += nr;
   }
-  exec.join_epoch();
+  *ctx.stage = std::move(tickets);
 }
 
 /// Bluestein chirp-z: DFT of prime length len > sqrt(m) via a circular
@@ -304,10 +329,10 @@ void bluestein(const DftCtx& ctx, MatrixView<Complex> batch) {
 }
 
 /// Pool-path base case (len <= sqrt(m)): fused pad + tall call +
-/// write-back per chunk, same chunk boundaries as ct_level_epoch over the
-/// b batch rows. Each chunk writes its own batch rows; fenced behind the
-/// previous stage and ahead of the next by join_epoch.
-void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
+/// write-back per chunk, same chunk boundaries as ct_level_pooled over the
+/// b batch rows. Each chunk writes its own batch rows, after the previous
+/// stage, and the chunks form the next stage.
+void base_case_pooled(const DftCtx& ctx, MatrixView<Complex> batch) {
   const std::size_t len = batch.cols;
   const std::size_t b = batch.rows;
   const std::size_t s = ctx.tile_dim();
@@ -333,6 +358,7 @@ void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
   // without it the chunks declare no chain (untagged dealing).
   std::vector<std::uint64_t> chain;
   if (affinity) chain.push_back(key);
+  std::vector<TaskTicket> tickets;
   std::size_t r0 = 0;
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t tile_cnt = tiles / chunks + (c < tiles % chunks);
@@ -365,11 +391,12 @@ void base_case_epoch(const DftCtx& ctx, MatrixView<Complex> batch) {
     const std::uint64_t glue = 2ull * nr * len;
     const std::uint64_t cost =
         tcu::linalg::detail::strip_tile_cost(unit0, nr, affinity) + glue;
-    // tcu-lint: epoch-free-ok(fence-ordered: join_epoch brackets every level)
-    exec.submit({.cost = cost, .chain = chain}, std::move(run_chunk));
+    tickets.push_back(exec.submit(
+        {.cost = cost, .chain = chain, .after = *ctx.stage},
+        std::move(run_chunk)));
     r0 += nr;
   }
-  exec.join_epoch();
+  *ctx.stage = std::move(tickets);
 }
 
 void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
@@ -378,8 +405,8 @@ void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
   const std::size_t s = ctx.tile_dim();
   if (len <= 1) return;
 
-  if (len <= s && ctx.epoch()) {
-    base_case_epoch(ctx, batch);
+  if (len <= s && ctx.pooled()) {
+    base_case_pooled(ctx, batch);
     return;
   }
   if (len <= s) {
@@ -413,27 +440,30 @@ void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
   }
   const std::size_t n2 = len / n1;
 
-  if (ctx.epoch()) {
+  if (ctx.pooled()) {
     // `next` outlives this frame: the read-out tasks below (and the
     // recursion's) run after we return, so the buffer lives in the arena
     // until the enclosing strict join.
     auto owned = std::make_shared<Matrix<Complex>>(b * n1, n2, Complex{});
     ctx.keep->push_back(owned);
     MatrixView<Complex> next = owned->view();
-    ct_level_epoch(ctx, batch, n1, next);
+    ct_level_pooled(ctx, batch, n1, next);
     dft_batch_rec(ctx, next);
 
-    // Column-major read-out as fenced CPU tasks: batch rows are written
-    // disjointly and no tensor call is issued (a cpu task leaves the
-    // lane's prediction mirror alone).
+    // Column-major read-out as CPU tasks after the recursion's last
+    // stage: batch rows are written disjointly and no tensor call is
+    // issued (a cpu task leaves the lane's prediction mirror alone).
     PoolExecutor<Complex>& exec = *ctx.exec;
     const std::size_t chunks =
         std::max<std::size_t>(1, std::min(exec.pool().size(), b));
+    std::vector<TaskTicket> tickets;
     std::size_t r0 = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t nr = b / chunks + (c < b % chunks);
-      exec.submit(
-          {.cost = static_cast<std::uint64_t>(nr) * len, .cpu = true},
+      tickets.push_back(exec.submit(
+          {.cost = static_cast<std::uint64_t>(nr) * len,
+           .after = *ctx.stage,
+           .cpu = true},
           [batch, next, r0, nr, n1, n2, len](Device<Complex>& unit) {
             for (std::size_t r = r0; r < r0 + nr; ++r) {
               for (std::size_t k1 = 0; k1 < n1; ++k1) {
@@ -443,10 +473,10 @@ void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
               }
             }
             unit.charge_cpu(nr * len);
-          });
+          }));
       r0 += nr;
     }
-    exec.join_epoch();
+    *ctx.stage = std::move(tickets);
     return;
   }
 
@@ -575,18 +605,16 @@ void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 
 void dft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
                    const DftOptions& opts) {
-  std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
-  dft_batch_with_ctx(ctx, batch);
-  ctx.sync();  // public API boundary: the caller reads `batch` next
+  const PoolCall call(exec, opts);
+  dft_batch_with_ctx(call.ctx, batch);
+  call.ctx.sync();  // public API boundary: the caller reads `batch` next
 }
 
 void idft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
                     const DftOptions& opts) {
-  std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
-  idft_batch_with_ctx(ctx, batch);
-  ctx.sync();
+  const PoolCall call(exec, opts);
+  idft_batch_with_ctx(call.ctx, batch);
+  call.ctx.sync();
 }
 
 CVec dft_tcu(CplxDevice& dev, const CVec& x, bool inverse) {
@@ -678,9 +706,8 @@ Matrix<Complex> dft2_tcu(CplxDevice& dev, ConstMatrixView<Complex> x,
 Matrix<Complex> dft2_tcu(PoolExecutor<Complex>& exec,
                          ConstMatrixView<Complex> x, bool inverse,
                          const DftOptions& opts) {
-  std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
-  return dft2_with_ctx(ctx, x, inverse);  // drained: ends past a sync()
+  const PoolCall call(exec, opts);
+  return dft2_with_ctx(call.ctx, x, inverse);  // drained: ends past a sync()
 }
 
 CVec circular_convolve_tcu(CplxDevice& dev, const CVec& a, const CVec& b,
@@ -691,9 +718,8 @@ CVec circular_convolve_tcu(CplxDevice& dev, const CVec& a, const CVec& b,
 
 CVec circular_convolve_tcu(PoolExecutor<Complex>& exec, const CVec& a,
                            const CVec& b, const DftOptions& opts) {
-  std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
-  return circular_convolve_with_ctx(ctx, a, b);  // idft drains internally
+  const PoolCall call(exec, opts);
+  return circular_convolve_with_ctx(call.ctx, a, b);  // idft drains internally
 }
 
 Matrix<Complex> circular_convolve2_tcu(CplxDevice& dev,
@@ -708,9 +734,8 @@ Matrix<Complex> circular_convolve2_tcu(PoolExecutor<Complex>& exec,
                                        ConstMatrixView<Complex> a,
                                        ConstMatrixView<Complex> kernel,
                                        const DftOptions& opts) {
-  std::vector<std::shared_ptr<Matrix<Complex>>> keep;
-  const DftCtx ctx{.exec = &exec, .affinity = opts.affinity, .keep = &keep};
-  return circular_convolve2_with_ctx(ctx, a, kernel);  // dft2 drains
+  const PoolCall call(exec, opts);
+  return circular_convolve2_with_ctx(call.ctx, a, kernel);  // dft2 drains
 }
 
 }  // namespace tcu::dft

@@ -92,8 +92,8 @@ void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 ///
 /// Each level's chunk fuses its gather, tall tensor product, and
 /// twiddle/scatter into one unit task with the glue CPU charged to the
-/// executing unit; levels are separated by virtual barriers
-/// (`join_epoch`) and the recursion read-outs run as fenced CPU tasks.
+/// executing unit; each level's chunks, and the recursion read-outs (CPU
+/// tasks), run after every task of the stage before them (`after`).
 /// The transform is strict-joined only before submit-thread reads
 /// (transposes, Bluestein glue, pointwise products) and at the return.
 /// One persistent executor serves the whole recursion or a stream of

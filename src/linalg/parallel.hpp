@@ -226,7 +226,7 @@ void matmul_pool_tile_split(PoolExecutor<T>& exec, ConstMatrixView<T> A,
 }
 
 /// The body of one output-strip task — shared verbatim by the joining
-/// dealer (matmul_tcu_pool_into) and the ticket-returning epoch variant
+/// dealer (matmul_tcu_pool_into) and the ticket-returning variant
 /// (matmul_tcu_pool_strips), so both schedules run bit-identical strip
 /// work. `keys` empty = untagged; `r0`/`nr` select the row chunk (the
 /// full height for unchunked strips).
@@ -404,8 +404,9 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
   exec.join();
 }
 
-/// Ticket-returning no-join product for epoch pipelines: submits one
-/// task per output column strip (no row chunking or tile splitting) and
+/// Ticket-returning no-join product for task pipelines: submits one
+/// task per output column strip (no row chunking or tile splitting), each
+/// ordered after every ticket in `after` (the tasks that write A), and
 /// returns the strips' TaskTickets, in strip order, WITHOUT joining.
 /// Strip jb's ticket retires exactly when C's columns [jb*s, jb*s+s) are
 /// final, so downstream work — a per-strip epilogue — can depend on
@@ -413,14 +414,14 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
 /// overlapping with the remaining strips' products. Strip bodies,
 /// submission order, and projected costs are identical to
 /// matmul_tcu_pool_into's unchunked schedule, so counters stay
-/// bit-compatible. The caller owes the executor a join() (or a fence via
-/// join_epoch) before the submit thread reads C, and must keep A, B, and
-/// C alive until then.
+/// bit-compatible. The caller owes the executor a join() before the
+/// submit thread reads C, and must keep A, B, and C alive until then.
 template <typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
     PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
     std::type_identity_t<ConstMatrixView<T>> B,
-    std::type_identity_t<MatrixView<T>> C, PoolMatmulOptions opts = {}) {
+    std::type_identity_t<MatrixView<T>> C,
+    const std::vector<TaskTicket>& after, PoolMatmulOptions opts = {}) {
   if (A.cols != B.rows) {
     throw std::invalid_argument("matmul_tcu_pool: inner dimensions differ");
   }
@@ -442,8 +443,8 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
     const std::vector<std::uint64_t>& chain = chains[jb / s];
     auto task = detail::strip_task(A, B, C, jb, s, ragged, /*r0=*/0,
                                    /*nr=*/p, chain);
-    tickets.push_back(
-        exec.submit({.cost = strip_cost, .chain = chain}, std::move(task)));
+    tickets.push_back(exec.submit(
+        {.cost = strip_cost, .chain = chain, .after = after}, std::move(task)));
   }
   return tickets;
 }
@@ -470,12 +471,14 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
 namespace detail {
 
 /// Shared validation + submit loop for the tile-major dealers. `make_task`
-/// builds the strip-jt task; returns the tickets without joining.
+/// builds the strip-jt task, which runs after every ticket in `after`;
+/// returns the tickets without joining.
 template <typename T, typename MakeTask>
 std::vector<TaskTicket> deal_tiled_strips(PoolExecutor<T>& exec,
                                           const TiledMatrix<T>& B,
                                           std::uint64_t left_rows,
                                           const PoolMatmulOptions& opts,
+                                          const std::vector<TaskTicket>& after,
                                           MakeTask&& make_task) {
   const Device<T>& unit0 = exec.pool().unit(0);
   if (B.tile_dim() != unit0.tile_dim()) {
@@ -490,8 +493,9 @@ std::vector<TaskTicket> deal_tiled_strips(PoolExecutor<T>& exec,
   tickets.reserve(B.tile_cols());
   for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
     auto task = make_task(jt, chains[jt]);
-    tickets.push_back(exec.submit({.cost = strip_cost, .chain = chains[jt]},
-                                  std::move(task)));
+    tickets.push_back(exec.submit(
+        {.cost = strip_cost, .chain = chains[jt], .after = after},
+        std::move(task)));
   }
   return tickets;
 }
@@ -520,7 +524,7 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
   }
   const TiledMatrix<T>* b = &B;
   detail::deal_tiled_strips(
-      exec, B, A.rows, opts,
+      exec, B, A.rows, opts, /*after=*/{},
       [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
         return detail::tiled_strip_task(
             A, b, C, jt,
@@ -529,15 +533,15 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
   exec.join();
 }
 
-/// Ticket-returning no-join variant (epoch pipelines): strip jt's ticket
-/// retires exactly when C's columns [jt*s, jt*s+s) are final. The caller
-/// owes a join()/join_epoch() before reading C and keeps A, B, C alive
-/// until then.
+/// Ticket-returning no-join variant (task pipelines): every strip runs
+/// after all of `after`, and strip jt's ticket retires exactly when C's
+/// columns [jt*s, jt*s+s) are final. The caller owes a join() before
+/// reading C and keeps A, B, C alive until then.
 template <typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
     PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
     const TiledMatrix<T>& B, std::type_identity_t<MatrixView<T>> C,
-    PoolMatmulOptions opts = {}) {
+    const std::vector<TaskTicket>& after, PoolMatmulOptions opts = {}) {
   const std::size_t s = B.tile_dim();
   if (B.rows() % s || B.cols() % s) {
     throw std::invalid_argument(
@@ -548,7 +552,7 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
   }
   const TiledMatrix<T>* b = &B;
   return detail::deal_tiled_strips(
-      exec, B, A.rows, opts,
+      exec, B, A.rows, opts, after,
       [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
         return detail::tiled_strip_task(
             A, b, C, jt,
@@ -575,7 +579,7 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec, const TiledMatrix<T>& A,
   const TiledMatrix<T>* b = &B;
   TiledMatrix<T>* c = &C;
   detail::deal_tiled_strips(
-      exec, B, A.padded_rows(), opts,
+      exec, B, A.padded_rows(), opts, /*after=*/{},
       [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
         return detail::tiled_strip_task(
             a, b, c, jt,

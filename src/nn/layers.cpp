@@ -79,41 +79,41 @@ Matrix<double> DenseLayer::forward(Device<double>& dev,
   return out;
 }
 
-void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
-                               ConstMatrixView<double> activations,
-                               MatrixView<double> out, bool relu,
-                               const linalg::PoolMatmulOptions& opts) const {
+std::vector<TaskTicket> DenseLayer::submit_forward(
+    PoolExecutor<double>& exec, ConstMatrixView<double> activations,
+    MatrixView<double> out, bool relu, const std::vector<TaskTicket>& after,
+    const linalg::PoolMatmulOptions& opts) const {
   if (activations.cols != weights_.rows()) {
     throw std::invalid_argument("DenseLayer: activation width mismatch");
   }
   if (out.rows != activations.rows || out.cols != weights_.cols()) {
     throw std::invalid_argument("DenseLayer: output shape mismatch");
   }
-  const std::size_t tile = exec.pool().unit(0).tile_dim();
-  std::vector<TaskTicket> tickets;
-  if (tile_aligned(tile, activations.rows) && !opts.split_chains) {
+  const std::size_t s = exec.pool().unit(0).tile_dim();
+  std::vector<TaskTicket> strips;
+  if (tile_aligned(s, activations.rows)) {
     linalg::PoolMatmulOptions tiled_opts = opts;
     if (!tiled_opts.tile_key) tiled_opts.tile_key = weights_key();
-    tickets = linalg::matmul_tcu_pool_strips(
-        exec, activations, tiled_weights(tile), out, tiled_opts);
+    strips = linalg::matmul_tcu_pool_strips(
+        exec, activations, tiled_weights(s), out, after, tiled_opts);
   } else {
-    tickets = linalg::matmul_tcu_pool_strips(exec, activations,
-                                             weights_.view(), out, opts);
+    strips = linalg::matmul_tcu_pool_strips(exec, activations,
+                                            weights_.view(), out, after, opts);
   }
 
   // One epilogue task per output strip, gated on exactly that strip's
   // product: columns [jb, jb+jw) of `out` are final once the ticket
   // retires, and no other strip touches them. The per-strip CPU charges
   // sum to the serial forward's epilogue charge.
-  const std::size_t s = exec.pool().unit(0).tile_dim();
   const std::size_t rows = out.rows;
   const std::size_t cols = out.cols;
+  std::vector<TaskTicket> epilogues;
   for (std::size_t jb = 0; jb < cols; jb += s) {
     const std::size_t jw = std::min(s, cols - jb);
     const std::uint64_t cost =
         static_cast<std::uint64_t>(rows) * jw * (relu ? 2 : 1);
-    exec.submit(
-        {.cost = cost, .after = {tickets[jb / s]}, .cpu = true},
+    epilogues.push_back(exec.submit(
+        {.cost = cost, .after = {strips[jb / s]}, .cpu = true},
         [out, this, relu, jb, jw, rows, cost](Device<double>& unit) {
           for (std::size_t i = 0; i < rows; ++i) {
             for (std::size_t j = jb; j < jb + jw; ++j) {
@@ -123,9 +123,9 @@ void DenseLayer::forward_epoch(PoolExecutor<double>& exec,
             }
           }
           unit.charge_cpu(cost);
-        });
+        }));
   }
-  exec.join_epoch();
+  return epilogues;
 }
 
 void Mlp::add_layer(DenseLayer layer) {
@@ -152,19 +152,20 @@ Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
                             ConstMatrixView<double> batch,
                             const linalg::PoolMatmulOptions& opts) const {
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  // Every layer submits its strips and per-strip epilogues
-  // and opens a new epoch; one strict join closes the whole pass. The
-  // activation matrices are arena-held because in-flight tasks reference
-  // them long after the submitting loop iteration has moved on.
+  // Every layer submits its strips after the previous layer's epilogues,
+  // then its own per-strip epilogues; one strict join closes the whole
+  // pass. The activation matrices are arena-held because in-flight tasks
+  // reference them long after the submitting loop iteration has moved on.
   auto cur = std::make_shared<Matrix<double>>(materialize(batch));
   exec.pool().charge_cpu(batch.rows * batch.cols);
   std::vector<std::shared_ptr<Matrix<double>>> arena{cur};
+  std::vector<TaskTicket> layer;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const bool relu = l + 1 < layers_.size();
     auto next = std::make_shared<Matrix<double>>(
         cur->rows(), layers_[l].out_features(), 0.0);
-    layers_[l].forward_epoch(exec, cur->view().as_const(), next->view(),
-                             relu, opts);
+    layer = layers_[l].submit_forward(exec, cur->view().as_const(),
+                                      next->view(), relu, layer, opts);
     arena.push_back(next);
     cur = std::move(next);
   }

@@ -45,20 +45,19 @@ class DenseLayer {
   /// latency on every tile still resident on its lane — plus a per-strip
   /// bias/ReLU epilogue that depends only on its own strip's ticket (the
   /// epilogue of a finished strip overlaps the remaining strips'
-  /// products), then opens a new epoch (join_epoch) so the next layer's
-  /// reads are fence-ordered. No strict join: `out` is entirely
-  /// task-written and must only be read (and `activations`/`out` only
-  /// freed) after the caller's join(). Outputs are bit-identical to the
-  /// serial forward, and the per-strip epilogue charges on the executing
-  /// units sum to its epilogue charge. `opts` tunes the dealing — e.g.
-  /// `{.affinity = true, .split_chains = true}` splits deep chains at
-  /// tile granularity (CPU combine of partials) when a lane's
-  /// `resident_tiles` capacity is below the chain length.
-  void forward_epoch(PoolExecutor<double>& exec,
-                     ConstMatrixView<double> activations,
-                     MatrixView<double> out, bool relu,
-                     const linalg::PoolMatmulOptions& opts = {
-                         .affinity = true}) const;
+  /// products). Every strip waits for all of `after` (the previous
+  /// layer's epilogues, which write `activations`); the epilogues'
+  /// tickets are returned for the next layer. No strict join: `out` is
+  /// entirely task-written and must only be read (and `activations`/`out`
+  /// only freed) after the caller's join(). Outputs are bit-identical to
+  /// the serial forward, and the per-strip epilogue charges on the
+  /// executing units sum to its epilogue charge. Of `opts`, only
+  /// `affinity` and `tile_key` apply: the product is always one task per
+  /// output strip, so `split_chains` and `row_chunks` are ignored.
+  std::vector<TaskTicket> submit_forward(
+      PoolExecutor<double>& exec, ConstMatrixView<double> activations,
+      MatrixView<double> out, bool relu, const std::vector<TaskTicket>& after,
+      const linalg::PoolMatmulOptions& opts = {.affinity = true}) const;
 
   /// The weights packed tile-major for tile dimension `s` (sqrt of the
   /// device's m), built lazily on first use and cached — packed tile
@@ -103,14 +102,15 @@ class Mlp {
   /// requests and pays thread startup never and weight-tile load latency
   /// only on first touch — with enough `resident_tiles` capacity, every
   /// layer's whole chain of weight tiles stays resident on its lane
-  /// across requests. `opts` is forwarded to every layer's strip dealing
-  /// (see DenseLayer::forward_epoch).
+  /// across requests. `opts` is forwarded to every layer's strip dealing,
+  /// where only `affinity` and `tile_key` apply (see
+  /// DenseLayer::submit_forward).
   ///
   /// The layers run as one dependency-ordered round: per-strip epilogue
-  /// tasks depend on their own strip's ticket, consecutive layers are
-  /// separated by virtual barriers (join_epoch), and one strict join
-  /// closes the pass. Outputs are bit-identical to the serial forward;
-  /// the epilogue CPU is charged to the executing units.
+  /// tasks depend on their own strip's ticket, each layer's strips depend
+  /// on all of the previous layer's epilogues, and one strict join closes
+  /// the pass. Outputs are bit-identical to the serial forward; the
+  /// epilogue CPU is charged to the executing units.
   Matrix<double> forward(PoolExecutor<double>& exec,
                          ConstMatrixView<double> batch,
                          const linalg::PoolMatmulOptions& opts = {

@@ -1,30 +1,32 @@
-// The epoch runtime: per-task ready signals, the completion ledger, and
-// `join_epoch()` virtual barriers — plus the pooled schedules of every
-// workload built on them (transitive closure, Gaussian elimination,
-// batched DFT, Mlp inference).
+// The task-dependency runtime: per-task `after` tickets and the
+// completion ledger — plus the pooled schedules of every workload built
+// on them (transitive closure, Gaussian elimination, batched DFT, Mlp
+// inference). An "epoch" here is one round between strict joins.
 //
 // Contracts pinned here:
 //   * raw runtime ordering: explicit `after` chains serialize
-//     cross-lane reads, a virtual barrier orders the next epoch's tasks
-//     after everything before it, and submit rejects every ticket outside
-//     the current epoch (null, pre-fence, not yet issued) without
-//     corrupting the executor;
+//     cross-lane reads, a fan-in reader waits for every writer it names,
+//     and submit rejects every ticket outside the current round (null,
+//     pre-join, not yet issued) without corrupting the executor;
 //   * 10-run determinism at p = 1/2/4/8 for all four pooled workloads,
 //     down to every per-unit counter field (the dealer schedules off
 //     declared costs, never wall time), with outputs bit-identical to
 //     the serial device;
 //   * a 1-unit pool matches a single device in every aggregate counter
 //     field (closure, GE, affinity DFT, Mlp);
-//   * the contract checker stays green across epoch rounds (the
-//     join_epoch markers validate each lane's mirror at the fence).
+//   * the contract checker stays green across every workload's round
+//     (each lane's mirror is validated at the strict join).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -152,26 +154,32 @@ TEST(EpochRuntime, DepChainSerializesCrossLaneReads) {
   EXPECT_GT(busy, 1u);
 }
 
-TEST(EpochRuntime, VirtualBarrierOrdersTheNextEpoch) {
+TEST(EpochRuntime, FanInReaderWaitsForEveryWriter) {
   DevicePool<double> pool(4, {.m = 16, .latency = 3});
   PoolExecutor<double> exec(pool);
-  // Round 1 writes four partials on four lanes; round 2 carries no
-  // explicit deps — the join_epoch fence alone must order its read
-  // after every round-1 write.
+  // Four writers land on four lanes; one reader names all four tickets —
+  // the all-to-all stage ordering the DFT levels and Mlp layers use. The
+  // writers are slow, so a reader that started early would miss parts.
   std::vector<std::uint64_t> parts(4, 0);
+  std::vector<TaskTicket> writers;
   for (std::size_t u = 0; u < parts.size(); ++u) {
-    exec.submit({.cost = 5, .cpu = true}, [&parts, u](Device<double>& unit) {
-      parts[u] = u + 1;
-      unit.charge_cpu(5);
-    });
+    writers.push_back(exec.submit(
+        {.cost = 5, .cpu = true}, [&parts, u](Device<double>& unit) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          parts[u] = u + 1;
+          unit.charge_cpu(5);
+        }));
   }
-  const std::uint64_t epoch = exec.join_epoch();
-  EXPECT_GE(epoch, 1u);
+  std::vector<std::size_t> lanes;
+  for (const TaskTicket& t : writers) lanes.push_back(t.unit);
+  std::sort(lanes.begin(), lanes.end());
+  EXPECT_EQ(lanes, (std::vector<std::size_t>{0, 1, 2, 3}));
   std::uint64_t total = 0;
-  exec.submit({.cost = 1, .cpu = true}, [&](Device<double>& unit) {
-    for (const auto v : parts) total += v;
-    unit.charge_cpu(1);
-  });
+  exec.submit({.cost = 1, .after = writers, .cpu = true},
+              [&](Device<double>& unit) {
+                for (const auto v : parts) total += v;
+                unit.charge_cpu(1);
+              });
   exec.join();
   EXPECT_EQ(total, 10u);
 }
@@ -193,18 +201,11 @@ TEST(EpochRuntime, SubmitRejectsEveryTicketOutsideTheEpoch) {
   };
   TaskTicket last;
   // Each case sets up the executor and returns a ticket no dependency
-  // may name: the null ticket, one a fence already ordered, or one that
+  // may name: the null ticket, one a join already ordered, or one that
   // could never retire.
   const std::vector<std::pair<std::string, std::function<TaskTicket()>>>
       cases = {
           {"default-constructed", [] { return TaskTicket{}; }},
-          {"issued before join_epoch",
-           [&] {
-             const TaskTicket old = submit({});
-             exec.join_epoch();
-             last = submit({});
-             return old;
-           }},
           {"issued before join",
            [&] {
              const TaskTicket old = submit({});
@@ -224,10 +225,8 @@ TEST(EpochRuntime, SubmitRejectsEveryTicketOutsideTheEpoch) {
     // The rejection leaked no serial: the next ticket follows `last`.
     const TaskTicket next = submit({last});
     ASSERT_EQ(next.serial, last.serial + 1) << what;
-    // A following epoch still runs: its fence clears only once every
-    // serial below it retires, so a leaked serial would stall it.
-    exec.join_epoch();
-    submit({});
+    // A dependent of the accepted tasks still runs.
+    submit({last, next});
     exec.join();
     EXPECT_EQ(ran.load(), accepted) << what;
   }
@@ -407,9 +406,9 @@ TEST(EpochOneUnit, MatchesSerialInEveryField) {
 // ----------------------------------------------------------------- checker
 
 TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
-  // The join_epoch markers compare each lane's dealer mirror to the
-  // unit's live resident set at every virtual barrier; any divergence
-  // throws out of the worker and surfaces at the strict join.
+  // The strict join compares each lane's dealer mirror to the unit's
+  // live resident set, and every task's realized hits to the dealer's
+  // prediction; any divergence surfaces at the join.
   {
     DevicePool<Vert> pool(4, {.m = 64, .latency = 7});
     tcu::check::ScopedCheck<Vert> check(pool);

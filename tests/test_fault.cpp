@@ -195,7 +195,7 @@ TEST(FaultRecovery, RetryExhaustionRethrowsAndExecutorRecovers) {
       dev.gemm(a.view(), b.view(), c.view());
     });
     EXPECT_THROW(exec.join(), tcu::fault::TransientFault);
-    // max_attempts executions were burned: same-lane retry, then redeal,
+    // kMaxAttempts executions were burned: same-lane retry, then redeal,
     // then the redealt lane's retry — all faulted.
     EXPECT_EQ(plan.transients_injected(), 4u);
     EXPECT_EQ(c, Matrix<double>(4, 4, 0.0));  // no partial charge/output
@@ -372,7 +372,7 @@ TEST(FaultDeterminism, ReportsIdenticalAcrossRunsAtEveryUnitCount) {
       FaultPlan plan(fault_seed(7), spec);
       ScopedInjection<double> inject(pool, plan);
       PoolExecutor<double> exec(pool);
-      // At an unlucky (seed, p) the plan can fault one task max_attempts
+      // At an unlucky (seed, p) the plan can fault one task kMaxAttempts
       // times and exhaust recovery. That outcome must be exactly as
       // deterministic as a clean one: the same rethrow message, recovery
       // bookkeeping, and aggregate counters on every run.

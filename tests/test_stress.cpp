@@ -178,12 +178,12 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
   // contract checker attached and a seeded fault plan injecting a low
   // transient rate plus one mid-run permanent death. GE, the stencil's
   // batched DFT levels, transitive closure, and the Mlp pass all submit
-  // dependent tasks across join_epoch fences, so transients,
-  // the quarantine, and the deferred dep-waits of the recovery path all
-  // land inside open epochs. Every round's output must be bit-identical
-  // to a fault-free serial reference, and the checker guarantees no
-  // stale resident sets survive any recovery bracket (its join_epoch
-  // markers audit every lane mirror at every virtual barrier). Seed
+  // tasks that wait on `after` tickets, so transients, the quarantine,
+  // and the deferred dep-waits of the recovery path all land inside
+  // dependency-ordered rounds. Every round's output must be
+  // bit-identical to a fault-free serial reference, and the checker
+  // guarantees no stale resident sets survive any recovery bracket (it
+  // audits every lane mirror at every strict join). Seed
   // overridable via TCU_FAULT_SEED so the CI fault leg replays the chaos
   // under a pinned-but-different schedule.
   std::uint64_t seed = 20260808;
@@ -276,7 +276,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
       auto expect = tcu::stencil::stencil_tcu(ref, grid.view(), w, 2);
       ASSERT_EQ(got, expect) << "stencil, round " << round;
     }
-    {  // Mlp epoch pass: per-strip epilogues gated on their own tickets.
+    {  // Mlp pass: per-strip epilogues gated on their own tickets.
       Matrix<double> batch(8, 16);
       fill(batch, 7000 + round);
       auto got = mlp.forward(dexec, batch.view(), {.affinity = true});
@@ -284,7 +284,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
       auto expect = mlp.forward(ref, batch.view());
       ASSERT_EQ(got, expect) << "mlp, round " << round;
     }
-    {  // transitive closure: the full true-dependence epoch graph.
+    {  // transitive closure: the full true-dependence task graph.
       auto adj = tcu::graph::random_digraph(24, 0.12, 8000 + round);
       tcu::graph::AdjMatrix expect = adj;
       tcu::graph::closure_tcu(vexec, adj.view());

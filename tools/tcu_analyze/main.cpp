@@ -1,10 +1,10 @@
 // tcu_lint — static analyzer for the (m, l)-TCU runtime contracts. Two
 // passes: tools/tcu_analyze/lexer+model build a statement-ordered,
 // function-scoped model of each translation unit; tools/tcu_analyze/rules
-// runs the line rules (untagged-gemm, missing-anchor, raw-backend,
-// epoch-deps) and the per-function rules (chain-thrash,
-// uncharged-compute) over it. Findings print in the classic text format
-// and optionally as SARIF 2.1.0. Any finding fails the run.
+// runs the line rules (untagged-gemm, missing-anchor, raw-backend) and
+// the per-function rules (chain-thrash, uncharged-compute) over it.
+// Findings print in the classic text format and optionally as SARIF
+// 2.1.0. Any finding fails the run.
 //
 // Usage:
 //   tcu_lint [--sarif <out.sarif>] <file-or-directory>...

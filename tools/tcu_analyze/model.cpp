@@ -6,8 +6,8 @@ namespace tcu_analyze {
 
 const std::vector<std::string>& annotation_kinds() {
   static const std::vector<std::string> kinds = {
-      "untagged-ok", "anchored-ok",     "epoch-free-ok",
-      "backend-ok",  "chain-thrash-ok", "uncharged-ok"};
+      "untagged-ok",     "anchored-ok", "backend-ok",
+      "chain-thrash-ok", "uncharged-ok"};
   return kinds;
 }
 

@@ -15,8 +15,6 @@ const std::vector<RuleInfo>& rule_catalog() {
        "derived-key tagged call in a file that never re-anchors"},
       {"raw-backend",
        "backend-> dereference bypasses Device::issue() accounting"},
-      {"epoch-deps",
-       "chained submit without an after set in an epoch-runtime file"},
       {"chain-thrash",
        "declared chain longer than the static resident_tiles capacity"},
       {"uncharged-compute",
@@ -356,14 +354,10 @@ std::vector<Finding> scan_source(const std::string& path,
 
   // ---- line rules (PR 6 behavior, statement-anchored annotations) ------
   bool file_has_evict_all = false;
-  bool file_has_join_epoch = false;
   for (const SourceLine& line : lines) {
-    if (!file_has_evict_all && !find_calls(line.code, "evict_all").empty()) {
+    if (!find_calls(line.code, "evict_all").empty()) {
       file_has_evict_all = true;
-    }
-    if (!file_has_join_epoch &&
-        !find_calls(line.code, "join_epoch").empty()) {
-      file_has_join_epoch = true;
+      break;
     }
   }
 
@@ -398,24 +392,6 @@ std::vector<Finding> scan_source(const std::string& path,
              "accounting (model cost and wall clock); route the call "
              "through the device or annotate with // tcu-lint: "
              "backend-ok(<reason>)"});
-      }
-    }
-
-    // [epoch-deps]: a chained task in a file that fences with join_epoch
-    // must state its predecessors (or why the fence alone orders it).
-    for (const std::size_t open : find_calls(code, "submit")) {
-      const std::string spec = spec_literal(call_args(lines, i, open));
-      std::string chain, after;
-      if (!spec_field(spec, "chain", chain) || chain == "{}") continue;
-      if (file_has_join_epoch && !spec_field(spec, "after", after) &&
-          !model.blessed(i, "epoch-free-ok")) {
-        findings.push_back(
-            {path, i + 1, "epoch-deps",
-             "submit with a declared chain in an epoch-runtime file (this "
-             "file calls join_epoch) declares no predecessor set; give its "
-             "TaskSpec an .after list or annotate with // tcu-lint: "
-             "epoch-free-ok(<reason>) stating why fence ordering "
-             "suffices"});
       }
     }
 

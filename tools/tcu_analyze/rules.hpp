@@ -1,6 +1,6 @@
 #pragma once
 // tcu_analyze rules — pass 2 of the analyzer. Runs the line rules
-// (untagged-gemm, missing-anchor, raw-backend, epoch-deps) plus the
+// (untagged-gemm, missing-anchor, raw-backend) plus the
 // per-function rules the line lexer could not express:
 //
 //   [chain-thrash]      a declared chain statically longer than the
@@ -11,7 +11,7 @@
 //                       backend-seam files — work the cost model never
 //                       charges.
 //
-// Task-dependency misuse (a null, pre-fence or not-yet-issued ticket in
+// Task-dependency misuse (a null, pre-join or not-yet-issued ticket in
 // TaskSpec::after) needs no rule: PoolExecutor::submit rejects it.
 
 #include <cstddef>

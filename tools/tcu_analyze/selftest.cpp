@@ -59,6 +59,11 @@ const std::vector<Fixture>& fixtures() {
        "exec.submit({.cost = 1, .after = {t0}, .cpu = true}, task);\n",
        {"annotation"},
        {1}},
+      {"annotation-retired-epoch-kind",  // stages are ordered by tickets now
+       "// tcu-lint: epoch-free-ok(fence-ordered: one level per stage)\n"
+       "exec.submit({.cost = cost, .chain = {key}}, task);\n",
+       {"annotation"},
+       {1}},
       {"gemm-in-comment-ignored",
        "// an untagged d.gemm(a, b, c) would clobber\n"
        "int x = 0;\n",
@@ -105,38 +110,6 @@ const std::vector<Fixture>& fixtures() {
        "            [](Dev& u) { log(panel_key(kb, jb)); });\n",
        {},
        {}},
-      {"epoch-file-chain-without-after",
-       "exec.submit({.cost = cost, .chain = {key}}, task);\n"
-       "exec.join_epoch();\n"
-       "exec.evict_all();\n",
-       {"epoch-deps"},
-       {}},
-      {"epoch-file-chain-with-after",
-       "exec.submit({.cost = cost, .chain = {key}, .after = {prev}},\n"
-       "            task);\n"
-       "exec.join_epoch();\n"
-       "exec.evict_all();\n",
-       {},
-       {}},
-      {"epoch-file-chain-annotated",
-       "// tcu-lint: epoch-free-ok(fence-ordered: one level per epoch)\n"
-       "exec.submit({.cost = cost, .chain = {key}}, task);\n"
-       "exec.join_epoch();\n"
-       "exec.evict_all();\n",
-       {},
-       {}},
-      {"epoch-file-empty-chain-is-untagged",
-       "exec.submit({.cost = cost, .chain = {}}, task);\n"
-       "exec.submit({.cost = cost, .cpu = true}, task);\n"
-       "exec.join_epoch();\n",
-       {},
-       {}},
-      {"barrier-file-chain-exempt",
-       "exec.submit({.cost = cost, .chain = {key}}, task);\n"
-       "exec.join();\n"
-       "exec.evict_all();\n",
-       {},
-       {}},
       {"raw-backend-flagged",
        "void f() { backend_->run(a, b, c, false, ctr); }\n",
        {"raw-backend"},
@@ -162,22 +135,15 @@ const std::vector<Fixture>& fixtures() {
        "void warm() { backend_->run(a, b, c, false, ctr); }\n",
        {},
        {}},
-      {"epoch-free-needs-reason",
-       "exec.submit({.cost = cost, .chain = {key}}, task);  "
-       "// tcu-lint: epoch-free-ok()\n"
-       "exec.join_epoch();\n"
-       "exec.evict_all();\n",
-       {"annotation", "epoch-deps"},
-       {}},
 
       // ---- lexer regressions: raw strings ------------------------------
       {"raw-string-gemm-ignored",
        "log(R\"(calling d.gemm(a, b, c))\");\n",
        {},
        {}},
-      {"raw-string-delimited-ignored",
-       "const char* s = R\"x(exec.submit({.chain = {k}}, t);)x\";\n"
-       "exec.join_epoch();\n",
+      {"raw-string-delimited-ignored",  // `)"` does not end an R"x( string
+       "const char* s = "
+       "R\"x(log(\")\"); exec.submit({.chain = {panel_key(k, j)}}, t);)x\";\n",
        {},
        {}},
       {"raw-string-terminates-correctly",
@@ -216,11 +182,9 @@ const std::vector<Fixture>& fixtures() {
        {},
        {}},
       {"annotation-inside-multiline-call",
-       "exec.submit({.cost = cost, .chain = {key}},\n"
-       "            // tcu-lint: epoch-free-ok(fence covers the level)\n"
-       "            task);\n"
-       "exec.join_epoch();\n"
-       "exec.evict_all();\n",
+       "exec.submit({.cost = cost, .chain = {panel_key(kb, jb)}},\n"
+       "            // tcu-lint: anchored-ok(caller anchors per generation)\n"
+       "            task);\n",
        {},
        {}},
 
