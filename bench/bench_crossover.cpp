@@ -68,7 +68,7 @@ void BM_ClosureCrossover(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m = static_cast<std::size_t>(state.range(1));
   auto adj = tcu::graph::random_digraph(n, 0.05, 2300 + n);
-  tcu::Device<std::int64_t> dev({.m = m, .latency = 64});
+  tcu::Device<tcu::graph::Vert> dev({.m = m, .latency = 64});
   for (auto _ : state) {
     dev.reset();
     auto work = adj;

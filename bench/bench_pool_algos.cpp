@@ -106,7 +106,7 @@ void BM_ApsdPool(benchmark::State& state) {
   const std::size_t n = tcu::bench::bench_tiny() ? 48 : 160;
   const std::size_t m = tcu::bench::bench_tiny() ? 64 : 256;
   // Connected undirected graph: ring plus chords.
-  tcu::graph::AdjMatrix adj(n, n, 0);
+  tcu::Matrix<std::int64_t> adj(n, n, 0);
   tcu::util::Xoshiro256 rng(77);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = (i + 1) % n;

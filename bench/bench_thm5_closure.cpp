@@ -16,7 +16,7 @@ void BM_ClosureTcu(benchmark::State& state) {
   const auto m = static_cast<std::size_t>(state.range(1));
   const double density = static_cast<double>(state.range(2)) / 100.0;
   auto adj = tcu::graph::random_digraph(n, density, 1000 + n + m);
-  tcu::Device<std::int64_t> dev({.m = m, .latency = 32});
+  tcu::Device<tcu::graph::Vert> dev({.m = m, .latency = 32});
   for (auto _ : state) {
     dev.reset();
     auto work = adj;

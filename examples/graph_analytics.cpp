@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) edges += digraph(i, j) != 0;
   }
-  tcu::Device<std::int64_t> dev({.m = 256, .latency = 64});
+  tcu::Device<tcu::graph::Vert> dev({.m = 256, .latency = 64});
   auto closed = digraph;
   tcu::graph::closure_tcu(dev, closed.view());
   std::size_t reachable = 0;

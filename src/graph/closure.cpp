@@ -1,5 +1,7 @@
 #include "graph/closure.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -7,26 +9,48 @@
 
 namespace tcu::graph {
 
-void closure_naive(MatrixView<Vert> d, Counters& counters) {
-  const std::size_t n = d.rows;
-  if (d.cols != n) throw std::invalid_argument("closure_naive: square input");
-  std::uint64_t updates = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (d(i, k) == 0) {
-        updates += n;  // the inner loop still scans (branch per j)
-        continue;
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        d(i, j) = d(i, j) | (d(i, k) & d(k, j));
-        ++updates;
+namespace {
+
+/// Uncharged precondition of every entry point: `d` is square and holds
+/// only 0 and 1, which also rejects NaN and fractions. A kernel D sum
+/// adds at most s = `tile_dim` products to an old entry, all 0/1, so it
+/// is exact only while s + 1 fits Vert's significand; `tile_dim` 0 means
+/// no tensor products.
+void check_adjacency(ConstMatrixView<Vert> d, std::size_t tile_dim) {
+  if (d.cols != d.rows) throw std::invalid_argument("closure: square input");
+  constexpr std::uint64_t kExactMax = std::uint64_t{1}
+                                      << std::numeric_limits<Vert>::digits;
+  if (tile_dim + 1 > kExactMax) {
+    throw std::invalid_argument(
+        "closure: tile side too large for exact kernel D sums");
+  }
+  for (std::size_t i = 0; i < d.rows; ++i) {
+    for (std::size_t j = 0; j < d.cols; ++j) {
+      if (d(i, j) != 0 && d(i, j) != 1) {
+        throw std::invalid_argument("closure: entries must be 0 or 1");
       }
     }
   }
-  counters.charge_cpu(updates);
 }
 
-namespace {
+/// X |= P * Q over the boolean semiring, in the Figure 5 k/i/j order.
+/// Row i is skipped when its pivot entry P(i, k) is 0; otherwise row k of
+/// Q is ORed into it with a branch-free max on 0/1 values, which the
+/// compiler vectorises. P and Q may alias X: the pivot column and row do
+/// not change during their own k step (X(i,k) |= X(i,k) & X(k,k)), so the
+/// output equals the unskipped scalar loop bit for bit.
+void or_product(MatrixView<Vert> X, ConstMatrixView<Vert> P,
+                ConstMatrixView<Vert> Q) {
+  const std::size_t s = P.cols;
+  for (std::size_t k = 0; k < s; ++k) {
+    const Vert* xk = &Q(k, 0);
+    for (std::size_t i = 0; i < X.rows; ++i) {
+      if (P(i, k) == 0) continue;
+      Vert* xi = &X(i, 0);
+      for (std::size_t j = 0; j < X.cols; ++j) xi[j] = std::max(xi[j], xk[j]);
+    }
+  }
+}
 
 // The Figure 7 kernels as pure computations; the caller charges their
 // s^3 (or rows*cols for the clamp) CPU cost to whichever counter owns the
@@ -34,39 +58,16 @@ namespace {
 // path.
 
 /// Kernel A (Figure 7): boolean closure within the diagonal block.
-void kernel_a(MatrixView<Vert> X) {
-  const std::size_t s = X.rows;
-  for (std::size_t k = 0; k < s; ++k) {
-    for (std::size_t i = 0; i < s; ++i) {
-      for (std::size_t j = 0; j < s; ++j) {
-        X(i, j) = X(i, j) | (X(i, k) & X(k, j));
-      }
-    }
-  }
-}
+void kernel_a(MatrixView<Vert> X) { or_product(X, X, X); }
 
 /// Kernel B (Figure 7): X |= Y (diagonal block) times X, boolean.
 void kernel_b(MatrixView<Vert> X, ConstMatrixView<Vert> Y) {
-  const std::size_t s = X.rows;
-  for (std::size_t k = 0; k < s; ++k) {
-    for (std::size_t i = 0; i < s; ++i) {
-      for (std::size_t j = 0; j < s; ++j) {
-        X(i, j) = X(i, j) | (Y(i, k) & X(k, j));
-      }
-    }
-  }
+  or_product(X, Y, X);
 }
 
 /// Kernel C (Figure 7): X |= X times Y (diagonal block), boolean.
 void kernel_c(MatrixView<Vert> X, ConstMatrixView<Vert> Y) {
-  const std::size_t s = X.rows;
-  for (std::size_t k = 0; k < s; ++k) {
-    for (std::size_t i = 0; i < s; ++i) {
-      for (std::size_t j = 0; j < s; ++j) {
-        X(i, j) = X(i, j) | (X(i, k) & Y(k, j));
-      }
-    }
-  }
+  or_product(X, X, Y);
 }
 
 /// Clamp a strip back to 0/1 after an arithmetic D update (lines 5-7 of
@@ -242,11 +243,20 @@ void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
 
 }  // namespace
 
-void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
+void closure_naive(MatrixView<Vert> d, Counters& counters) {
+  check_adjacency(d, 0);
   const std::size_t n = d.rows;
-  if (d.cols != n) throw std::invalid_argument("closure_tcu: square input");
-  if (n == 0) return;
+  or_product(d, d, d);
+  // Figure 5 charges one unit per innermost update; it scans every j of a
+  // row whose pivot entry is 0, too.
+  counters.charge_cpu(static_cast<std::uint64_t>(n) * n * n);
+}
+
+void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
   const std::size_t s = dev.tile_dim();
+  check_adjacency(d, s);
+  const std::size_t n = d.rows;
+  if (n == 0) return;
   if (n % s == 0) {
     closure_tcu_divisible(dev, d);
     return;
@@ -267,11 +277,11 @@ void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
 }
 
 void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d) {
-  const std::size_t n = d.rows;
-  if (d.cols != n) throw std::invalid_argument("closure_tcu: square input");
-  if (n == 0) return;
   DevicePool<Vert>& pool = exec.pool();
   const std::size_t s = pool.unit(0).tile_dim();
+  check_adjacency(d, s);
+  const std::size_t n = d.rows;
+  if (n == 0) return;
   if (n % s == 0) {
     closure_pool(exec, d);
     return;

@@ -13,7 +13,13 @@
 // stream through the unit, yielding
 // Theta(n^3/sqrt(m) + (n^2/m) l + n^2 sqrt(m)).
 //
-// Vertices use int64 storage (0/1 values) so the tensor products are exact.
+// Vertices are 0/1 floats. Kernel D adds at most sqrt(m) products of 0/1
+// entries to an old 0/1 entry, so every partial sum is an integer no
+// larger than sqrt(m) + 1. Float holds every integer up to 2^24 exactly,
+// so the sums are exact in any order: every backend gives the same bits,
+// and kernel D runs on the vectorised float kernel. Every entry point
+// rejects entries other than 0 and 1, and tile sides too wide for exact
+// sums.
 
 #include <cstdint>
 
@@ -23,7 +29,7 @@
 
 namespace tcu::graph {
 
-using Vert = std::int64_t;
+using Vert = float;
 using AdjMatrix = Matrix<Vert>;
 
 /// Figure 5: in-place Theta(n^3) transitive closure on the RAM; charges

@@ -4,15 +4,16 @@
 #include <cstdint>
 
 #include "core/matrix.hpp"
+#include "graph/closure.hpp"
 #include "util/rng.hpp"
 
 namespace tcu::graph {
 
-/// G(n, p) directed graph, no self loops.
-inline Matrix<std::int64_t> random_digraph(std::size_t n, double edge_prob,
-                                           std::uint64_t seed) {
+/// G(n, p) directed graph, no self loops, as a closure input.
+inline AdjMatrix random_digraph(std::size_t n, double edge_prob,
+                                std::uint64_t seed) {
   util::Xoshiro256 rng(seed);
-  Matrix<std::int64_t> a(n, n, 0);
+  AdjMatrix a(n, n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i != j && rng.bernoulli(edge_prob)) a(i, j) = 1;

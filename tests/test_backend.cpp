@@ -11,13 +11,17 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "check/contract.hpp"
 #include "core/backend.hpp"
 #include "core/device.hpp"
 #include "core/pool.hpp"
+#include "graph/closure.hpp"
+#include "graph/generators.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/parallel.hpp"
 #include "util/rng.hpp"
@@ -268,6 +272,75 @@ TEST(BackendEquivalence, MicroMatchesSimAcrossPoolSizes) {
     expect_counters_equal(pool.aggregate(), serial.counters(),
                           "micro pool p=" + std::to_string(p));
     check.verify();
+  }
+}
+
+// --------------------------------------------------------------- closure
+
+/// Byte equality: unlike ==, tells +0 from -0 and compares NaN payloads.
+bool same_bits(const tcu::graph::AdjMatrix& a,
+               const tcu::graph::AdjMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(tcu::graph::Vert)) == 0;
+}
+
+TEST(BackendEquivalence, ClosureSameBitsOnEveryBackend) {
+  // Closure's kernel D sums 0/1 floats, so every sum is an exact integer
+  // and every backend, serial or pooled, must give Figure 5's bits. Each
+  // n is off a multiple of s, so the padded path runs, and s = 8 takes the
+  // float kernel's one-vector tail. The complete digraph (self-loops
+  // included) drives every full kernel D sum to s + 1 before the clamp;
+  // the holes graph's sinks and sources leave pivot rows and columns
+  // empty, so the boolean kernels skip rows.
+  using tcu::graph::AdjMatrix;
+  using tcu::graph::Vert;
+  for (const auto& [m, n] : {std::pair<std::size_t, std::size_t>{64, 21},
+                             {256, 40},
+                             {4096, 100}}) {
+    const AdjMatrix sparse = tcu::graph::random_digraph(
+        n, 4.0 / static_cast<double>(n), 1000 + n);
+    const AdjMatrix complete(n, n, 1);
+    AdjMatrix holes = tcu::graph::random_digraph(n, 0.3, 1100 + n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i % 3 == 0 || j % 5 == 0) holes(i, j) = 0;
+      }
+    }
+    for (const auto& [name, adj] : {std::pair{"sparse", &sparse},
+                                    {"complete", &complete},
+                                    {"holes", &holes}}) {
+      const std::string at =
+          std::string(name) + " n=" + std::to_string(n) +
+          " m=" + std::to_string(m);
+      AdjMatrix naive = *adj;
+      Counters ram;
+      tcu::graph::closure_naive(naive.view(), ram);
+      ASSERT_TRUE(same_bits(naive, tcu::graph::closure_bfs_oracle(
+                                       adj->view())))
+          << at;
+      Device<Vert> ref({.m = m, .latency = 7, .backend = BackendKind::kSim});
+      AdjMatrix want = *adj;
+      tcu::graph::closure_tcu(ref, want.view());
+      EXPECT_TRUE(same_bits(want, naive)) << at;
+      for (const BackendKind kind :
+           {BackendKind::kSim, BackendKind::kMicro, BackendKind::kBlas}) {
+        if (!tcu::backend_available(kind)) continue;
+        const std::string on = at + " " + tcu::backend_kind_name(kind);
+        Device<Vert> dev({.m = m, .latency = 7, .backend = kind});
+        AdjMatrix serial = *adj;
+        tcu::graph::closure_tcu(dev, serial.view());
+        EXPECT_TRUE(same_bits(serial, want)) << on;
+        expect_counters_equal(dev.counters(), ref.counters(), on);
+
+        DevicePool<Vert> pool(3, {.m = m, .latency = 7, .backend = kind});
+        PoolExecutor<Vert> exec(pool);
+        AdjMatrix pooled = *adj;
+        tcu::graph::closure_tcu(exec, pooled.view());
+        EXPECT_TRUE(same_bits(pooled, want)) << on << " p=3";
+        expect_counters_equal(pool.aggregate(), ref.counters(), on + " p=3");
+      }
+    }
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/costs.hpp"
 #include "graph/apsd.hpp"
 #include "graph/closure.hpp"
@@ -15,6 +17,7 @@ namespace {
 using tcu::Counters;
 using tcu::Device;
 using tcu::Matrix;
+using tcu::graph::AdjMatrix;
 using tcu::graph::apsd_bfs;
 using tcu::graph::apsd_seidel;
 using tcu::graph::closure_bfs_oracle;
@@ -23,6 +26,7 @@ using tcu::graph::closure_tcu;
 using tcu::graph::cycle_graph;
 using tcu::graph::random_connected_graph;
 using tcu::graph::random_digraph;
+using tcu::graph::Vert;
 
 // ------------------------------------------------------ transitive closure
 
@@ -36,7 +40,7 @@ TEST_P(ClosureSweep, BlockedMatchesNaiveAndOracle) {
   auto d_tcu = adj;
   Counters ram;
   closure_naive(d_naive.view(), ram);
-  Device<std::int64_t> dev({.m = m});
+  Device<Vert> dev({.m = m});
   closure_tcu(dev, d_tcu.view());
   EXPECT_TRUE(d_naive == d_tcu);
   auto oracle = closure_bfs_oracle(adj.view());
@@ -50,8 +54,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<std::size_t>(16, 64)));
 
 TEST(Closure, EmptyGraphStaysEmpty) {
-  Matrix<std::int64_t> adj(12, 12, 0);
-  Device<std::int64_t> dev({.m = 16});
+  AdjMatrix adj(12, 12, 0);
+  Device<Vert> dev({.m = 16});
   closure_tcu(dev, adj.view());
   for (std::size_t i = 0; i < 12; ++i) {
     for (std::size_t j = 0; j < 12; ++j) EXPECT_EQ(adj(i, j), 0);
@@ -59,10 +63,10 @@ TEST(Closure, EmptyGraphStaysEmpty) {
 }
 
 TEST(Closure, CompleteDigraphIsFixedPoint) {
-  Matrix<std::int64_t> adj(10, 10, 1);
+  AdjMatrix adj(10, 10, 1);
   for (std::size_t i = 0; i < 10; ++i) adj(i, i) = 0;
   auto d = adj;
-  Device<std::int64_t> dev({.m = 16});
+  Device<Vert> dev({.m = 16});
   closure_tcu(dev, d.view());
   // Every vertex lies on a 2-cycle, so the closure is all ones.
   for (std::size_t i = 0; i < 10; ++i) {
@@ -72,9 +76,9 @@ TEST(Closure, CompleteDigraphIsFixedPoint) {
 
 TEST(Closure, DirectedPathClosesToUpperTriangle) {
   const std::size_t n = 9;
-  Matrix<std::int64_t> adj(n, n, 0);
+  AdjMatrix adj(n, n, 0);
   for (std::size_t i = 0; i + 1 < n; ++i) adj(i, i + 1) = 1;
-  Device<std::int64_t> dev({.m = 4});
+  Device<Vert> dev({.m = 4});
   closure_tcu(dev, adj.view());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
@@ -84,18 +88,47 @@ TEST(Closure, DirectedPathClosesToUpperTriangle) {
 }
 
 TEST(Closure, NonSquareThrows) {
-  Matrix<std::int64_t> bad(4, 5, 0);
-  Device<std::int64_t> dev({.m = 16});
+  AdjMatrix bad(4, 5, 0);
+  Device<Vert> dev({.m = 16});
   EXPECT_THROW(closure_tcu(dev, bad.view()), std::invalid_argument);
   Counters c;
   EXPECT_THROW(closure_naive(bad.view(), c), std::invalid_argument);
+}
+
+TEST(Closure, RejectsNonBooleanEntries) {
+  // With a(0,1) = 2, a boolean AND (2 & 1 == 0) would drop the path
+  // 0 -> 1 -> 2 that BFS finds; NaN and 0.5 are no edge weights either.
+  tcu::DevicePool<Vert> pool(3, {.m = 4});
+  tcu::PoolExecutor<Vert> exec(pool);
+  Device<Vert> dev({.m = 4});
+  for (const Vert bad : {Vert{2}, Vert{0.5},
+                         std::numeric_limits<Vert>::quiet_NaN()}) {
+    AdjMatrix adj(3, 3, 0);
+    adj(0, 1) = bad;
+    adj(1, 2) = 1;
+    EXPECT_EQ(closure_bfs_oracle(adj.view())(0, 2), 1);
+    Counters ram;
+    EXPECT_THROW(closure_naive(adj.view(), ram), std::invalid_argument);
+    EXPECT_THROW(closure_tcu(dev, adj.view()), std::invalid_argument);
+    EXPECT_THROW(closure_tcu(exec, adj.view()), std::invalid_argument);
+    EXPECT_EQ(ram.cpu_ops, 0u);
+  }
+  EXPECT_EQ(dev.counters().time(), 0u);
+  EXPECT_EQ(pool.aggregate().time(), 0u);
+}
+
+TEST(Closure, RejectsTileTooWideForExactSums) {
+  // s = 2^24: a kernel D sum could reach s + 1, which float rounds.
+  AdjMatrix adj(3, 3, 0);
+  Device<Vert> dev({.m = std::size_t{1} << 48});
+  EXPECT_THROW(closure_tcu(dev, adj.view()), std::invalid_argument);
 }
 
 TEST(Closure, CostTracksTheorem5AcrossSizes) {
   std::vector<double> predicted, measured;
   for (std::size_t n : {32u, 64u, 128u}) {
     auto adj = random_digraph(n, 0.05, 6000 + n);
-    Device<std::int64_t> dev({.m = 16, .latency = 10});
+    Device<Vert> dev({.m = 16, .latency = 10});
     closure_tcu(dev, adj.view());
     predicted.push_back(
         tcu::costs::thm5_closure(static_cast<double>(n), 16.0, 10.0));
@@ -111,7 +144,7 @@ TEST(Closure, TensorTimeBeatsNaiveCpuTime) {
   auto d2 = adj;
   Counters ram;
   closure_naive(d1.view(), ram);
-  Device<std::int64_t> dev({.m = 256});
+  Device<Vert> dev({.m = 256});
   closure_tcu(dev, d2.view());
   EXPECT_LT(dev.counters().time(), ram.time());
 }

@@ -97,7 +97,7 @@ TEST(Integration, ClosureByRepeatedSquaringAgrees) {
   const std::size_t n = 48;
   auto adj = tcu::graph::random_digraph(n, 0.06, 3);
   auto blocked = adj;
-  Device<std::int64_t> dev({.m = 64});
+  Device<tcu::graph::Vert> dev({.m = 64});
   tcu::graph::closure_tcu(dev, blocked.view());
 
   // d <- d OR d*d until fixpoint, products on the device.
@@ -107,7 +107,7 @@ TEST(Integration, ClosureByRepeatedSquaringAgrees) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        const std::int64_t v = (sq(i, j) > 0 || cur(i, j) > 0) ? 1 : 0;
+        const tcu::graph::Vert v = (sq(i, j) > 0 || cur(i, j) > 0) ? 1 : 0;
         if (v != cur(i, j)) changed = true;
         cur(i, j) = v;
       }

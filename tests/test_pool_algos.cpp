@@ -38,7 +38,7 @@ Matrix<double> random_matrix(std::size_t r, std::size_t c,
   return out;
 }
 
-/// Random digraph adjacency (0/1, int64 storage).
+/// Random digraph adjacency, a closure input.
 tcu::graph::AdjMatrix random_digraph(std::size_t n, double p,
                                      std::uint64_t seed) {
   tcu::util::Xoshiro256 rng(seed);
@@ -52,10 +52,10 @@ tcu::graph::AdjMatrix random_digraph(std::size_t n, double p,
 }
 
 /// Random connected undirected graph: a ring plus random chords.
-tcu::graph::AdjMatrix random_connected(std::size_t n, double p,
-                                       std::uint64_t seed) {
+Matrix<std::int64_t> random_connected(std::size_t n, double p,
+                                      std::uint64_t seed) {
   tcu::util::Xoshiro256 rng(seed);
-  tcu::graph::AdjMatrix adj(n, n, 0);
+  Matrix<std::int64_t> adj(n, n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t j = (i + 1) % n;
     adj(i, j) = adj(j, i) = 1;

@@ -204,7 +204,7 @@ class ClosureProperties : public ::testing::TestWithParam<std::size_t> {};
 TEST_P(ClosureProperties, ClosureIsIdempotent) {
   const std::size_t n = GetParam();
   auto adj = tcu::graph::random_digraph(n, 0.08, 500 + n);
-  Device<std::int64_t> dev({.m = 16});
+  Device<tcu::graph::Vert> dev({.m = 16});
   auto once = adj;
   tcu::graph::closure_tcu(dev, once.view());
   auto twice = once;
@@ -218,7 +218,7 @@ TEST_P(ClosureProperties, ClosureIsMonotone) {
   auto adj = tcu::graph::random_digraph(n, 0.05, 600 + n);
   auto more = adj;
   more(0, n - 1) = 1;
-  Device<std::int64_t> dev({.m = 16});
+  Device<tcu::graph::Vert> dev({.m = 16});
   auto c1 = adj;
   auto c2 = more;
   tcu::graph::closure_tcu(dev, c1.view());

@@ -166,7 +166,7 @@ Row run_gauss(const Options& o) {
 Row run_closure(const Options& o) {
   auto adj = tcu::graph::random_digraph(o.size, 0.05, o.seed);
   auto a2 = adj;
-  Device<std::int64_t> dev({.m = o.m, .latency = o.latency});
+  Device<tcu::graph::Vert> dev({.m = o.m, .latency = o.latency});
   tcu::graph::closure_tcu(dev, adj.view());
   Counters ram;
   tcu::graph::closure_naive(a2.view(), ram);
