@@ -12,13 +12,16 @@
 //   * sim   — the reference triple loop, bit-for-bit the historical
 //             engine (the default; every bit-identity test runs on it);
 //   * micro — a register-blocked kernel. float/double dispatch at
-//             runtime to an AVX2 kernel holding 4 rows x 2 vectors (4 x 8
-//             doubles, 4 x 16 floats) in 8 ymm accumulators; other T run
-//             a generic 4 x 8 blocked loop. Each output element keeps its
+//             runtime (cpuid) to the widest SIMD rung the CPU has: AVX-512
+//             (4 rows x 2 zmm vectors: 4 x 16 doubles, 4 x 32 floats) or
+//             AVX2 (4 rows x 2 ymm vectors: 4 x 8 doubles, 4 x 16 floats),
+//             each holding its block in 8 accumulators; other T run a
+//             generic 4 x 8 blocked loop. Each output element keeps its
 //             own accumulator summed in the reference k order, and the
-//             SIMD path uses separate mul/add (no FMA), so the results
-//             are bit-identical to sim for every T — integral exactness
-//             falls out as a special case;
+//             SIMD rungs use separate mul/add, with the library built
+//             under -ffp-contract=off so no compiler fuses them into an
+//             FMA; the results are bit-identical to sim for every T —
+//             integral exactness falls out as a special case;
 //   * blas  — vendor [sd]gemm behind -DTCU_BLAS=ON (float/double only);
 //             reassociates sums, so outputs are bounded-ulp, not
 //             bit-identical.
@@ -53,7 +56,7 @@ using GemmFn = std::function<void(ConstMatrixView<T>, ConstMatrixView<T>,
 enum class BackendKind {
   kDefault,  ///< resolve via TCU_BACKEND env, falling back to kSim
   kSim,      ///< reference triple loop (bit-for-bit historical results)
-  kMicro,    ///< register-blocked microkernel (+ runtime AVX2)
+  kMicro,    ///< register-blocked microkernel (+ runtime AVX-512/AVX2)
   kBlas,     ///< vendor BLAS, float/double, requires -DTCU_BLAS=ON
   kEngine,   ///< adapter around a caller-supplied GemmFn
 };
@@ -73,16 +76,30 @@ BackendKind resolve_backend_kind(BackendKind kind);
 /// only compiled in under -DTCU_BLAS=ON).
 bool backend_available(BackendKind kind);
 
-/// True when the running CPU takes the micro backend's AVX2 path.
+/// True when the running CPU takes one of the micro backend's SIMD rungs.
 bool micro_simd_active();
+
+/// The micro backend's SIMD rung on the running CPU: "avx512", "avx2" or
+/// "none" (float/double then run the generic blocked loop).
+const char* micro_simd_name();
 
 namespace backend_detail {
 
-// AVX2 kernel (backend_micro.cpp, instantiated for float and double):
-// 4-row x 2-vector register blocks, with one-vector and scalar tails.
-// `lda`/`ldb`/`ldc` are row strides in elements; summation is
-// k-sequential per element with separate mul/add, so results are
-// bit-identical to the reference loop.
+/// True when this build has the rung and the running CPU supports it.
+bool micro_has_avx512();
+bool micro_has_avx2();
+
+// The SIMD rungs (backend_micro.cpp, instantiated for float and double),
+// one kernel body each: 4-row x 2-vector register blocks of zmm or ymm
+// vectors, with one-vector and scalar tails (the AVX-512 rung runs a
+// last ymm vector of columns before going scalar). `lda`/`ldb`/`ldc` are
+// row strides in elements; summation is k-sequential per element with
+// separate mul/add, so results are bit-identical to the reference loop.
+// Call one only when its `micro_has_*` is true.
+template <typename T>
+void micro_gemm_avx512(const T* a, std::size_t lda, const T* b,
+                       std::size_t ldb, T* c, std::size_t ldc, std::size_t n,
+                       std::size_t s, bool accumulate);
 template <typename T>
 void micro_gemm_avx2(const T* a, std::size_t lda, const T* b,
                      std::size_t ldb, T* c, std::size_t ldc, std::size_t n,
@@ -135,11 +152,12 @@ class SimBackend final : public GemmBackend<T> {
   }
 };
 
-/// Register-blocked kernel. float/double dispatch at runtime to the AVX2
-/// kernel: each block holds 4 rows x 2 vectors (4 x 8 doubles, 4 x 16
-/// floats) in 8 ymm accumulators, loading its two B vectors once per k
+/// Register-blocked kernel. float/double dispatch at runtime to the
+/// widest SIMD rung the CPU has, AVX-512 then AVX2: each block holds 4
+/// rows x 2 vectors (4 x 16 doubles or 4 x 32 floats in zmm, 4 x 8 or
+/// 4 x 16 in ymm) in 8 accumulators, loading its two B vectors once per k
 /// and broadcasting one A element per row, with separate mul and add.
-/// Other T, or a CPU without AVX2, run `blocked`: kMR x kNR scalar
+/// Other T, or a CPU with neither rung, run `blocked`: kMR x kNR scalar
 /// accumulators per (i, j) block. Either way every element keeps its own
 /// accumulator while k streams through in the reference order, so its
 /// result, for any T, matches SimBackend exactly; only the wall clock
@@ -155,7 +173,13 @@ class MicroBackend final : public GemmBackend<T> {
   void run(ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
            bool accumulate, Counters&) override {
     if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-      if (micro_simd_active()) {
+      if (backend_detail::micro_has_avx512()) {
+        backend_detail::micro_gemm_avx512(A.data, A.stride, B.data, B.stride,
+                                          C.data, C.stride, A.rows, B.rows,
+                                          accumulate);
+        return;
+      }
+      if (backend_detail::micro_has_avx2()) {
         backend_detail::micro_gemm_avx2(A.data, A.stride, B.data, B.stride,
                                         C.data, C.stride, A.rows, B.rows,
                                         accumulate);

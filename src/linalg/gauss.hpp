@@ -192,13 +192,17 @@ void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
   // elimination left behind so equal keys cannot alias different X'_j.
   dev.evict_all();
   const std::size_t t = r / s;
-  Matrix<T> xp(s, r, T{});  // the X' strip of Figure 4
+  // The X' strip of Figure 4, stored tile-contiguous: X'_j is rows
+  // [jb·s, jb·s + s), so kernel D's weight is one dense s x s block, not
+  // s rows r elements apart (8 KiB apart at r = 1024 doubles, so all in
+  // the same L1 sets). Values, keys and charges do not depend on layout.
+  Matrix<T> xp(r, s, T{});
   for (std::size_t kb = 0; kb < t; ++kb) {
     ge_detail::kernel_a(dev, X.subview(kb * s, kb * s, s, s));
     for (std::size_t jb = kb + 1; jb < t; ++jb) {
       ge_detail::kernel_b(dev, X.subview(kb * s, jb * s, s, s),
                           X.subview(kb * s, kb * s, s, s),
-                          xp.subview(0, jb * s, s, s));
+                          xp.subview(jb * s, 0, s, s));
     }
     for (std::size_t ib = kb + 1; ib < t; ++ib) {
       ge_detail::kernel_c(dev, X.subview(ib * s, kb * s, s, s),
@@ -213,7 +217,7 @@ void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
     for (std::size_t jb = kb + 1; jb < t; ++jb) {
       dev.gemm_resident(ge_panel_key(kb, jb),
                         X.subview(top, kb * s, tall_rows, s),
-                        xp.subview(0, jb * s, s, s),
+                        xp.subview(jb * s, 0, s, s),
                         X.subview(top, jb * s, tall_rows, s),
                         /*accumulate=*/true);
     }
@@ -257,7 +261,7 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
   }
   exec.evict_all();  // call-local keys, exactly as on the serial path
   const std::size_t t = r / s;
-  Matrix<T> xp(s, r, T{});
+  Matrix<T> xp(r, s, T{});  // tile-contiguous X' strip, as on the serial path
   const std::uint64_t a_cost = ge_detail::kernel_a_cost(s);
   const std::uint64_t b_cost = ge_detail::kernel_b_cost(s);
   const std::uint64_t c_cost = ge_detail::kernel_c_cost(s);
@@ -280,7 +284,7 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
             unit.charge_cpu(ge_detail::kernel_b_ops(
                 X.subview(kb * s, jb * s, s, s),
                 X.subview(kb * s, kb * s, s, s),
-                xp_view.subview(0, jb * s, s, s)));
+                xp_view.subview(jb * s, 0, s, s)));
           });
     }
     std::vector<TaskTicket> c_tickets;
@@ -308,7 +312,7 @@ void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
           std::move(d_spec),
           [X, xp_view, key, top, tall_rows, kb, jb, s](Device<T>& unit) {
             unit.gemm_resident(key, X.subview(top, kb * s, tall_rows, s),
-                               xp_view.subview(0, jb * s, s, s),
+                               xp_view.subview(jb * s, 0, s, s),
                                X.subview(top, jb * s, tall_rows, s),
                                /*accumulate=*/true);
           });

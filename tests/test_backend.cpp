@@ -13,7 +13,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "check/contract.hpp"
@@ -143,25 +145,54 @@ TEST(BackendEquivalence, MicroMatchesSimSerial) {
                        random_int_matrix(19, 33, 508));
 }
 
-// Runs the raw sim and micro kernels on strided operands: views cut out of
+// ------------------------------------------------------ micro SIMD rungs
+
+/// A micro SIMD rung entry point (core/backend.hpp's backend_detail).
+template <typename T>
+using RungGemm = void (*)(const T*, std::size_t, const T*, std::size_t, T*,
+                          std::size_t, std::size_t, std::size_t, bool);
+
+struct Rung {
+  const char* name;
+  bool (*present)();
+  RungGemm<double> gemm_double;
+  RungGemm<float> gemm_float;
+
+  template <typename T>
+  void run(tcu::ConstMatrixView<T> a, tcu::ConstMatrixView<T> b,
+           tcu::MatrixView<T> c, bool accumulate) const {
+    RungGemm<T> gemm;
+    if constexpr (std::is_same_v<T, double>) {
+      gemm = gemm_double;
+    } else {
+      gemm = gemm_float;
+    }
+    gemm(a.data, a.stride, b.data, b.stride, c.data, c.stride, a.rows,
+         b.rows, accumulate);
+  }
+};
+
+void PrintTo(const Rung& rung, std::ostream* os) { *os << rung.name; }
+
+// Runs the sim loop and a rung on strided operands: views cut out of
 // larger matrices at an offset, so every row stride exceeds s. The whole
 // output matrices are compared, so a store past the view's edge fails too.
 template <typename T>
-void kernel_case(std::size_t n, std::size_t s, std::uint64_t seed) {
+void kernel_case(const Rung& rung, std::size_t n, std::size_t s,
+                 std::uint64_t seed) {
   const auto a = random_matrix<T>(n + 2, s + 3, seed);
   const auto b = random_matrix<T>(s + 1, s + 5, seed + 1);
   auto c_sim = random_matrix<T>(n + 2, s + 7, seed + 2);
-  auto c_micro = c_sim;
+  auto c_rung = c_sim;
   Counters unused;
   tcu::SimBackend<T> sim;
-  tcu::MicroBackend<T> micro;
   for (const bool accumulate : {false, true}) {
     sim.run(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
             c_sim.subview(1, 4, n, s), accumulate, unused);
-    micro.run(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
-              c_micro.subview(1, 4, n, s), accumulate, unused);
-    EXPECT_EQ(c_sim, c_micro) << "n=" << n << " s=" << s
-                              << " accumulate=" << accumulate;
+    rung.run<T>(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
+                c_rung.subview(1, 4, n, s), accumulate);
+    EXPECT_EQ(c_sim, c_rung) << rung.name << " n=" << n << " s=" << s
+                             << " accumulate=" << accumulate;
   }
 }
 
@@ -175,9 +206,11 @@ Matrix<T> product_by(std::size_t n, std::size_t s, Dot dot) {
 }
 
 template <typename T>
-void rounding_trap_case() {
+void rounding_trap_case(const Rung& rung) {
   // n = 7, s = 21 reaches the 4-row blocks, the row tail, and the scalar
-  // column tail for both types, and the one-vector block for double.
+  // column tail for both types and rungs; the avx2 one-vector block for
+  // double; and the avx512 rung's one-vector block for float and its ymm
+  // tail for double.
   constexpr std::size_t n = 7;
   constexpr std::size_t s = 21;
   // (1 + e)^2 = 1 + 2e + e^2 with e^2 below half an ulp of 1: the product
@@ -201,11 +234,10 @@ void rounding_trap_case() {
     a(i, 0) = -1;
     a(i, 1) = 1 + e;
   }
-  Matrix<T> c_sim(n, s), c_micro(n, s);
+  Matrix<T> c_sim(n, s), c_rung(n, s);
   Counters unused;
   tcu::SimBackend<T>().run(a.view(), b.view(), c_sim.view(), false, unused);
-  tcu::MicroBackend<T>().run(a.view(), b.view(), c_micro.view(), false,
-                             unused);
+  rung.run<T>(a.view(), b.view(), c_rung.view(), false);
 
   // The input separates the reference order from a fused multiply-add and
   // from two reassociations, so the bitwise check below catches a kernel
@@ -230,26 +262,60 @@ void rounding_trap_case() {
   EXPECT_NE(c_sim, fused);
   EXPECT_NE(c_sim, even_odd);
   EXPECT_NE(c_sim, paired);
-  EXPECT_EQ(c_sim, c_micro);
+  EXPECT_EQ(c_sim, c_rung) << rung.name;
 }
 
-TEST(BackendEquivalence, MicroKernelTailsMatchReference) {
-  // Every branch of the AVX2 kernel for both element types: n % 4 in
-  // {0, 1, 3} for the row tail; s a multiple of the 2-vector block (8
-  // doubles, 16 floats), one vector past it (s % 8 == 4 for double, s % 16
-  // == 8 for float), and off the vector width (scalar column tail).
+class MicroRung : public ::testing::TestWithParam<Rung> {};
+
+TEST_P(MicroRung, KernelTailsMatchReference) {
+  // Runs on every rung the CPU has, not just the one MicroBackend picks,
+  // so the AVX2 rung stays covered on AVX-512 hosts.
+  const Rung& rung = GetParam();
+  if (!rung.present()) GTEST_SKIP() << rung.name << " not on this CPU";
+  // Every branch of both rungs for both element types: n % 4 in {0, 1, 3}
+  // for the row tail; s a multiple of the 2-vector block, one vector past
+  // it, and off the vector width (scalar column tail). avx2 vectors hold
+  // 4 doubles or 8 floats, avx512 ones 8 or 16; s = 40 (double) and 48
+  // (float) end on one zmm vector, s = 12 (double) and 24 (float) on a
+  // zmm and a ymm vector.
   for (const std::size_t n : {4u, 5u, 7u, 13u}) {
-    for (const std::size_t s : {4u, 7u, 8u, 12u, 16u, 20u, 24u, 25u, 64u}) {
-      kernel_case<double>(n, s, 600 + 10 * n + s);
-      kernel_case<float>(n, s, 700 + 10 * n + s);
+    for (const std::size_t s :
+         {4u, 7u, 8u, 12u, 16u, 20u, 24u, 25u, 40u, 48u, 64u}) {
+      kernel_case<double>(rung, n, s, 600 + 10 * n + s);
+      kernel_case<float>(rung, n, s, 700 + 10 * n + s);
     }
   }
   // The tall call the Mlp benchmark issues.
-  kernel_case<double>(512, 64, 800);
-  kernel_case<float>(512, 64, 801);
+  kernel_case<double>(rung, 512, 64, 800);
+  kernel_case<float>(rung, 512, 64, 801);
   // An input on which fusing or reordering the k sum changes the bits.
-  rounding_trap_case<double>();
-  rounding_trap_case<float>();
+  rounding_trap_case<double>(rung);
+  rounding_trap_case<float>(rung);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendEquivalence, MicroRung,
+    ::testing::Values(
+        Rung{"avx512", &tcu::backend_detail::micro_has_avx512,
+             &tcu::backend_detail::micro_gemm_avx512<double>,
+             &tcu::backend_detail::micro_gemm_avx512<float>},
+        Rung{"avx2", &tcu::backend_detail::micro_has_avx2,
+             &tcu::backend_detail::micro_gemm_avx2<double>,
+             &tcu::backend_detail::micro_gemm_avx2<float>}),
+    [](const ::testing::TestParamInfo<Rung>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(BackendSelect, MicroSimdNameIsTheWidestRung) {
+  const std::string name = tcu::micro_simd_name();
+  if (tcu::backend_detail::micro_has_avx512()) {
+    EXPECT_EQ(name, "avx512");
+  } else if (tcu::backend_detail::micro_has_avx2()) {
+    EXPECT_EQ(name, "avx2");
+  } else {
+    EXPECT_EQ(name, "none");
+  }
+  EXPECT_EQ(tcu::micro_simd_active(), name != "none");
 }
 
 // --------------------------------------------------- pooled bit-identity

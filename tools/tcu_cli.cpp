@@ -43,8 +43,11 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "core/costs.hpp"
 #include "core/pool.hpp"
 #include "dft/dft.hpp"
@@ -553,7 +556,16 @@ int pool_drive(const PoolOptions& po, Serial serial, Pooled pooled) {
     pool_busy += pool.unit(u).wall_ns();
   }
   const auto serial_time = static_cast<double>(ref.counters().time());
-  std::cout << "  backend              : " << ref.backend_name() << "\n"
+  // micro's SIMD rungs serve float and double; other T run its blocked loop.
+  const std::string_view backend = ref.backend_name();
+  std::cout << "  backend              : " << backend;
+  if (backend == "micro") {
+    constexpr bool simd_type =
+        std::is_same_v<T, float> || std::is_same_v<T, double>;
+    std::cout << " (simd " << (simd_type ? tcu::micro_simd_name() : "none")
+              << ")";
+  }
+  std::cout << "\n"
             << "  serial model time    : " << ref.counters().time()
             << "  (wall " << ref.wall_ns() << " ns)\n"
             << "  pool makespan        : " << pool.makespan()
