@@ -157,16 +157,14 @@ class Matrix {
 };
 
 /// Owning tile-major matrix: storage is partitioned into s x s tiles
-/// (s = the device's sqrt(m)), each tile a contiguous row-major block, and
-/// tiles are laid out strip-major — all tiles of tile-column 0 first (top
-/// to bottom), then tile-column 1, and so on. One layout therefore gives
-/// *both* contiguous shapes the TCU call needs: `tile_view(ti, tj)` is a
-/// contiguous s x s right operand, and `strip_view(tj)`, the vertical
-/// concatenation of tile-column tj, is a contiguous padded_rows x s tall
-/// left operand. Logical dimensions are zero-padded up to tile multiples
-/// (the paper's divisibility assumption, materialized in storage); the
-/// padding rows/columns are exact zeros, so products over the padded
-/// shapes agree with the logical product on the logical region.
+/// (s = the device's sqrt(m)), each tile a contiguous row-major block, laid
+/// out strip-major — all tiles of tile-column 0 first (top to bottom), then
+/// tile-column 1, and so on — so `tile_view(ti, tj)` is a contiguous s x s
+/// right operand, the layout real TCU loads want. Logical dimensions are
+/// zero-padded up to tile multiples (the paper's divisibility assumption,
+/// materialized in storage). It backs DenseLayer's packed weights, which
+/// the tiled `matmul_tcu_resident_into` and `matmul_tcu_pool_strips`
+/// overloads stream as resident tiles.
 template <typename T>
 class TiledMatrix {
  public:
@@ -196,14 +194,7 @@ class TiledMatrix {
   std::size_t tile_dim() const { return s_; }
   std::size_t tile_rows() const { return tile_rows_; }  ///< tiles per column
   std::size_t tile_cols() const { return tile_cols_; }  ///< tiles per row
-  std::size_t padded_rows() const { return tile_rows_ * s_; }
-  std::size_t padded_cols() const { return tile_cols_ * s_; }
   bool empty() const { return data_.empty(); }
-
-  /// Elements a pack/unpack touches (the honest CPU charge for a repack).
-  std::uint64_t pack_cost() const {
-    return static_cast<std::uint64_t>(rows_) * cols_;
-  }
 
   /// Tile (ti, tj) as a contiguous s x s view (stride == s).
   MatrixView<T> tile_view(std::size_t ti, std::size_t tj) {
@@ -213,15 +204,6 @@ class TiledMatrix {
     return ConstMatrixView<T>(tile_ptr(ti, tj), s_, s_, s_);
   }
 
-  /// Tile-column tj — all row tiles stacked — as one contiguous
-  /// padded_rows x s view (stride == s): a tall TCU left operand.
-  MatrixView<T> strip_view(std::size_t tj) {
-    return MatrixView<T>(tile_ptr(0, tj), padded_rows(), s_, s_);
-  }
-  ConstMatrixView<T> strip_view(std::size_t tj) const {
-    return ConstMatrixView<T>(tile_ptr(0, tj), padded_rows(), s_, s_);
-  }
-
   /// Address of tile (ti, tj)'s first element: a stable residency key for
   /// as long as this TiledMatrix lives (the same identity contract as
   /// row-major `&B(kb, jb)` keys).
@@ -229,7 +211,7 @@ class TiledMatrix {
     return tile_ptr(ti, tj);
   }
 
-  /// Logical element access (pack/unpack convenience; not a hot path).
+  /// Logical element access (packing convenience; not a hot path).
   T& at(std::size_t i, std::size_t j) {
     assert(i < rows_ && j < cols_);
     return tile_ptr(i / s_, j / s_)[(i % s_) * s_ + j % s_];
@@ -237,24 +219,6 @@ class TiledMatrix {
   const T& at(std::size_t i, std::size_t j) const {
     assert(i < rows_ && j < cols_);
     return tile_ptr(i / s_, j / s_)[(i % s_) * s_ + j % s_];
-  }
-
-  /// Unpack the logical region into a row-major destination.
-  void unpack_into(MatrixView<T> dst) const {
-    if (dst.rows != rows_ || dst.cols != cols_) {
-      throw std::invalid_argument("TiledMatrix::unpack_into: shape mismatch");
-    }
-    for (std::size_t i = 0; i < rows_; ++i) {
-      for (std::size_t j = 0; j < cols_; ++j) dst(i, j) = at(i, j);
-    }
-  }
-
-  /// The logical region as a fresh row-major matrix (tile-major ->
-  /// row-major packer).
-  Matrix<T> unpack() const {
-    Matrix<T> out(rows_, cols_);
-    unpack_into(out.view());
-    return out;
   }
 
  private:

@@ -123,42 +123,4 @@ std::vector<Matrix<T>> matmul_batch_shared_b(
   return detail::unstack_batch(product, batch.size(), batch.front().rows());
 }
 
-/// Tile-major batched product: the stacked batch is packed strip-major
-/// (TiledMatrix), so every dealt A strip, the resident B tiles, and the
-/// written C strips reach the devices as contiguous blocks — the layout
-/// real TCU DMA wants. The pack/unpack relayouts are charged as CPU work
-/// (pack_cost each way) on top of the stack/unstack copies; the tensor
-/// stream covers the padded shapes, so ragged batches charge the padded
-/// rows (the row-major overload's scratch path charges the equivalent
-/// padding work per call instead). B must outlive the call and carries
-/// its tile addresses as residency keys.
-template <typename T>
-std::vector<Matrix<T>> matmul_batch_shared_b(
-    PoolExecutor<T>& exec, const std::vector<Matrix<T>>& batch,
-    const TiledMatrix<T>& B, PoolMatmulOptions opts = {.affinity = true}) {
-  if (batch.empty()) return {};
-  const std::size_t s = B.tile_dim();
-  const std::size_t rows = batch.front().rows();
-  const std::size_t inner = batch.front().cols();
-  for (const auto& item : batch) {
-    if (item.rows() != rows || item.cols() != inner) {
-      throw std::invalid_argument(
-          "matmul_batch_shared_b: heterogeneous batch shapes");
-    }
-  }
-  if (inner != B.rows()) {
-    throw std::invalid_argument("matmul_batch_shared_b: inner mismatch");
-  }
-  Matrix<T> stacked = detail::stack_batch(batch);
-  exec.pool().charge_cpu(stacked.rows() * stacked.cols());
-  TiledMatrix<T> A = TiledMatrix<T>::pack(stacked.view(), s);
-  exec.pool().charge_cpu(A.pack_cost());
-  TiledMatrix<T> C(A.rows(), B.cols(), s);
-  matmul_tcu_pool_into(exec, A, B, C, opts);
-  Matrix<T> product = C.unpack();
-  exec.pool().charge_cpu(C.pack_cost());
-  exec.pool().charge_cpu(product.rows() * product.cols());
-  return detail::unstack_batch(product, batch.size(), batch.front().rows());
-}
-
 }  // namespace tcu::linalg

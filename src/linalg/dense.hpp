@@ -201,15 +201,6 @@ Matrix<T> matmul_tcu_resident(Device<T>& dev,
 
 namespace detail {
 
-/// Shape/tile-dim validation shared by the tile-major products.
-template <typename T>
-void validate_tiled_b(const Device<T>& dev, const TiledMatrix<T>& B) {
-  if (B.tile_dim() != dev.tile_dim()) {
-    throw std::invalid_argument(
-        "matmul tiled: B tile_dim must equal the device's sqrt(m)");
-  }
-}
-
 /// Default identity of a tile-major B's tile (kt, jt): the tile's storage
 /// address — stable for the TiledMatrix's lifetime, the same contract as
 /// row-major `&B(kb, jb)` keys. A caller-supplied TileKeyFn receives the
@@ -228,18 +219,21 @@ std::uint64_t tiled_b_key(const TiledMatrix<T>& B, std::size_t kt,
 /// Theorem 2 with a tile-major right operand: every B tile handed to the
 /// device is a contiguous s x s block (stride s), not a strided subview
 /// of a row-major matrix — the layout contract real TCU loads want. A and
-/// C stay row-major; B's logical dimensions must be tile-aligned (pack a
-/// padded TiledMatrix, or use the all-tile-major overload, for ragged
-/// shapes). Call structure, charges, and — keyed on the same identities —
-/// residency transitions are identical to the aligned row-major path.
+/// C stay row-major; B's logical dimensions must be tile-aligned (ragged
+/// shapes take the row-major overload's scratch path). Call structure,
+/// charges, and — keyed on the same identities — residency transitions
+/// are identical to the aligned row-major path.
 template <typename T>
 void matmul_tcu_resident_into(Device<T>& dev,
                               std::type_identity_t<ConstMatrixView<T>> A,
                               const TiledMatrix<T>& B,
                               std::type_identity_t<MatrixView<T>> C,
                               const TileKeyFn& tile_key = {}) {
-  detail::validate_tiled_b(dev, B);
   const std::size_t s = dev.tile_dim();
+  if (B.tile_dim() != s) {
+    throw std::invalid_argument(
+        "matmul tiled: B tile_dim must equal the device's sqrt(m)");
+  }
   if (B.rows() % s || B.cols() % s) {
     throw std::invalid_argument(
         "matmul tiled: B logical shape must be tile-aligned");
@@ -256,42 +250,6 @@ void matmul_tcu_resident_into(Device<T>& dev,
                         /*accumulate=*/kt != 0);
     }
   }
-}
-
-/// Fully tile-major product: A's dealt strips (`strip_view`), B's
-/// resident tiles, and C's output strips are all contiguous blocks. Any
-/// logical shapes — the containers' zero padding stands in for the ragged
-/// scratch path, so the device streams padded_rows-tall calls and the
-/// logical region of C carries the product (padding rows stay zero).
-template <typename T>
-void matmul_tcu_resident_into(Device<T>& dev, const TiledMatrix<T>& A,
-                              const TiledMatrix<T>& B, TiledMatrix<T>& C,
-                              const TileKeyFn& tile_key = {}) {
-  detail::validate_tiled_b(dev, B);
-  if (A.tile_dim() != B.tile_dim() || C.tile_dim() != B.tile_dim()) {
-    throw std::invalid_argument("matmul tiled: operand tile_dim mismatch");
-  }
-  if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
-    throw std::invalid_argument("matmul tiled: shape mismatch");
-  }
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-      // tcu-lint: anchored-ok(B is caller-owned long-lived storage; callers that repack or recycle it must evict_all, same contract as the row-major resident overload)
-      dev.gemm_resident(detail::tiled_b_key(B, kt, jt, tile_key),
-                        A.strip_view(kt), B.tile_view(kt, jt),
-                        C.strip_view(jt), /*accumulate=*/kt != 0);
-    }
-  }
-}
-
-/// Allocating wrapper for the fully tile-major product.
-template <typename T>
-TiledMatrix<T> matmul_tcu_resident(Device<T>& dev, const TiledMatrix<T>& A,
-                                   const TiledMatrix<T>& B,
-                                   const TileKeyFn& tile_key = {}) {
-  TiledMatrix<T> C(A.rows(), B.cols(), B.tile_dim());
-  matmul_tcu_resident_into(dev, A, B, C, tile_key);
-  return C;
 }
 
 }  // namespace tcu::linalg

@@ -64,7 +64,7 @@ struct PoolMatmulOptions {
   /// from the fused chain by rounding. The partials hold k_tiles copies
   /// of C until the join — size the cache (or keep fused chains) for
   /// very deep B instead. Requires `affinity`; ignored for single-tile
-  /// chains.
+  /// chains and by the ticket-returning `matmul_tcu_pool_strips`.
   bool split_chains = false;
 
   /// Optional identity override for B's tiles (element origin (kb, jb) ->
@@ -75,24 +75,6 @@ struct PoolMatmulOptions {
   /// keys (`make_tile_key`) must honor the same contract: equal keys,
   /// equal tile content.
   TileKeyFn tile_key = {};
-
-  /// Split the tall dimension into up to this many tile-aligned row
-  /// chunks per output strip, each (chunk, strip) pair its own task
-  /// declaring the strip's full chain — the schedule conv2d's im2col
-  /// strips use to parallelize products with fewer strips than units
-  /// (the DFT levels run the analogous split, but over raw device calls
-  /// without the Theorem 2 scratch accounting, so they keep their own
-  /// dealer in dft.cpp). Chunk boundaries fall on multiples of sqrt(m)
-  /// and each chunk re-runs the whole chain, so outputs stay
-  /// bit-identical while the latency split changes by exactly l per
-  /// extra call (paid on first touch or saved on a resident hit; the
-  /// counters_match relation of the PR 4 benches). Clamped to the
-  /// available full tile-rows; 1 is the classic one-task-per-strip
-  /// dealing, and 0 (the default) means "auto" — no split here, the
-  /// unit count in conv2d_tcu_pool — so an explicit 1 stays reachable
-  /// through wrappers that auto-split. Aligned shapes only — ignored
-  /// for ragged inputs and in split_chains mode.
-  std::size_t row_chunks = 0;
 };
 
 namespace detail {
@@ -225,228 +207,105 @@ void matmul_pool_tile_split(PoolExecutor<T>& exec, ConstMatrixView<T> A,
   }
 }
 
-/// The body of one output-strip task — shared verbatim by the joining
-/// dealer (matmul_tcu_pool_into) and the ticket-returning variant
-/// (matmul_tcu_pool_strips), so both schedules run bit-identical strip
-/// work. `keys` empty = untagged; `r0`/`nr` select the row chunk (the
-/// full height for unchunked strips).
+/// Shape validation shared by the row-major entry points; runs before
+/// anything is submitted.
 template <typename T>
-auto strip_task(ConstMatrixView<T> A, ConstMatrixView<T> B, MatrixView<T> C,
-                std::size_t jb, std::size_t s, bool ragged, std::size_t r0,
-                std::size_t nr, std::vector<std::uint64_t> keys) {
-  return [A, B, C, jb, s, ragged, r0, nr,
-          keys = std::move(keys)](Device<T>& unit) {
-    if (ragged) {
-      detail::ragged_strip(unit, A, B, C, jb, keys);
-      return;
-    }
-    for (std::size_t kb = 0; kb < A.cols; kb += s) {
-      if (!keys.empty()) {
-        unit.gemm_resident(keys[kb / s], A.subview(r0, kb, nr, s),
-                           B.subview(kb, jb, s, s), C.subview(r0, jb, nr, s),
-                           /*accumulate=*/kb != 0);
-      } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
-        unit.gemm(A.subview(r0, kb, nr, s), B.subview(kb, jb, s, s),
-                  C.subview(r0, jb, nr, s), /*accumulate=*/kb != 0);
-      }
-    }
-  };
-}
-
-/// The per-strip B-tile chains of an affinity product, built once on the
-/// scheduling path (empty when `affinity` is off).
-template <typename T>
-std::vector<std::vector<std::uint64_t>> strip_chains(
-    ConstMatrixView<T> B, std::size_t s, bool affinity,
-    const TileKeyFn& tile_key) {
-  const std::size_t q = B.rows, r = B.cols;
-  std::vector<std::vector<std::uint64_t>> chains((r + s - 1) / s);
-  if (!affinity) return chains;
-  for (std::size_t jb = 0; jb < r; jb += s) {
-    std::vector<std::uint64_t>& chain = chains[jb / s];
-    chain.reserve((q + s - 1) / s);
-    for (std::size_t kb = 0; kb < q; kb += s) {
-      chain.push_back(tile_key
-                          ? tile_key(kb, jb)
-                          : reinterpret_cast<std::uintptr_t>(&B(kb, jb)));
-    }
-  }
-  return chains;
-}
-
-/// Per-strip B-tile chains of a tile-major right operand (empty chains
-/// when `affinity` is off), keyed by detail::tiled_b_key.
-template <typename T>
-std::vector<std::vector<std::uint64_t>> tiled_strip_chains(
-    const TiledMatrix<T>& B, bool affinity, const TileKeyFn& tile_key) {
-  std::vector<std::vector<std::uint64_t>> chains(B.tile_cols());
-  if (!affinity) return chains;
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    std::vector<std::uint64_t>& chain = chains[jt];
-    chain.reserve(B.tile_rows());
-    for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-      chain.push_back(tiled_b_key(B, kt, jt, tile_key));
-    }
-  }
-  return chains;
-}
-
-/// One output-strip task over a tile-major B (row-major A/C): every right
-/// operand the worker hands the device is a contiguous tile. Shared by
-/// the joining and the ticket-returning dealers below.
-template <typename T>
-auto tiled_strip_task(ConstMatrixView<T> A, const TiledMatrix<T>* B,
-                      MatrixView<T> C, std::size_t jt,
-                      std::vector<std::uint64_t> keys) {
-  return [A, B, C, jt, keys = std::move(keys)](Device<T>& unit) {
-    const std::size_t s = B->tile_dim();
-    for (std::size_t kt = 0; kt < B->tile_rows(); ++kt) {
-      ConstMatrixView<T> a = A.subview(0, kt * s, A.rows, s);
-      MatrixView<T> c = C.subview(0, jt * s, A.rows, s);
-      if (!keys.empty()) {
-        unit.gemm_resident(keys[kt], a, B->tile_view(kt, jt), c,
-                           /*accumulate=*/kt != 0);
-      } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
-        unit.gemm(a, B->tile_view(kt, jt), c, /*accumulate=*/kt != 0);
-      }
-    }
-  };
-}
-
-/// Fully tile-major strip task: the dealt A strip, the resident B tile,
-/// and the written C strip are all contiguous blocks.
-template <typename T>
-auto tiled_strip_task(const TiledMatrix<T>* A, const TiledMatrix<T>* B,
-                      TiledMatrix<T>* C, std::size_t jt,
-                      std::vector<std::uint64_t> keys) {
-  return [A, B, C, jt, keys = std::move(keys)](Device<T>& unit) {
-    for (std::size_t kt = 0; kt < B->tile_rows(); ++kt) {
-      if (!keys.empty()) {
-        unit.gemm_resident(keys[kt], A->strip_view(kt), B->tile_view(kt, jt),
-                           C->strip_view(jt), /*accumulate=*/kt != 0);
-      } else {
-        // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
-        unit.gemm(A->strip_view(kt), B->tile_view(kt, jt), C->strip_view(jt),
-                  /*accumulate=*/kt != 0);
-      }
-    }
-  };
-}
-
-}  // namespace detail
-
-/// C = A * B dealt across the executor's units, one task per output column
-/// strip; any shapes (the final partial strip is padded in worker-local
-/// scratch). The caller-owned executor is reused — submit and join only,
-/// no thread churn — and the barrier at the end leaves the executor ready
-/// for the next round. With affinity every strip declares its B-tile
-/// chain; with `split_chains` deep chains are additionally split into
-/// per-tile tasks with a CPU combine (see PoolMatmulOptions).
-template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          std::type_identity_t<ConstMatrixView<T>> B,
-                          std::type_identity_t<MatrixView<T>> C,
-                          PoolMatmulOptions opts = {}) {
+void check_pool_shapes(ConstMatrixView<T> A, ConstMatrixView<T> B,
+                       MatrixView<T> C) {
   if (A.cols != B.rows) {
     throw std::invalid_argument("matmul_tcu_pool: inner dimensions differ");
   }
   if (C.rows != A.rows || C.cols != B.cols) {
     throw std::invalid_argument("matmul_tcu_pool: output shape mismatch");
   }
-  DevicePool<T>& pool = exec.pool();
-  const Device<T>& unit0 = pool.unit(0);
-  const std::size_t s = unit0.tile_dim();
-  const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const bool ragged = (p % s) || (q % s) || (r % s);
-  const std::uint64_t tile_cost =
-      detail::strip_tile_cost(unit0, p, opts.affinity);
-  const std::uint64_t k_tiles = (q + s - 1) / s;
-  const std::uint64_t strip_cost = k_tiles * tile_cost;
-
-  if (opts.affinity && opts.split_chains && k_tiles > 1) {
-    detail::matmul_pool_tile_split(exec, A, B, C, opts.tile_key);
-    return;
-  }
-
-  // Tall-dimension split (row_chunks > 1, aligned shapes): each chunk
-  // re-runs every strip's chain over its own row block.
-  const std::size_t row_tiles = p / s;
-  const std::size_t chunks =
-      ragged ? 1
-             : std::max<std::size_t>(
-                   1, std::min(std::max<std::size_t>(opts.row_chunks, 1),
-                               row_tiles));
-
-  // Each strip's full tile chain — one key per B tile, in call order —
-  // is invariant across chunks, so build it once per strip up front (the
-  // submit loop is the serialized scheduling path).
-  const std::vector<std::vector<std::uint64_t>> chains =
-      detail::strip_chains(B, s, opts.affinity, opts.tile_key);
-
-  std::size_t r0 = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t nr =
-        chunks == 1 ? p : (row_tiles / chunks + (c < row_tiles % chunks)) * s;
-    const std::uint64_t chunk_cost =
-        chunks == 1 ? strip_cost
-                    : k_tiles * detail::strip_tile_cost(unit0, nr,
-                                                        opts.affinity);
-    for (std::size_t jb = 0; jb < r; jb += s) {
-      const std::vector<std::uint64_t>& chain = chains[jb / s];
-      auto task = detail::strip_task(A, B, C, jb, s, ragged, r0, nr, chain);
-      exec.submit({.cost = chunk_cost, .chain = chain}, std::move(task));
-    }
-    r0 += nr;
-  }
-  exec.join();
 }
 
-/// Ticket-returning no-join product for task pipelines: submits one
-/// task per output column strip (no row chunking or tile splitting), each
-/// ordered after every ticket in `after` (the tasks that write A), and
-/// returns the strips' TaskTickets, in strip order, WITHOUT joining.
-/// Strip jb's ticket retires exactly when C's columns [jb*s, jb*s+s) are
-/// final, so downstream work — a per-strip epilogue — can depend on
-/// single strips (`TaskSpec::after`) instead of a full barrier,
-/// overlapping with the remaining strips' products. Strip bodies,
-/// submission order, and projected costs are identical to
-/// matmul_tcu_pool_into's unchunked schedule, so counters stay
-/// bit-compatible. The caller owes the executor a join() before the
-/// submit thread reads C, and must keep A, B, and C alive until then.
+}  // namespace detail
+
+/// Ticket-returning no-join product for task pipelines: submits one task
+/// per output column strip, each ordered after every ticket in `after`
+/// (the tasks that write A), and returns the strips' TaskTickets, in
+/// strip order, WITHOUT joining. Any shapes: the final partial strip is
+/// padded in worker-local scratch. With affinity every strip declares its
+/// full B-tile chain, one key per B tile in call order. Strip jb's ticket
+/// retires exactly when C's columns [jb*s, jb*s+s) are final, so
+/// downstream work — a per-strip epilogue — can depend on single strips
+/// (`TaskSpec::after`) instead of a full barrier, overlapping with the
+/// remaining strips' products. `split_chains` does not apply here (its
+/// CPU combine needs the join). The caller owes the executor a join()
+/// before the submit thread reads C, and must keep A, B, and C alive
+/// until then.
 template <typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
     PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
     std::type_identity_t<ConstMatrixView<T>> B,
     std::type_identity_t<MatrixView<T>> C,
     const std::vector<TaskTicket>& after, PoolMatmulOptions opts = {}) {
-  if (A.cols != B.rows) {
-    throw std::invalid_argument("matmul_tcu_pool: inner dimensions differ");
-  }
-  if (C.rows != A.rows || C.cols != B.cols) {
-    throw std::invalid_argument("matmul_tcu_pool: output shape mismatch");
-  }
+  detail::check_pool_shapes(A, B, C);
   const Device<T>& unit0 = exec.pool().unit(0);
   const std::size_t s = unit0.tile_dim();
   const std::size_t p = A.rows, q = A.cols, r = B.cols;
   const bool ragged = (p % s) || (q % s) || (r % s);
   const std::uint64_t strip_cost =
       ((q + s - 1) / s) * detail::strip_tile_cost(unit0, p, opts.affinity);
-  const std::vector<std::vector<std::uint64_t>> chains =
-      detail::strip_chains(B, s, opts.affinity, opts.tile_key);
 
   std::vector<TaskTicket> tickets;
-  tickets.reserve(chains.size());
+  tickets.reserve((r + s - 1) / s);
   for (std::size_t jb = 0; jb < r; jb += s) {
-    const std::vector<std::uint64_t>& chain = chains[jb / s];
-    auto task = detail::strip_task(A, B, C, jb, s, ragged, /*r0=*/0,
-                                   /*nr=*/p, chain);
+    std::vector<std::uint64_t> chain;
+    if (opts.affinity) {
+      chain.reserve((q + s - 1) / s);
+      for (std::size_t kb = 0; kb < q; kb += s) {
+        chain.push_back(opts.tile_key
+                            ? opts.tile_key(kb, jb)
+                            : reinterpret_cast<std::uintptr_t>(&B(kb, jb)));
+      }
+    }
+    auto task = [A, B, C, jb, s, ragged, keys = chain](Device<T>& unit) {
+      if (ragged) {
+        detail::ragged_strip(unit, A, B, C, jb, keys);
+        return;
+      }
+      for (std::size_t kb = 0; kb < A.cols; kb += s) {
+        if (!keys.empty()) {
+          unit.gemm_resident(keys[kb / s], A.subview(0, kb, A.rows, s),
+                             B.subview(kb, jb, s, s),
+                             C.subview(0, jb, A.rows, s),
+                             /*accumulate=*/kb != 0);
+        } else {
+          // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
+          unit.gemm(A.subview(0, kb, A.rows, s), B.subview(kb, jb, s, s),
+                    C.subview(0, jb, A.rows, s), /*accumulate=*/kb != 0);
+        }
+      }
+    };
     tickets.push_back(exec.submit(
-        {.cost = strip_cost, .chain = chain, .after = after}, std::move(task)));
+        {.cost = strip_cost, .chain = std::move(chain), .after = after},
+        std::move(task)));
   }
   return tickets;
+}
+
+/// C = A * B dealt across the executor's units, one task per output column
+/// strip (matmul_tcu_pool_strips), then a join; any shapes. The
+/// caller-owned executor is reused — submit and join only, no thread
+/// churn — and the barrier at the end leaves the executor ready for the
+/// next round. With `split_chains` (and affinity) deep chains are instead
+/// split into per-tile tasks with a CPU combine (see PoolMatmulOptions).
+template <typename T>
+void matmul_tcu_pool_into(PoolExecutor<T>& exec,
+                          std::type_identity_t<ConstMatrixView<T>> A,
+                          std::type_identity_t<ConstMatrixView<T>> B,
+                          std::type_identity_t<MatrixView<T>> C,
+                          PoolMatmulOptions opts = {}) {
+  detail::check_pool_shapes(A, B, C);
+  const std::size_t s = exec.pool().unit(0).tile_dim();
+  if (opts.affinity && opts.split_chains && A.cols > s) {
+    detail::matmul_pool_tile_split(exec, A, B, C, opts.tile_key);
+    return;
+  }
+  matmul_tcu_pool_strips(exec, A, B, C, /*after=*/{}, opts);
+  exec.join();
 }
 
 /// Allocating wrapper over the persistent-executor path.
@@ -460,83 +319,13 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
   return C;
 }
 
-// ------------------------------------------------------------- tile-major
-// The tile-major dealers: same greedy projected-cost scheduling as the
-// row-major paths, but every right operand reaching a worker's device is
-// a contiguous tile (and, in the all-tile-major overload, the dealt A
-// strips and written C strips are contiguous too). One task per output
-// strip — row_chunks and split_chains do not apply here; callers needing
-// those schedules keep the row-major dealer.
-
-namespace detail {
-
-/// Shared validation + submit loop for the tile-major dealers. `make_task`
-/// builds the strip-jt task, which runs after every ticket in `after`;
-/// returns the tickets without joining.
-template <typename T, typename MakeTask>
-std::vector<TaskTicket> deal_tiled_strips(PoolExecutor<T>& exec,
-                                          const TiledMatrix<T>& B,
-                                          std::uint64_t left_rows,
-                                          const PoolMatmulOptions& opts,
-                                          const std::vector<TaskTicket>& after,
-                                          MakeTask&& make_task) {
-  const Device<T>& unit0 = exec.pool().unit(0);
-  if (B.tile_dim() != unit0.tile_dim()) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B tile_dim must equal the units' sqrt(m)");
-  }
-  const std::uint64_t strip_cost =
-      B.tile_rows() * strip_tile_cost(unit0, left_rows, opts.affinity);
-  const std::vector<std::vector<std::uint64_t>> chains =
-      tiled_strip_chains(B, opts.affinity, opts.tile_key);
-  std::vector<TaskTicket> tickets;
-  tickets.reserve(B.tile_cols());
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    auto task = make_task(jt, chains[jt]);
-    tickets.push_back(exec.submit(
-        {.cost = strip_cost, .chain = chains[jt], .after = after},
-        std::move(task)));
-  }
-  return tickets;
-}
-
-}  // namespace detail
-
-/// C = A * B with a tile-major B dealt across the executor's units; A and
-/// C stay row-major. B's logical shape must be tile-aligned (its padding
-/// is storage-internal); keys default to tile addresses, and a TileKeyFn
-/// (element origins) can pin them to other storage — DenseLayer keys its
-/// packed tiles by the original weights so every path shares one
-/// identity. Joins before returning.
-template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec,
-                          std::type_identity_t<ConstMatrixView<T>> A,
-                          const TiledMatrix<T>& B,
-                          std::type_identity_t<MatrixView<T>> C,
-                          PoolMatmulOptions opts = {}) {
-  const std::size_t s = B.tile_dim();
-  if (B.rows() % s || B.cols() % s) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B logical shape must be tile-aligned");
-  }
-  if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
-    throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
-  }
-  const TiledMatrix<T>* b = &B;
-  detail::deal_tiled_strips(
-      exec, B, A.rows, opts, /*after=*/{},
-      [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
-        return detail::tiled_strip_task(
-            A, b, C, jt,
-            opts.affinity ? chain : std::vector<std::uint64_t>{});
-      });
-  exec.join();
-}
-
-/// Ticket-returning no-join variant (task pipelines): every strip runs
-/// after all of `after`, and strip jt's ticket retires exactly when C's
-/// columns [jt*s, jt*s+s) are final. The caller owes a join() before
-/// reading C and keeps A, B, C alive until then.
+/// matmul_tcu_pool_strips with a tile-major B (A and C stay row-major):
+/// every right operand a worker hands its device is a contiguous tile.
+/// B's logical shape must be tile-aligned (its padding is
+/// storage-internal) and its tile_dim must be the units' sqrt(m). Keys
+/// default to tile addresses (detail::tiled_b_key); a TileKeyFn (element
+/// origins) can pin them to other storage — DenseLayer keys its packed
+/// tiles by the original weights so every path shares one identity.
 template <typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
     PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
@@ -550,42 +339,43 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
   if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
     throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
   }
-  const TiledMatrix<T>* b = &B;
-  return detail::deal_tiled_strips(
-      exec, B, A.rows, opts, after,
-      [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
-        return detail::tiled_strip_task(
-            A, b, C, jt,
-            opts.affinity ? chain : std::vector<std::uint64_t>{});
-      });
-}
-
-/// Fully tile-major pooled product: dealt A strips, resident B tiles, and
-/// written C strips are all contiguous. Any logical shapes — the padding
-/// lives in the containers, so no ragged scratch path runs on workers.
-/// Joins before returning.
-template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec, const TiledMatrix<T>& A,
-                          const TiledMatrix<T>& B, TiledMatrix<T>& C,
-                          PoolMatmulOptions opts = {}) {
-  if (A.tile_dim() != B.tile_dim() || C.tile_dim() != B.tile_dim()) {
+  const Device<T>& unit0 = exec.pool().unit(0);
+  if (s != unit0.tile_dim()) {
     throw std::invalid_argument(
-        "matmul_tcu_pool tiled: operand tile_dim mismatch");
+        "matmul_tcu_pool tiled: B tile_dim must equal the units' sqrt(m)");
   }
-  if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
-    throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
-  }
-  const TiledMatrix<T>* a = &A;
+  const std::uint64_t strip_cost =
+      B.tile_rows() * detail::strip_tile_cost(unit0, A.rows, opts.affinity);
+
   const TiledMatrix<T>* b = &B;
-  TiledMatrix<T>* c = &C;
-  detail::deal_tiled_strips(
-      exec, B, A.padded_rows(), opts, /*after=*/{},
-      [&](std::size_t jt, const std::vector<std::uint64_t>& chain) {
-        return detail::tiled_strip_task(
-            a, b, c, jt,
-            opts.affinity ? chain : std::vector<std::uint64_t>{});
-      });
-  exec.join();
+  std::vector<TaskTicket> tickets;
+  tickets.reserve(B.tile_cols());
+  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
+    std::vector<std::uint64_t> chain;
+    if (opts.affinity) {
+      chain.reserve(B.tile_rows());
+      for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
+        chain.push_back(detail::tiled_b_key(B, kt, jt, opts.tile_key));
+      }
+    }
+    auto task = [A, b, C, jt, s, keys = chain](Device<T>& unit) {
+      for (std::size_t kt = 0; kt < b->tile_rows(); ++kt) {
+        ConstMatrixView<T> a = A.subview(0, kt * s, A.rows, s);
+        MatrixView<T> c = C.subview(0, jt * s, A.rows, s);
+        if (!keys.empty()) {
+          unit.gemm_resident(keys[kt], a, b->tile_view(kt, jt), c,
+                             /*accumulate=*/kt != 0);
+        } else {
+          // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
+          unit.gemm(a, b->tile_view(kt, jt), c, /*accumulate=*/kt != 0);
+        }
+      }
+    };
+    tickets.push_back(exec.submit(
+        {.cost = strip_cost, .chain = std::move(chain), .after = after},
+        std::move(task)));
+  }
+  return tickets;
 }
 
 }  // namespace tcu::linalg

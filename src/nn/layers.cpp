@@ -81,21 +81,23 @@ Matrix<double> DenseLayer::forward(Device<double>& dev,
 
 std::vector<TaskTicket> DenseLayer::submit_forward(
     PoolExecutor<double>& exec, ConstMatrixView<double> activations,
-    MatrixView<double> out, bool relu, const std::vector<TaskTicket>& after,
-    const linalg::PoolMatmulOptions& opts) const {
+    MatrixView<double> out, bool relu,
+    const std::vector<TaskTicket>& after) const {
   if (activations.cols != weights_.rows()) {
     throw std::invalid_argument("DenseLayer: activation width mismatch");
   }
   if (out.rows != activations.rows || out.cols != weights_.cols()) {
     throw std::invalid_argument("DenseLayer: output shape mismatch");
   }
+  // Affinity dealing, keyed on the row-major weights on both paths (the
+  // same identities the serial forward uses).
   const std::size_t s = exec.pool().unit(0).tile_dim();
+  const linalg::PoolMatmulOptions opts{.affinity = true,
+                                       .tile_key = weights_key()};
   std::vector<TaskTicket> strips;
   if (tile_aligned(s, activations.rows)) {
-    linalg::PoolMatmulOptions tiled_opts = opts;
-    if (!tiled_opts.tile_key) tiled_opts.tile_key = weights_key();
-    strips = linalg::matmul_tcu_pool_strips(
-        exec, activations, tiled_weights(s), out, after, tiled_opts);
+    strips = linalg::matmul_tcu_pool_strips(exec, activations,
+                                            tiled_weights(s), out, after, opts);
   } else {
     strips = linalg::matmul_tcu_pool_strips(exec, activations,
                                             weights_.view(), out, after, opts);
@@ -149,8 +151,7 @@ Matrix<double> Mlp::forward(Device<double>& dev,
 }
 
 Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
-                            ConstMatrixView<double> batch,
-                            const linalg::PoolMatmulOptions& opts) const {
+                            ConstMatrixView<double> batch) const {
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
   // Every layer submits its strips after the previous layer's epilogues,
   // then its own per-strip epilogues; one strict join closes the whole
@@ -165,7 +166,7 @@ Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
     auto next = std::make_shared<Matrix<double>>(
         cur->rows(), layers_[l].out_features(), 0.0);
     layer = layers_[l].submit_forward(exec, cur->view().as_const(),
-                                      next->view(), relu, layer, opts);
+                                      next->view(), relu, layer);
     arena.push_back(next);
     cur = std::move(next);
   }
@@ -305,18 +306,32 @@ Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
 
   Matrix<double> gem(lo.rows_p, lo.cout_p, 0.0);
 
-  // One shared dealer serves both modes: split_chains fans the bank out
-  // as (tile, strip) tasks with a CPU combine; otherwise the im2col rows
-  // are split into up to p tile-aligned chunks (the DFT levels' schedule)
-  // so the product parallelizes even with fewer output strips than
-  // units. Bank tiles are keyed on the caller's filters storage either
-  // way. row_chunks 0 ("auto") becomes the unit count; explicit values
-  // (including 1, the one-task-per-strip schedule) are honored.
+  // Bank tiles are keyed on the caller's filters storage in every mode.
+  // split_chains on a bank deeper than one tile fans it out as (tile,
+  // strip) tasks with a CPU combine. Otherwise the im2col rows are split
+  // into up to p tile-aligned blocks (the DFT levels' schedule), each
+  // re-running every strip's chain, so the product parallelizes even
+  // with fewer output strips than units and every FP accumulation order
+  // is the serial one.
   linalg::PoolMatmulOptions gemm_opts = opts;
   gemm_opts.tile_key = conv_bank_key(filters);
-  if (gemm_opts.row_chunks == 0) gemm_opts.row_chunks = pool.size();
-  linalg::matmul_tcu_pool_into(exec, lo.cols.view(), lo.bank.view(),
-                               gem.view(), gemm_opts);
+  if (opts.affinity && opts.split_chains && lo.patch_p > s) {
+    linalg::matmul_tcu_pool_into(exec, lo.cols.view(), lo.bank.view(),
+                                 gem.view(), gemm_opts);
+  } else {
+    const std::size_t row_tiles = lo.rows_p / s;
+    const std::size_t chunks = std::min(pool.size(), row_tiles);
+    std::size_t r0 = 0;
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t nr =
+          (row_tiles / chunks + (c < row_tiles % chunks)) * s;
+      linalg::matmul_tcu_pool_strips(
+          exec, lo.cols.subview(r0, 0, nr, lo.patch_p), lo.bank.view(),
+          gem.subview(r0, 0, nr, lo.cout_p), /*after=*/{}, gemm_opts);
+      r0 += nr;
+    }
+    exec.join();
+  }
 
   Matrix<double> out = conv_relayout(lo, gem);
   pool.charge_cpu(lo.channels_out * lo.oh * lo.ow);

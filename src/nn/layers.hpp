@@ -51,13 +51,13 @@ class DenseLayer {
   /// entirely task-written and must only be read (and `activations`/`out`
   /// only freed) after the caller's join(). Outputs are bit-identical to
   /// the serial forward, and the per-strip epilogue charges on the
-  /// executing units sum to its epilogue charge. Of `opts`, only
-  /// `affinity` and `tile_key` apply: the product is always one task per
-  /// output strip, so `split_chains` and `row_chunks` are ignored.
+  /// executing units sum to its epilogue charge. Strips are always dealt
+  /// with affinity, keyed on the row-major weights' storage like the
+  /// serial forward.
   std::vector<TaskTicket> submit_forward(
       PoolExecutor<double>& exec, ConstMatrixView<double> activations,
-      MatrixView<double> out, bool relu, const std::vector<TaskTicket>& after,
-      const linalg::PoolMatmulOptions& opts = {.affinity = true}) const;
+      MatrixView<double> out, bool relu,
+      const std::vector<TaskTicket>& after) const;
 
   /// The weights packed tile-major for tile dimension `s` (sqrt of the
   /// device's m), built lazily on first use and cached — packed tile
@@ -102,8 +102,7 @@ class Mlp {
   /// requests and pays thread startup never and weight-tile load latency
   /// only on first touch — with enough `resident_tiles` capacity, every
   /// layer's whole chain of weight tiles stays resident on its lane
-  /// across requests. `opts` is forwarded to every layer's strip dealing,
-  /// where only `affinity` and `tile_key` apply (see
+  /// across requests (every layer deals its strips with affinity; see
   /// DenseLayer::submit_forward).
   ///
   /// The layers run as one dependency-ordered round: per-strip epilogue
@@ -112,9 +111,7 @@ class Mlp {
   /// the pass. Outputs are bit-identical to the serial forward; the
   /// epilogue CPU is charged to the executing units.
   Matrix<double> forward(PoolExecutor<double>& exec,
-                         ConstMatrixView<double> batch,
-                         const linalg::PoolMatmulOptions& opts = {
-                             .affinity = true}) const;
+                         ConstMatrixView<double> batch) const;
 
  private:
   std::vector<DenseLayer> layers_;
@@ -142,18 +139,22 @@ Matrix<double> conv2d_tcu(Device<double>& dev, ConstMatrixView<double> input,
                           std::size_t kw);
 
 /// Multi-unit convolution over a caller-owned persistent executor: the
-/// im2col row strips are dealt across the pool's lanes, each declaring
-/// the filter-bank tile chain of its output strip, so strips land on the
-/// lane already holding their tiles and each bank tile's load is paid
-/// once per lane while resident. Outputs are bit-identical to
-/// `conv2d_tcu` at every unit count (row chunks preserve every FP
+/// im2col rows are split into up to p tile-aligned row blocks, and each
+/// block's output strips are dealt across the pool's lanes
+/// (`matmul_tcu_pool_strips`, one join for the whole product), each strip
+/// declaring the filter-bank tile chain of its output strip, so strips
+/// land on the lane already holding their tiles and each bank tile's load
+/// is paid once per lane while resident. Outputs are bit-identical to
+/// `conv2d_tcu` at every unit count (row blocks preserve every FP
 /// accumulation order); aggregate counters match modulo the documented
 /// chunked-call latency split — `latency_time + latency_saved -
 /// serial.latency_time == (calls - serial.tensor_calls) * l`, with a
-/// 1-unit pool matching serial in every field. `opts.split_chains`
-/// instead deals one task per (bank tile, output strip) with a CPU
-/// combine, serving banks deeper than the tile cache (see
-/// PoolMatmulOptions); `{.affinity = false}` is the untagged baseline.
+/// 1-unit pool matching serial in every field. Of `opts`, `tile_key` is
+/// replaced by the filters-storage key. `{.affinity = true, .split_chains
+/// = true}` on a bank deeper than one tile instead deals one task per
+/// (bank tile, output strip) with a CPU combine, serving banks deeper
+/// than the tile cache (see PoolMatmulOptions); on a one-tile bank it
+/// keeps the row blocks. `{.affinity = false}` is the untagged baseline.
 Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
                                ConstMatrixView<double> input,
                                std::size_t channels_in,

@@ -340,7 +340,7 @@ TEST(EpochDeterminism, MlpTenRunsEveryUnitCount) {
     for (int run = 0; run < 10; ++run) {
       DevicePool<double> pool(p, {.m = 16, .latency = 3});
       PoolExecutor<double> exec(pool);
-      const auto got = mlp.forward(exec, batch.view(), {.affinity = true});
+      const auto got = mlp.forward(exec, batch.view());
       ASSERT_EQ(got, expect) << "p=" << p << " run=" << run;
       auto snap = snapshot(pool);
       if (run == 0) {
@@ -436,7 +436,7 @@ TEST(EpochCheck, AllWorkloadsPassWithCheckerAttached) {
     const auto in = random_matrix(16, 16, 1026);
     Device<double> mdev({.m = 16, .latency = 5});
     const auto expect = mlp.forward(mdev, in.view());
-    const auto got = mlp.forward(exec, in.view(), {.affinity = true});
+    const auto got = mlp.forward(exec, in.view());
     EXPECT_EQ(got, expect);
     check.verify();
   }

@@ -267,11 +267,22 @@ TEST(DevicePool, ParallelMatmulValidatesShapes) {
   Device<double> single({.m = 16});
   auto c_single = tcu::linalg::matmul_tcu(single, a.view(), b.view());
   EXPECT_EQ(c_pool, c_single);
-  // Genuine shape mismatches still throw.
+  // Genuine shape mismatches still throw, in every mode, before any task
+  // is submitted: c's 6 columns span two tiles, so the split_chains
+  // branch would run on the mismatched operands if validation came later.
   Matrix<double> c(8, 6), d(5, 8);
-  EXPECT_THROW(
-      (void)tcu::linalg::matmul_tcu_pool(exec, c.view(), d.view()),
-      std::invalid_argument);
+  const Counters before = pool.aggregate();
+  for (const auto& opts :
+       {tcu::linalg::PoolMatmulOptions{},
+        tcu::linalg::PoolMatmulOptions{.affinity = true,
+                                       .split_chains = true}}) {
+    EXPECT_THROW(
+        (void)tcu::linalg::matmul_tcu_pool(exec, c.view(), d.view(), opts),
+        std::invalid_argument);
+    exec.join();  // would run anything the failed call had submitted
+    EXPECT_EQ(pool.aggregate().tensor_calls, before.tensor_calls);
+    EXPECT_EQ(pool.aggregate().cpu_ops, before.cpu_ops);
+  }
 }
 
 TEST(DevicePool, WorkConservation) {

@@ -422,6 +422,44 @@ TEST(ConvPool, SplitChainsServeBanksDeeperThanTheCache) {
   EXPECT_GT(pool.unit(1).counters().tensor_calls, 0u);
 }
 
+TEST(ConvPool, SplitChainsOnAOneTileBankKeepsTheRowBlocks) {
+  // patch = 1*2*2 = 4 = sqrt(m): the bank is one tile deep, so
+  // split_chains has no chain to split and must run the default
+  // schedule — the im2col rows split into p row blocks (64 rows = 16
+  // row tiles here, 2 output strips) — with the same outputs and the
+  // same counters on every unit, including the residency split of a
+  // second call against the same filters.
+  const std::size_t cin = 1, kh = 2, kw = 2;
+  auto input = random_int_matrix(cin * 9, 9, 330);
+  auto filters = random_int_matrix(5, cin * kh * kw, 331);
+  const std::uint64_t ell = 13;
+  const Device<double>::Config cfg{
+      .m = 16, .latency = ell, .resident_tiles = 2};
+
+  for (std::size_t p : {1u, 2u, 4u}) {
+    DevicePool<double> base_pool(p, cfg);
+    DevicePool<double> split_pool(p, cfg);
+    PoolExecutor<double> base_exec(base_pool);
+    PoolExecutor<double> split_exec(split_pool);
+    Matrix<double> base, split;
+    for (int r = 0; r < 2; ++r) {
+      base = tcu::nn::conv2d_tcu_pool(base_exec, input.view(), cin,
+                                      filters.view(), kh, kw);
+      split = tcu::nn::conv2d_tcu_pool(
+          split_exec, input.view(), cin, filters.view(), kh, kw,
+          {.affinity = true, .split_chains = true});
+    }
+    EXPECT_EQ(split, base) << "p=" << p;
+    for (std::size_t u = 0; u < p; ++u) {
+      const Counters& got = split_pool.unit(u).counters();
+      const Counters& want = base_pool.unit(u).counters();
+      expect_counters_identical(got, want);
+      EXPECT_EQ(got.evictions, want.evictions) << "p=" << p << " u=" << u;
+    }
+    expect_counters_identical(split_pool.cpu(), base_pool.cpu());
+  }
+}
+
 TEST(ConvPool, OneByOneKernelAndFewerStripsThanUnits) {
   // 1x1 kernel, single channel: patch = 1 pads to one tile, the output
   // is the input scaled — and the 3x3 grid gives fewer row chunks than

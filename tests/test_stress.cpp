@@ -279,7 +279,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
     {  // Mlp pass: per-strip epilogues gated on their own tickets.
       Matrix<double> batch(8, 16);
       fill(batch, 7000 + round);
-      auto got = mlp.forward(dexec, batch.view(), {.affinity = true});
+      auto got = mlp.forward(dexec, batch.view());
       Device<double> ref({.m = 16, .latency = ell});
       auto expect = mlp.forward(ref, batch.view());
       ASSERT_EQ(got, expect) << "mlp, round " << round;

@@ -708,7 +708,7 @@ int run_pool(int argc, char** argv) {
         po,
         [&](Device<double>& dev) { return mlp.forward(dev, batch.view()); },
         [&](tcu::PoolExecutor<double>& exec) {
-          return mlp.forward(exec, batch.view(), {.affinity = true});
+          return mlp.forward(exec, batch.view());
         });
   }
   usage();
