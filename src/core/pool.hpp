@@ -21,6 +21,10 @@
 // are written race-free and their totals are independent of thread
 // interleaving; `join()` is the barrier at which the merged view
 // (`aggregate()`, `makespan()`) becomes meaningful again.
+//
+// `InlineExecutor<T>` is the same submit/join interface on one device,
+// running every task on the caller's thread as it is submitted: a
+// schedule written against the interface runs serially through it.
 
 #include <algorithm>
 #include <atomic>
@@ -161,6 +165,26 @@ struct RoundReport {
   bool faulted() const { return transient_faults != 0 || permanent_faults != 0; }
 };
 
+/// The submit contract every executor enforces before it issues a
+/// serial: throws std::invalid_argument for a CPU task with a chain, or
+/// for a dependency ticket outside the current round — the null ticket,
+/// one issued before `round_base` (the last join), or a serial not yet
+/// issued (a forward dep could never retire).
+inline void check_submit(const TaskSpec& spec, std::uint64_t round_base,
+                         std::uint64_t next_serial) {
+  if (spec.cpu && !spec.chain.empty()) {
+    throw std::invalid_argument(
+        "submit: a cpu task issues no tensor calls and declares no chain");
+  }
+  for (const TaskTicket& dep : spec.after) {
+    if (dep.serial < round_base || dep.serial >= next_serial) {
+      throw std::invalid_argument(
+          "submit: dependency ticket is null, from before the last join, or "
+          "not yet issued");
+    }
+  }
+}
+
 /// Worker-thread runtime over a DevicePool: one thread and one FIFO queue
 /// per unit. Construction spawns the workers; destruction drains and joins
 /// them. `submit(TaskSpec, Task)` is the one way in: it deals the task to
@@ -299,24 +323,11 @@ class PoolExecutor {
   /// ties. The task will not start until every ticket in `spec.after` has
   /// retired into the completion ledger; dependencies gate *when* it
   /// starts, not *where* it lands. Returns the task's ticket, usable in a
-  /// later `after` until the next `join()`. Throws std::invalid_argument,
-  /// before any serial is allocated (so a rejected submit leaks nothing),
-  /// for a CPU task with a chain or for a dependency ticket outside the
-  /// current round: the null ticket, one issued before the last `join()`,
-  /// or a serial not yet issued (a forward dep could never retire).
+  /// later `after` until the next `join()`. Throws what `check_submit`
+  /// rejects before any serial is allocated, so a rejected submit leaks
+  /// nothing.
   TaskTicket submit(TaskSpec spec, Task task) {
-    if (spec.cpu && !spec.chain.empty()) {
-      throw std::invalid_argument(
-          "PoolExecutor: a cpu task issues no tensor calls and declares no "
-          "chain");
-    }
-    for (const TaskTicket& dep : spec.after) {
-      if (dep.serial < round_base_ || dep.serial >= next_serial_) {
-        throw std::invalid_argument(
-            "PoolExecutor: dependency ticket is null, from before the last "
-            "join, or not yet issued");
-      }
-    }
+    check_submit(spec, round_base_, next_serial_);
     PendingTask t;
     t.fn = std::move(task);
     t.spec = std::move(spec);
@@ -830,6 +841,59 @@ class PoolExecutor {
   /// Oldest serial a dep may name: the first serial since the last join.
   /// Submit-thread-only, like the dealer's projections.
   std::uint64_t round_base_ = 1;
+};
+
+/// The executor interface on one borrowed device: `submit` runs each task
+/// at once on the caller's thread, so submit order is execution order and
+/// a schedule written against `submit`/`join` runs serially here. It
+/// rejects what `PoolExecutor::submit` rejects, then runs the task in the
+/// observer bracket a pool worker uses (`hits_valid` false: there is no
+/// dealer mirror). A task that throws ends its bracket as failed; like a
+/// failed pool round, `submit` then re-anchors residency at empty,
+/// expires the round's tickets and rethrows. Must not run inside another
+/// executor's task: the contract checker rejects nested task brackets.
+template <typename T>
+class InlineExecutor {
+ public:
+  using Task = std::function<void(Device<T>&)>;
+
+  explicit InlineExecutor(Device<T>& dev) : dev_(dev) {}
+
+  TaskTicket submit(const TaskSpec& spec, const Task& task) {
+    check_submit(spec, round_base_, next_serial_);
+    const TaskTicket ticket{.serial = next_serial_++};
+    check::UnitObserver* obs = dev_.observer();
+    if (obs) {
+      const bool affine = !spec.chain.empty();
+      obs->on_task_begin(affine ? &spec.chain : nullptr, 0, affine,
+                         /*hits_valid=*/false);
+    }
+    try {
+      task(dev_);
+    } catch (...) {
+      if (obs) obs->on_task_end(/*failed=*/true);
+      evict_all();
+      round_base_ = next_serial_;
+      throw;
+    }
+    if (obs) obs->on_task_end(/*failed=*/false);
+    return ticket;
+  }
+
+  void evict_all() { dev_.evict_all(); }
+
+  /// Every task already ran: the barrier only expires the round's tickets.
+  RoundReport join() {
+    round_base_ = next_serial_;
+    RoundReport report;
+    report.healthy_units = 1;
+    return report;
+  }
+
+ private:
+  Device<T>& dev_;
+  std::uint64_t next_serial_ = 1;  ///< 0 is the null ticket's serial
+  std::uint64_t round_base_ = 1;   ///< oldest serial a dep may name
 };
 
 }  // namespace tcu

@@ -5,7 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "check/contract.hpp"
+#include "linalg/gep.hpp"
 
 namespace tcu::graph {
 
@@ -52,10 +52,8 @@ void or_product(MatrixView<Vert> X, ConstMatrixView<Vert> P,
   }
 }
 
-// The Figure 7 kernels as pure computations; the caller charges their
-// s^3 (or rows*cols for the clamp) CPU cost to whichever counter owns the
-// work — the device on the serial path, the executing unit on the pool
-// path.
+// The Figure 7 kernels as pure computations; the GEP schedule charges
+// their s^3 CPU cost to the unit that runs them.
 
 /// Kernel A (Figure 7): boolean closure within the diagonal block.
 void kernel_a(MatrixView<Vert> X) { or_product(X, X, X); }
@@ -80,165 +78,84 @@ void clamp_block(MatrixView<Vert> X) {
   }
 }
 
-void closure_tcu_divisible(Device<Vert>& dev, MatrixView<Vert> X) {
-  const std::size_t n = X.rows;
-  const std::size_t s = dev.tile_dim();
-  const std::size_t t = n / s;
-  const std::uint64_t s3 = static_cast<std::uint64_t>(s) * s * s;
-  for (std::size_t kb = 0; kb < t; ++kb) {
-    auto diag = X.subview(kb * s, kb * s, s, s);
-    kernel_a(diag);
-    dev.charge_cpu(s3);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb != kb) {
-        kernel_b(X.subview(kb * s, jb * s, s, s), diag);
-        dev.charge_cpu(s3);
-      }
-    }
-    for (std::size_t ib = 0; ib < t; ++ib) {
-      if (ib != kb) {
-        kernel_c(X.subview(ib * s, kb * s, s, s), diag);
-        dev.charge_cpu(s3);
-      }
-    }
-    // Kernel D: for each block column j != k, load X_kj as the weight
-    // matrix and stream the column panel X_ik for all i != k. The panel is
-    // contiguous above and below the pivot row — two tall calls.
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb == kb) continue;
-      auto weight = X.subview(kb * s, jb * s, s, s);
-      // The weight block X_kj is overwritten by kernel B every pivot
-      // iteration: equal addresses would not mean equal content, so the
-      // residency contract forbids tagging it.
-      check::AllowUntaggedClobber allow_clobber;
-      if (kb > 0) {
-        // tcu-lint: untagged-ok(weight block mutated every pivot iteration)
-        dev.gemm(X.subview(0, kb * s, kb * s, s), weight,
-                 X.subview(0, jb * s, kb * s, s), /*accumulate=*/true);
-        clamp_block(X.subview(0, jb * s, kb * s, s));
-        dev.charge_cpu(static_cast<std::uint64_t>(kb) * s * s);
-      }
-      if (kb + 1 < t) {
-        const std::size_t top = (kb + 1) * s;
-        // tcu-lint: untagged-ok(weight block mutated every pivot iteration)
-        dev.gemm(X.subview(top, kb * s, n - top, s), weight,
-                 X.subview(top, jb * s, n - top, s), /*accumulate=*/true);
-        clamp_block(X.subview(top, jb * s, n - top, s));
-        dev.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
-      }
-    }
-  }
-}
-
-/// Pool variant: one dependency-ordered round for the whole closure, with
-/// a single strict join at the end. Every kernel is a unit task — CPU
-/// (A/B/C) or chain-free tensor (D) — and each task declares only the
-/// predecessors the pivot panels actually order, so no lane idles on a
-/// per-pivot fence. With writer(i,j) = the last pivot's task that wrote
-/// block (i,j) (D(k-1,j) for most blocks, B(k-1,j) / C(k-1,i) for the old
-/// pivot row and column):
-///
-///   A(k)    after D(k-1, k)                (the diagonal block)
-///   B(k,j)  after A(k), writer(k, j)       (the new pivot-row block)
-///   C(k,i)  after A(k) [, B(k-1, k) when i is the old pivot row —
-///           every other writer is covered through A's dependence]
-///   D(k,j)  after B(k,j), every C(k,i)     (weight + full column panel;
-///           the accumulate chain into column j is ordered through
-///           B(k,j) -> D(k-1,j) -> B(k-1,j))
-///
-/// The FP/boolean op order per block is unchanged and each column's
-/// accumulates stay in pivot order, so outputs are bit-identical to the
-/// serial closure; aggregate counters equal the serial ones because each
-/// kernel charges the executing unit exactly what the serial path charges
-/// the device (same field sums).
-void closure_pool(PoolExecutor<Vert>& exec, MatrixView<Vert> X) {
-  const Device<Vert>& unit0 = exec.pool().unit(0);
+/// Figure 7 on any executor: the GEP schedule over every off-pivot block,
+/// for n a multiple of `unit0`'s tile side. Kernel D(k, j) loads X_kj as
+/// the weight matrix and streams the column panel X_ik for all i != k —
+/// contiguous above and below the pivot row, so two tall calls, each
+/// followed by its clamp. X_kj is rewritten by kernel B every pivot, so
+/// equal addresses would not mean equal content: D is an untagged,
+/// empty-chain task.
+template <typename Exec>
+void closure_gep(Exec& exec, const Device<Vert>& unit0, MatrixView<Vert> X) {
   const std::size_t n = X.rows;
   const std::size_t s = unit0.tile_dim();
   const std::size_t t = n / s;
   const std::uint64_t s3 = static_cast<std::uint64_t>(s) * s * s;
-  std::vector<TaskTicket> b_prev(t), c_prev(t), d_prev(t);
-  for (std::size_t kb = 0; kb < t; ++kb) {
-    auto diag = X.subview(kb * s, kb * s, s, s);
-    TaskSpec a_spec{.cost = s3, .cpu = true};
-    if (kb > 0) a_spec.after.push_back(d_prev[kb]);
-    const TaskTicket a =
-        exec.submit(std::move(a_spec), [diag, s3](Device<Vert>& unit) {
-          kernel_a(diag);
-          unit.charge_cpu(s3);
-        });
-    std::vector<TaskTicket> b_now(t), c_now(t);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb == kb) continue;
-      TaskSpec b_spec{.cost = s3, .after = {a}, .cpu = true};
-      if (kb > 0) {
-        if (jb == kb - 1) {
-          // The old pivot column: C(k-1, k) wrote this block, and every
-          // D(k-1, x) *read* it as part of its column panel — the
-          // overwrite must wait for all of them. This also transitively
-          // orders D(k, k-1)'s writes into the old pivot column (and its
-          // diagonal) behind all of pivot k-1's readers, since each
-          // D(k-1, x) depends on B(k-1, x) and every C(k-1, i).
-          b_spec.after.push_back(c_prev[kb]);
-          for (std::size_t x = 0; x < t; ++x) {
-            if (x != kb - 1) b_spec.after.push_back(d_prev[x]);
-          }
-        } else {
-          b_spec.after.push_back(d_prev[jb]);
+  const auto block = [X, s](std::size_t i, std::size_t j) {
+    return X.subview(i * s, j * s, s, s);
+  };
+  linalg::gep_schedule(
+      exec, t, linalg::GepRange::kEveryOffPivot, {.a = s3, .b = s3, .c = s3},
+      [block](std::size_t k) { kernel_a(block(k, k)); },
+      [block](std::size_t k, std::size_t j) {
+        kernel_b(block(k, j), block(k, k));
+      },
+      [block](std::size_t k, std::size_t i) {
+        kernel_c(block(i, k), block(k, k));
+      },
+      [&unit0, n, s, t](std::size_t k, std::size_t) {
+        TaskSpec spec;
+        if (k > 0) spec.cost += projected_gemm_cost(unit0, k * s);
+        if (k + 1 < t) spec.cost += projected_gemm_cost(unit0, n - (k + 1) * s);
+        return spec;
+      },
+      [X, block, n, s, t](Device<Vert>& unit, std::size_t k, std::size_t j) {
+        const auto weight = block(k, j);
+        if (k > 0) {
+          // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
+          unit.gemm(X.subview(0, k * s, k * s, s), weight,
+                    X.subview(0, j * s, k * s, s), /*accumulate=*/true);
+          clamp_block(X.subview(0, j * s, k * s, s));
+          unit.charge_cpu(static_cast<std::uint64_t>(k) * s * s);
         }
-      }
-      auto block = X.subview(kb * s, jb * s, s, s);
-      b_now[jb] = exec.submit(
-          std::move(b_spec), [block, diag, s3](Device<Vert>& unit) {
-            kernel_b(block, diag);
-            unit.charge_cpu(s3);
-          });
-    }
-    for (std::size_t ib = 0; ib < t; ++ib) {
-      if (ib == kb) continue;
-      TaskSpec c_spec{.cost = s3, .after = {a}, .cpu = true};
-      if (kb > 0 && ib == kb - 1) c_spec.after.push_back(b_prev[kb]);
-      auto block = X.subview(ib * s, kb * s, s, s);
-      c_now[ib] = exec.submit(
-          std::move(c_spec), [block, diag, s3](Device<Vert>& unit) {
-            kernel_c(block, diag);
-            unit.charge_cpu(s3);
-          });
-    }
-    std::uint64_t cost = 0;
-    if (kb > 0) cost += projected_gemm_cost(unit0, kb * s);
-    if (kb + 1 < t) cost += projected_gemm_cost(unit0, n - (kb + 1) * s);
-    for (std::size_t jb = 0; jb < t; ++jb) {
-      if (jb == kb) continue;
-      TaskSpec d_spec{.cost = cost, .after = {b_now[jb]}};
-      for (std::size_t ib = 0; ib < t; ++ib) {
-        if (ib != kb) d_spec.after.push_back(c_now[ib]);
-      }
-      d_prev[jb] = exec.submit(
-          std::move(d_spec), [X, kb, jb, s, t, n](Device<Vert>& unit) {
-            auto weight = X.subview(kb * s, jb * s, s, s);
-            if (kb > 0) {
-              // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
-              unit.gemm(X.subview(0, kb * s, kb * s, s), weight,
-                        X.subview(0, jb * s, kb * s, s), /*accumulate=*/true);
-              clamp_block(X.subview(0, jb * s, kb * s, s));
-              unit.charge_cpu(static_cast<std::uint64_t>(kb) * s * s);
-            }
-            if (kb + 1 < t) {
-              const std::size_t top = (kb + 1) * s;
-              // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
-              unit.gemm(X.subview(top, kb * s, n - top, s), weight,
-                        X.subview(top, jb * s, n - top, s),
-                        /*accumulate=*/true);
-              clamp_block(X.subview(top, jb * s, n - top, s));
-              unit.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
-            }
-          });
-    }
-    b_prev = std::move(b_now);
-    c_prev = std::move(c_now);
+        if (k + 1 < t) {
+          const std::size_t top = (k + 1) * s;
+          // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
+          unit.gemm(X.subview(top, k * s, n - top, s), weight,
+                    X.subview(top, j * s, n - top, s), /*accumulate=*/true);
+          clamp_block(X.subview(top, j * s, n - top, s));
+          unit.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
+        }
+      });
+}
+
+/// Both entry points: check `d`, pad it with isolated vertices (no edges:
+/// they cannot create paths, so the closure restricted to the original
+/// vertices is unchanged) up to a multiple of the tile side, and run the
+/// closure on `exec`. The padding copies are charged to `cpu` — the
+/// device on the serial path, the pool's shared CPU on the pooled one.
+template <typename Exec, typename Cpu>
+void closure_padded(Exec& exec, const Device<Vert>& unit0, Cpu& cpu,
+                    MatrixView<Vert> d) {
+  const std::size_t s = unit0.tile_dim();
+  check_adjacency(d, s);
+  const std::size_t n = d.rows;
+  if (n == 0) return;
+  if (n % s == 0) {
+    closure_gep(exec, unit0, d);
+    return;
   }
-  exec.join();
+  const std::size_t np = ((n + s - 1) / s) * s;
+  AdjMatrix padded(np, np, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
+  }
+  cpu.charge_cpu(np * np);
+  closure_gep(exec, unit0, padded.view());
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
+  }
+  cpu.charge_cpu(n * n);
 }
 
 }  // namespace
@@ -253,50 +170,12 @@ void closure_naive(MatrixView<Vert> d, Counters& counters) {
 }
 
 void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
-  const std::size_t s = dev.tile_dim();
-  check_adjacency(d, s);
-  const std::size_t n = d.rows;
-  if (n == 0) return;
-  if (n % s == 0) {
-    closure_tcu_divisible(dev, d);
-    return;
-  }
-  // Pad with isolated vertices (no edges): they cannot create paths, so
-  // the closure restricted to the original vertices is unchanged.
-  const std::size_t np = ((n + s - 1) / s) * s;
-  AdjMatrix padded(np, np, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
-  }
-  dev.charge_cpu(np * np);
-  closure_tcu_divisible(dev, padded.view());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
-  }
-  dev.charge_cpu(n * n);
+  InlineExecutor<Vert> exec(dev);
+  closure_padded(exec, dev, dev, d);
 }
 
 void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d) {
-  DevicePool<Vert>& pool = exec.pool();
-  const std::size_t s = pool.unit(0).tile_dim();
-  check_adjacency(d, s);
-  const std::size_t n = d.rows;
-  if (n == 0) return;
-  if (n % s == 0) {
-    closure_pool(exec, d);
-    return;
-  }
-  const std::size_t np = ((n + s - 1) / s) * s;
-  AdjMatrix padded(np, np, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
-  }
-  pool.charge_cpu(np * np);
-  closure_pool(exec, padded.view());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
-  }
-  pool.charge_cpu(n * n);
+  closure_padded(exec, exec.pool().unit(0), exec.pool(), d);
 }
 
 AdjMatrix closure_bfs_oracle(ConstMatrixView<Vert> adjacency) {

@@ -11,7 +11,9 @@
 // panels, so plain + and x are safe. Per block column j, X_kj is loaded as
 // the weight matrix and the Theta(n) rows of all X_ik blocks (i != k)
 // stream through the unit, yielding
-// Theta(n^3/sqrt(m) + (n^2/m) l + n^2 sqrt(m)).
+// Theta(n^3/sqrt(m) + (n^2/m) l + n^2 sqrt(m)). Both `closure_tcu`
+// overloads run one schedule, the GEP graph shared with Gaussian
+// elimination (linalg/gep.hpp): inline on a device, or across a pool.
 //
 // Vertices are 0/1 floats. Kernel D adds at most sqrt(m) products of 0/1
 // entries to an old 0/1 entry, so every partial sum is an integer no
@@ -37,19 +39,17 @@ using AdjMatrix = Matrix<Vert>;
 void closure_naive(MatrixView<Vert> d, Counters& counters);
 
 /// Figure 7 / Theorem 5: in-place blocked transitive closure with the
-/// trailing (D) updates on the tensor unit. Any n is accepted: the matrix
-/// is padded with isolated vertices up to a multiple of sqrt(m)
-/// internally.
+/// trailing (D) updates on the tensor unit, the GEP schedule run inline on
+/// `dev`. Any n is accepted: the matrix is padded with isolated vertices
+/// up to a multiple of sqrt(m) internally.
 void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d);
 
-/// Multi-unit Theorem 5: per pivot block k, the kernel D updates of the
-/// block columns j != k write disjoint column panels, so each becomes one
-/// pool task (its two tall boolean GEMM calls plus the clamp), and kernels
-/// A/B/C become CPU tasks on the units. Every task declares its true
-/// predecessors, so the whole closure is one dependency-ordered round
-/// with a single strict join — see closure.cpp for the dependence graph.
-/// Output bits and aggregate counters are identical to the single-device
-/// closure_tcu at every unit count.
+/// Multi-unit Theorem 5: the same GEP schedule as one dependency-ordered
+/// round with a single strict join (linalg/gep.hpp has the dependence
+/// graph). Kernels A/B/C are CPU tasks; each kernel D(k, j), two tall
+/// GEMM calls plus the clamp into a disjoint column panel, is one
+/// chain-free tensor task. Output bits and aggregate counters are
+/// identical to the single-device closure_tcu at every unit count.
 void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d);
 
 /// Reference oracle for tests: reachability by BFS from every vertex.

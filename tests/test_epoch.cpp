@@ -7,7 +7,9 @@
 //   * raw runtime ordering: explicit `after` chains serialize
 //     cross-lane reads, a fan-in reader waits for every writer it names,
 //     and submit rejects every ticket outside the current round (null,
-//     pre-join, not yet issued) without corrupting the executor;
+//     pre-join, not yet issued) without corrupting the executor — on
+//     the pool and on the inline executor alike, and a task that throws
+//     on the inline executor loses its round and re-anchors residency;
 //   * 10-run determinism at p = 1/2/4/8 for all four pooled workloads,
 //     down to every per-unit counter field (the dealer schedules off
 //     declared costs, never wall time), with outputs bit-identical to
@@ -45,6 +47,7 @@ namespace {
 using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
+using tcu::InlineExecutor;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 using tcu::TaskSpec;
@@ -184,9 +187,41 @@ TEST(EpochRuntime, FanInReaderWaitsForEveryWriter) {
   EXPECT_EQ(total, 10u);
 }
 
-TEST(EpochRuntime, SubmitRejectsEveryTicketOutsideTheEpoch) {
-  DevicePool<double> pool(2, {.m = 16, .latency = 3});
-  PoolExecutor<double> exec(pool);
+// ------------------------------------------------------ submit contract
+
+/// One executor of each kind over 16-element tiles, with the cpu_ops it
+/// has charged so far.
+template <typename Exec>
+struct ExecutorRig;
+
+template <>
+struct ExecutorRig<PoolExecutor<double>> {
+  DevicePool<double> pool{2, {.m = 16, .latency = 3}};
+  PoolExecutor<double> exec{pool};
+  std::uint64_t cpu_ops() const { return pool.aggregate().cpu_ops; }
+};
+
+template <>
+struct ExecutorRig<InlineExecutor<double>> {
+  Device<double> dev{{.m = 16, .latency = 3}};
+  InlineExecutor<double> exec{dev};
+  std::uint64_t cpu_ops() const { return dev.counters().cpu_ops; }
+};
+
+/// Both executors enforce one submit contract, so a schedule written
+/// against it runs pooled or inline.
+template <typename Exec>
+class SubmitContract : public ::testing::Test {
+ protected:
+  ExecutorRig<Exec> rig_;
+};
+
+using Executors =
+    ::testing::Types<PoolExecutor<double>, InlineExecutor<double>>;
+TYPED_TEST_SUITE(SubmitContract, Executors);
+
+TYPED_TEST(SubmitContract, RejectsEveryTicketOutsideTheEpoch) {
+  auto& exec = this->rig_.exec;
   std::atomic<std::uint64_t> ran{0};
   std::uint64_t accepted = 0;
   const auto submit = [&](std::vector<TaskTicket> after) {
@@ -232,9 +267,8 @@ TEST(EpochRuntime, SubmitRejectsEveryTicketOutsideTheEpoch) {
   }
 }
 
-TEST(EpochRuntime, CpuTaskWithChainIsRejectedBeforeItsSerial) {
-  DevicePool<double> pool(2, {.m = 16, .latency = 3});
-  PoolExecutor<double> exec(pool);
+TYPED_TEST(SubmitContract, CpuTaskWithChainIsRejectedBeforeItsSerial) {
+  auto& exec = this->rig_.exec;
   bool ran = false;
   const TaskTicket t0 =
       exec.submit({.cost = 1, .cpu = true},
@@ -251,7 +285,36 @@ TEST(EpochRuntime, CpuTaskWithChainIsRejectedBeforeItsSerial) {
   EXPECT_EQ(t1.serial, t0.serial + 1);
   exec.join();
   EXPECT_FALSE(ran);
-  EXPECT_EQ(pool.aggregate().cpu_ops, 2u);
+  EXPECT_EQ(this->rig_.cpu_ops(), 2u);
+}
+
+TEST(InlineExecutorFailure, ThrowingTaskRethrowsAndReanchorsResidency) {
+  Device<double> dev({.m = 16, .latency = 3, .resident_tiles = 2});
+  tcu::check::ScopedCheck<double> check(dev);
+  InlineExecutor<double> exec(dev);
+  const auto a = random_matrix(8, 4, 1);
+  const auto b = random_matrix(4, 4, 2);
+  Matrix<double> c(8, 4, 0.0);
+  const TaskTicket before =
+      exec.submit({.cost = 1, .cpu = true},
+                  [](Device<double>& unit) { unit.charge_cpu(1); });
+  // The task leaves key 7 resident, then fails before finishing its chain.
+  EXPECT_THROW(exec.submit({.cost = 1, .chain = {7, 8}},
+                           [&](Device<double>& unit) {
+                             unit.gemm_resident(7, a.view(), b.view(),
+                                                c.view());
+                             throw std::runtime_error("task failed");
+                           }),
+               std::runtime_error);
+  EXPECT_TRUE(dev.tile_cache().entries().empty());
+  // The round is lost, as a failed pool round is: its tickets expired.
+  EXPECT_THROW(exec.submit({.cost = 1, .after = {before}, .cpu = true},
+                           [](Device<double>&) {}),
+               std::invalid_argument);
+  // Residency was re-anchored, so the checker sees no stale resident set.
+  EXPECT_NO_THROW(dev.gemm_resident(9, a.view(), b.view(), c.view()));
+  check.verify();
+  EXPECT_GT(check.unit(0).checked_calls(), 0u);
 }
 
 // ----------------------------------------------------- 10-run determinism

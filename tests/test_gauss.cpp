@@ -150,6 +150,29 @@ TEST(Gauss, TcuRequiresDivisibleDimension) {
   EXPECT_THROW(ge_forward_tcu(dev, c.view()), std::invalid_argument);
 }
 
+TEST(Gauss, KernelCostsCountTheFigure4Loops) {
+  // The closed forms are the only source of GE's kernel A-C CPU charges,
+  // so each must equal its Figure 4 loop nest's innermost-update count.
+  using namespace tcu::linalg::ge_detail;
+  for (std::uint64_t s = 1; s <= 8; ++s) {
+    std::uint64_t a = 0, b = s * s, c = 0;  // B also rescales its s x s strip
+    for (std::uint64_t k = 0; k + 1 < s; ++k) {
+      for (std::uint64_t i = k + 1; i < s; ++i) {
+        for (std::uint64_t j = k + 1; j < s; ++j) ++a;
+        for (std::uint64_t j = 0; j < s; ++j) ++b;
+      }
+    }
+    for (std::uint64_t k = 0; k < s; ++k) {
+      for (std::uint64_t i = 0; i < s; ++i) {
+        for (std::uint64_t j = k + 1; j < s; ++j) ++c;
+      }
+    }
+    EXPECT_EQ(kernel_a_cost(s), a) << "s=" << s;
+    EXPECT_EQ(kernel_b_cost(s), b) << "s=" << s;
+    EXPECT_EQ(kernel_c_cost(s), c) << "s=" << s;
+  }
+}
+
 TEST(Gauss, TensorCallsMatchBlockedSchedule) {
   // Kernel D issues one tall call per trailing block column per outer
   // iteration: sum over k of (t - 1 - k) calls, t = r/s.
