@@ -10,10 +10,59 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <limits>
+#include <new>
 #include <stdexcept>
 #include <vector>
 
 namespace tcu {
+
+/// Stateless allocator for `Matrix` and `TiledMatrix` storage: every
+/// buffer starts on a 64-byte cache line. glibc's large chunks start 16
+/// bytes past one, which splits every zmm load and store of the micro
+/// kernel across two lines and makes adjacent 64-column blocks, written
+/// by different lanes, share a line. It takes one extra line from plain
+/// `::operator new`, rounds the pointer up and keeps the raw pointer in
+/// the gap. Aligned `new` (memalign chunks) would fragment the heap
+/// under per-call activations and raise peak RSS.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::size_t kAlign = 64;
+  static_assert(alignof(T) <= kAlign);
+  // The rounded pointer lies at least one new-alignment step past the
+  // raw one, which leaves room for the raw pointer below it.
+  static_assert(__STDCPP_DEFAULT_NEW_ALIGNMENT__ >= sizeof(void*));
+
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    if (n > (std::numeric_limits<std::size_t>::max() - kAlign) / sizeof(T)) {
+      throw std::bad_array_new_length();
+    }
+    void* raw = ::operator new(n * sizeof(T) + kAlign);
+    const std::uintptr_t at =
+        (reinterpret_cast<std::uintptr_t>(raw) + kAlign) & ~(kAlign - 1);
+    char* aligned = static_cast<char*>(raw) +
+                    (at - reinterpret_cast<std::uintptr_t>(raw));
+    std::memcpy(reinterpret_cast<void**>(aligned) - 1, &raw, sizeof raw);
+    return reinterpret_cast<T*>(aligned);
+  }
+
+  void deallocate(T* p, std::size_t) noexcept {
+    void* raw = nullptr;
+    std::memcpy(&raw, reinterpret_cast<void**>(p) - 1, sizeof raw);
+    ::operator delete(raw);
+  }
+
+  friend bool operator==(const CacheLineAllocator&,
+                         const CacheLineAllocator&) {
+    return true;
+  }
+};
 
 template <typename T>
 struct ConstMatrixView;
@@ -153,7 +202,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, CacheLineAllocator<T>> data_;
 };
 
 /// Owning tile-major matrix: storage is partitioned into s x s tiles
@@ -234,7 +283,7 @@ class TiledMatrix {
   std::size_t rows_ = 0, cols_ = 0;  ///< logical shape
   std::size_t s_ = 0;                ///< tile dimension (sqrt m)
   std::size_t tile_rows_ = 0, tile_cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, CacheLineAllocator<T>> data_;
 };
 
 /// Copy `src` into `dst`; shapes must match.

@@ -11,6 +11,35 @@ namespace tcu::graph {
 
 namespace {
 
+// Closure's CPU loops (the entry check, kernels A-C and D's clamp) are
+// compiled once per SIMD width and picked by cpuid at load time: the
+// library builds for baseline x86-64, which alone would leave them at
+// SSE2. A clone must not throw (an exception leaving one terminates), so
+// the cloned functions only compute and their callers throw.
+#if defined(__x86_64__) && defined(__has_attribute)
+#if __has_attribute(target_clones)
+#define TCU_SIMD_CLONES \
+  __attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#endif
+#ifndef TCU_SIMD_CLONES
+#define TCU_SIMD_CLONES
+#endif
+
+/// True when every entry of `d` is 0 or 1. Each row is OR-reduced
+/// without branches, so the scan vectorises; NaN is unequal to both.
+TCU_SIMD_CLONES bool all_boolean(ConstMatrixView<Vert> d) {
+  for (std::size_t i = 0; i < d.rows; ++i) {
+    const Vert* row = d.data + i * d.stride;
+    unsigned bad = 0;  // a bool accumulator does not vectorise
+    for (std::size_t j = 0; j < d.cols; ++j) {
+      bad |= (row[j] != 0) & (row[j] != 1);
+    }
+    if (bad != 0) return false;
+  }
+  return true;
+}
+
 /// Uncharged precondition of every entry point: `d` is square and holds
 /// only 0 and 1, which also rejects NaN and fractions. A kernel D sum
 /// adds at most s = `tile_dim` products to an old entry, all 0/1, so it
@@ -24,23 +53,21 @@ void check_adjacency(ConstMatrixView<Vert> d, std::size_t tile_dim) {
     throw std::invalid_argument(
         "closure: tile side too large for exact kernel D sums");
   }
-  for (std::size_t i = 0; i < d.rows; ++i) {
-    for (std::size_t j = 0; j < d.cols; ++j) {
-      if (d(i, j) != 0 && d(i, j) != 1) {
-        throw std::invalid_argument("closure: entries must be 0 or 1");
-      }
-    }
+  if (!all_boolean(d)) {
+    throw std::invalid_argument("closure: entries must be 0 or 1");
   }
 }
 
 /// X |= P * Q over the boolean semiring, in the Figure 5 k/i/j order.
 /// Row i is skipped when its pivot entry P(i, k) is 0; otherwise row k of
-/// Q is ORed into it with a branch-free max on 0/1 values, which the
-/// compiler vectorises. P and Q may alias X: the pivot column and row do
+/// Q is ORed into it with a branch-free max on 0/1 values, compiled at
+/// each clone's width (16 floats per zmm on avx512f, 8 per ymm on avx2,
+/// 4 per xmm otherwise). P and Q may alias X: the pivot column and row do
 /// not change during their own k step (X(i,k) |= X(i,k) & X(k,k)), so the
 /// output equals the unskipped scalar loop bit for bit.
-void or_product(MatrixView<Vert> X, ConstMatrixView<Vert> P,
-                ConstMatrixView<Vert> Q) {
+TCU_SIMD_CLONES void or_product(MatrixView<Vert> X,
+                                ConstMatrixView<Vert> P,
+                                ConstMatrixView<Vert> Q) {
   const std::size_t s = P.cols;
   for (std::size_t k = 0; k < s; ++k) {
     const Vert* xk = &Q(k, 0);
@@ -69,11 +96,12 @@ void kernel_c(MatrixView<Vert> X, ConstMatrixView<Vert> Y) {
 }
 
 /// Clamp a strip back to 0/1 after an arithmetic D update (lines 5-7 of
-/// function D in Figure 7).
-void clamp_block(MatrixView<Vert> X) {
+/// function D in Figure 7): x = min(x, 1), branch-free.
+TCU_SIMD_CLONES void clamp_block(MatrixView<Vert> X) {
   for (std::size_t i = 0; i < X.rows; ++i) {
+    Vert* row = X.data + i * X.stride;
     for (std::size_t j = 0; j < X.cols; ++j) {
-      if (X(i, j) > 1) X(i, j) = 1;
+      row[j] = std::min(row[j], Vert{1});
     }
   }
 }

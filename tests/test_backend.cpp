@@ -410,6 +410,33 @@ TEST(BackendEquivalence, ClosureSameBitsOnEveryBackend) {
   }
 }
 
+TEST(BackendEquivalence, ClosureAtBenchmarkShapeMatchesBfs) {
+  // perfbench's closure_dag shape: 512 vertices of out-degree 4, s = 64,
+  // so every clamp and OR row is whole zmm vectors. closure_naive shares
+  // the boolean kernels with closure_tcu, so BFS is the oracle here.
+  using tcu::graph::AdjMatrix;
+  using tcu::graph::Vert;
+  const std::size_t n = 512;
+  const AdjMatrix adj = tcu::graph::random_digraph(n, 4.0 / n, 1);
+  const AdjMatrix want = tcu::graph::closure_bfs_oracle(adj.view());
+  const Device<Vert>::Config config{.m = 4096,
+                                    .latency = 256,
+                                    .allow_tall = true,
+                                    .resident_tiles = 1,
+                                    .backend = BackendKind::kMicro};
+  Device<Vert> dev(config);
+  AdjMatrix serial = adj;
+  tcu::graph::closure_tcu(dev, serial.view());
+  EXPECT_TRUE(same_bits(serial, want));
+
+  DevicePool<Vert> pool(3, config);
+  PoolExecutor<Vert> exec(pool);
+  AdjMatrix pooled = adj;
+  tcu::graph::closure_tcu(exec, pooled.view());
+  EXPECT_TRUE(same_bits(pooled, want));
+  expect_counters_equal(pool.aggregate(), dev.counters(), "p=3");
+}
+
 // ------------------------------------------------------------------ blas
 
 #ifdef TCU_BLAS

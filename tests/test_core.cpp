@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
+#include <utility>
 
 #include "core/complex_gemm.hpp"
 #include "core/costs.hpp"
@@ -41,6 +43,10 @@ Matrix<double> reference_product(const Matrix<double>& a,
     }
   }
   return c;
+}
+
+bool line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
 }
 
 // ---------------------------------------------------------------- Matrix
@@ -90,6 +96,30 @@ TEST(Matrix, TransposedIsInvolution) {
   auto m = random_matrix(3, 6, rng);
   auto tt = tcu::transposed(tcu::transposed(m.view()).view());
   EXPECT_TRUE(m == tt);
+}
+
+TEST(Matrix, StorageIsCacheLineAligned) {
+  // 512 x 512 is a large chunk, which glibc starts 16 bytes past a line.
+  for (const auto& [r, c] : {std::pair<std::size_t, std::size_t>{1, 1},
+                             {3, 5},
+                             {7, 13},
+                             {512, 512}}) {
+    Matrix<double> m(r, c, 1.0);
+    EXPECT_TRUE(line_aligned(m.data())) << r << "x" << c;
+    const Matrix<double> copy(m);
+    EXPECT_TRUE(line_aligned(copy.data())) << r << "x" << c;
+    Matrix<double> assigned(r + 2, c + 3, 0.0);
+    assigned = m;
+    EXPECT_TRUE(line_aligned(assigned.data())) << r << "x" << c;
+    EXPECT_TRUE(assigned == m);
+    const Matrix<double> moved(std::move(assigned));
+    EXPECT_TRUE(line_aligned(moved.data())) << r << "x" << c;
+    EXPECT_TRUE(line_aligned(tcu::materialize(m.view()).data()));
+    EXPECT_TRUE(line_aligned(tcu::transposed(m.view()).data()));
+  }
+  for (std::size_t n : {1u, 9u}) {
+    EXPECT_TRUE(line_aligned(Matrix<float>::identity(n).data())) << n;
+  }
 }
 
 TEST(Matrix, EqualityDetectsDifferences) {

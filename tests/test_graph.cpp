@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <utility>
 
 #include "core/costs.hpp"
 #include "graph/apsd.hpp"
@@ -113,8 +114,49 @@ TEST(Closure, RejectsNonBooleanEntries) {
     EXPECT_THROW(closure_tcu(exec, adj.view()), std::invalid_argument);
     EXPECT_EQ(ram.cpu_ops, 0u);
   }
+  // At n = 40 a row is two full 16-float vectors and an 8-float tail:
+  // bad entries at the start of each full vector, inside the tail and at
+  // its end.
+  constexpr Vert kInf = std::numeric_limits<Vert>::infinity();
+  for (const Vert bad : {Vert{2}, Vert{0.5}, Vert{-1}, kInf, -kInf,
+                         std::numeric_limits<Vert>::quiet_NaN()}) {
+    for (const auto& [i, j] : {std::pair<std::size_t, std::size_t>{0, 0},
+                               {7, 16},
+                               {20, 33},
+                               {39, 39}}) {
+      AdjMatrix adj = random_digraph(40, 0.1, 70);
+      adj(i, j) = bad;
+      Counters ram;
+      EXPECT_THROW(closure_naive(adj.view(), ram), std::invalid_argument)
+          << bad << " at " << i << "," << j;
+      EXPECT_THROW(closure_tcu(dev, adj.view()), std::invalid_argument)
+          << bad << " at " << i << "," << j;
+      EXPECT_THROW(closure_tcu(exec, adj.view()), std::invalid_argument)
+          << bad << " at " << i << "," << j;
+      EXPECT_EQ(ram.cpu_ops, 0u);
+    }
+  }
   EXPECT_EQ(dev.counters().time(), 0u);
   EXPECT_EQ(pool.aggregate().time(), 0u);
+
+  // -0.0 equals 0, so it is accepted and is no edge.
+  const AdjMatrix plain = random_digraph(40, 0.1, 71);
+  AdjMatrix signed_zeros = plain;
+  for (std::size_t i = 0; i < 40; ++i) {
+    for (std::size_t j = 0; j < 40; ++j) {
+      if (signed_zeros(i, j) == 0) signed_zeros(i, j) = -Vert{0};
+    }
+  }
+  const AdjMatrix want = closure_bfs_oracle(plain.view());
+  AdjMatrix d_naive = signed_zeros, d_dev = signed_zeros,
+            d_pool = signed_zeros;
+  Counters ram;
+  closure_naive(d_naive.view(), ram);
+  closure_tcu(dev, d_dev.view());
+  closure_tcu(exec, d_pool.view());
+  EXPECT_TRUE(d_naive == want);
+  EXPECT_TRUE(d_dev == want);
+  EXPECT_TRUE(d_pool == want);
 }
 
 TEST(Closure, RejectsTileTooWideForExactSums) {

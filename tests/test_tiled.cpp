@@ -9,6 +9,8 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <utility>
 
 #include "check/contract.hpp"
 #include "core/device.hpp"
@@ -118,6 +120,37 @@ TEST(TiledMatrix, TilesAreContiguousAndStripMajor) {
       // Strip-major: tile-column tj's tiles sit back to back, s*s
       // elements apart, after every tile of the columns before it.
       EXPECT_EQ(tile.data, base + (tj * packed.tile_rows() + ti) * 4 * 4);
+    }
+  }
+}
+
+TEST(TiledMatrix, StorageIsCacheLineAligned) {
+  const auto aligned = [](const TiledMatrix<double>& t) {
+    return reinterpret_cast<std::uintptr_t>(t.tile_view(0, 0).data) % 64 == 0;
+  };
+  for (const auto& [r, c, s] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t>{1, 1, 1},
+                                {5, 6, 4},
+                                {15, 7, 3},
+                                {64, 64, 8}}) {
+    const TiledMatrix<double> fresh(r, c, s);
+    EXPECT_TRUE(aligned(fresh)) << r << "x" << c << " s=" << s;
+    const auto packed = TiledMatrix<double>::pack(
+        random_matrix(r, c, 300 + r).view(), s);
+    EXPECT_TRUE(aligned(packed)) << r << "x" << c << " s=" << s;
+    TiledMatrix<double> copy(packed);
+    EXPECT_TRUE(aligned(copy)) << r << "x" << c << " s=" << s;
+    const TiledMatrix<double> moved(std::move(copy));
+    EXPECT_TRUE(aligned(moved)) << r << "x" << c << " s=" << s;
+    // A tile of whole lines keeps every tile on a line boundary.
+    if (s * s * sizeof(double) % 64 == 0) {
+      for (std::size_t tj = 0; tj < packed.tile_cols(); ++tj) {
+        for (std::size_t ti = 0; ti < packed.tile_rows(); ++ti) {
+          EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
+                        packed.tile_view(ti, tj).data) % 64,
+                    0u) << ti << "," << tj;
+        }
+      }
     }
   }
 }
