@@ -13,9 +13,9 @@
 //             engine (the default; every bit-identity test runs on it);
 //   * micro — a register-blocked kernel. float/double dispatch at
 //             runtime (cpuid) to the widest SIMD rung the CPU has: AVX-512
-//             (4 rows x 2 zmm vectors: 4 x 16 doubles, 4 x 32 floats) or
-//             AVX2 (4 rows x 2 ymm vectors: 4 x 8 doubles, 4 x 16 floats),
-//             each holding its block in 8 accumulators; other T run a
+//             (4 rows x 4 zmm vectors: 4 x 32 doubles, 4 x 64 floats, in
+//             16 accumulators) or AVX2 (4 rows x 2 ymm vectors: 4 x 8
+//             doubles, 4 x 16 floats, in 8 accumulators); other T run a
 //             generic 4 x 8 blocked loop. Each output element keeps its
 //             own accumulator summed in the reference k order, and the
 //             SIMD rungs use separate mul/add, with the library built
@@ -90,9 +90,10 @@ bool micro_has_avx512();
 bool micro_has_avx2();
 
 // The SIMD rungs (backend_micro.cpp, instantiated for float and double),
-// one kernel body each: 4-row x 2-vector register blocks of zmm or ymm
-// vectors, with one-vector and scalar tails (the AVX-512 rung runs a
-// last ymm vector of columns before going scalar). `lda`/`ldb`/`ldc` are
+// one kernel body each: 4-row x 4-zmm or 4-row x 2-ymm register blocks,
+// with 2- and 1-vector column tails, a one-row row tail and scalar
+// columns (the AVX-512 rung runs a last ymm vector of columns before
+// going scalar). `lda`/`ldb`/`ldc` are
 // row strides in elements; summation is k-sequential per element with
 // separate mul/add, so results are bit-identical to the reference loop.
 // Call one only when its `micro_has_*` is true.

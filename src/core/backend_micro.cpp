@@ -2,16 +2,18 @@
 //
 // Two rungs, chosen at run time by cpuid, widest first:
 //
-//   avx512  4 rows x 2 zmm vectors per block (4 x 16 doubles, 4 x 32
-//           floats); columns one zmm vector short of a block take a
-//           4 x 1-vector block, and a remaining ymm vector of columns
-//           takes the avx2 lanes' blocks;
+//   avx512  4 rows x 4 zmm vectors per block (4 x 32 doubles, 4 x 64
+//           floats): 16 accumulators, 4 B vectors and a broadcast in the
+//           32 zmm registers. The 1 to 3 zmm vectors of columns short of
+//           a block take a 4 x 2- and/or a 4 x 1-vector block, and a
+//           remaining ymm vector of columns takes the avx2 lanes' blocks;
 //   avx2    4 rows x 2 ymm vectors per block (4 x 8 doubles, 4 x 16
-//           floats), with a 4 x 1-vector block for an odd vector.
+//           floats), the most its 16 ymm registers hold, with a
+//           4 x 1-vector block for an odd vector.
 //
-// Both rungs instantiate one kernel body (micro_kernel.inc): the row tail
-// (n % 4) runs one row x one vector, and columns past the last full
-// vector run scalar.
+// Both rungs instantiate one kernel body (micro_kernel.inc), whose block
+// width is the rung's Lanes<T>::kBlock: the row tail (n % 4) runs one
+// row x one vector, and columns past the last full vector run scalar.
 //
 // Correctness contract: results must be bit-identical to the reference
 // loop for every input. Every output element keeps its own accumulator,
@@ -57,6 +59,7 @@ template <>
 struct Lanes<double> {
   using V = __m256d;
   static constexpr std::size_t kWidth = 4;
+  static constexpr std::size_t kBlock = 2;
   TCU_RUNG static V zero() { return _mm256_setzero_pd(); }
   TCU_RUNG static V load(const double* p) { return _mm256_loadu_pd(p); }
   TCU_RUNG static void store(double* p, V v) { _mm256_storeu_pd(p, v); }
@@ -69,6 +72,7 @@ template <>
 struct Lanes<float> {
   using V = __m256;
   static constexpr std::size_t kWidth = 8;
+  static constexpr std::size_t kBlock = 2;
   TCU_RUNG static V zero() { return _mm256_setzero_ps(); }
   TCU_RUNG static V load(const float* p) { return _mm256_loadu_ps(p); }
   TCU_RUNG static void store(float* p, V v) { _mm256_storeu_ps(p, v); }
@@ -99,6 +103,7 @@ template <>
 struct Lanes<double> {
   using V = __m512d;
   static constexpr std::size_t kWidth = 8;
+  static constexpr std::size_t kBlock = 4;
   TCU_RUNG static V zero() { return _mm512_setzero_pd(); }
   TCU_RUNG static V load(const double* p) { return _mm512_loadu_pd(p); }
   TCU_RUNG static void store(double* p, V v) { _mm512_storeu_pd(p, v); }
@@ -111,6 +116,7 @@ template <>
 struct Lanes<float> {
   using V = __m512;
   static constexpr std::size_t kWidth = 16;
+  static constexpr std::size_t kBlock = 4;
   TCU_RUNG static V zero() { return _mm512_setzero_ps(); }
   TCU_RUNG static V load(const float* p) { return _mm512_loadu_ps(p); }
   TCU_RUNG static void store(float* p, V v) { _mm512_storeu_ps(p, v); }

@@ -7,6 +7,7 @@
 // device without copying (mirroring how real TCU instructions take memory
 // addresses, Section 3 of the paper).
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -209,11 +210,14 @@ class Matrix {
 /// (s = the device's sqrt(m)), each tile a contiguous row-major block, laid
 /// out strip-major — all tiles of tile-column 0 first (top to bottom), then
 /// tile-column 1, and so on — so `tile_view(ti, tj)` is a contiguous s x s
-/// right operand, the layout real TCU loads want. Logical dimensions are
-/// zero-padded up to tile multiples (the paper's divisibility assumption,
-/// materialized in storage). It backs DenseLayer's packed weights, which
-/// the tiled `matmul_tcu_resident_into` and `matmul_tcu_pool_strips`
-/// overloads stream as resident tiles.
+/// right operand and `strip_view(tj)` a contiguous (rows x s, stride s)
+/// tall operand or destination, the layouts real TCU loads want. Logical
+/// dimensions are zero-padded up to tile multiples (the paper's
+/// divisibility assumption, materialized in storage). It backs
+/// DenseLayer's packed weights, which the tiled
+/// `matmul_tcu_resident_into` streams as resident tiles, and the pooled
+/// Mlp's activations, which the all-tiled `matmul_tcu_pool_strips` streams
+/// strip by strip.
 template <typename T>
 class TiledMatrix {
  public:
@@ -229,11 +233,18 @@ class TiledMatrix {
   }
 
   /// Pack a row-major view into tile-major storage (the row-major ->
-  /// tile-major packer; padding stays zero).
+  /// tile-major packer; padding stays zero). Each source row is copied as
+  /// one contiguous segment per tile column.
   static TiledMatrix pack(ConstMatrixView<T> src, std::size_t tile_dim) {
     TiledMatrix out(src.rows, src.cols, tile_dim);
+    const std::size_t s = out.s_;
     for (std::size_t i = 0; i < src.rows; ++i) {
-      for (std::size_t j = 0; j < src.cols; ++j) out.at(i, j) = src(i, j);
+      const T* row = src.data + i * src.stride;
+      for (std::size_t tj = 0; tj < out.tile_cols_; ++tj) {
+        const std::size_t j0 = tj * s;
+        std::copy(row + j0, row + std::min(j0 + s, src.cols),
+                  out.tile_ptr(i / s, tj) + (i % s) * s);
+      }
     }
     return out;
   }
@@ -253,6 +264,20 @@ class TiledMatrix {
     return ConstMatrixView<T>(tile_ptr(ti, tj), s_, s_, s_);
   }
 
+  /// Tile column tj as one contiguous rows() x s view (stride == s):
+  /// logical columns [tj*s, tj*s + s), with the zero padding past cols()
+  /// in the last tile column. Rows past rows() (padding) are not in view.
+  MatrixView<T> strip_view(std::size_t tj) {
+    assert(tj < tile_cols_);
+    return MatrixView<T>(data_.data() + tj * tile_rows_ * s_ * s_, rows_, s_,
+                         s_);
+  }
+  ConstMatrixView<T> strip_view(std::size_t tj) const {
+    assert(tj < tile_cols_);
+    return ConstMatrixView<T>(data_.data() + tj * tile_rows_ * s_ * s_, rows_,
+                              s_, s_);
+  }
+
   /// Address of tile (ti, tj)'s first element: a stable residency key for
   /// as long as this TiledMatrix lives (the same identity contract as
   /// row-major `&B(kb, jb)` keys).
@@ -260,7 +285,8 @@ class TiledMatrix {
     return tile_ptr(ti, tj);
   }
 
-  /// Logical element access (packing convenience; not a hot path).
+  /// Logical element access (element-wise reads and writes; not a hot
+  /// path).
   T& at(std::size_t i, std::size_t j) {
     assert(i < rows_ && j < cols_);
     return tile_ptr(i / s_, j / s_)[(i % s_) * s_ + j % s_];

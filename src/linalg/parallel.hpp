@@ -319,35 +319,46 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
   return C;
 }
 
-/// matmul_tcu_pool_strips with a tile-major B (A and C stay row-major):
-/// every right operand a worker hands its device is a contiguous tile.
-/// B's logical shape must be tile-aligned (its padding is
-/// storage-internal) and its tile_dim must be the units' sqrt(m). Keys
-/// default to tile addresses (detail::tiled_b_key); a TileKeyFn (element
-/// origins) can pin them to other storage — DenseLayer keys its packed
-/// tiles by the original weights so every path shares one identity.
+/// matmul_tcu_pool_strips with tile-major A, B and C: strip jt's task
+/// streams A's tile columns through B's tile column jt into C's tile
+/// column jt, so every tall operand, right operand and destination a
+/// worker hands its device is one contiguous panel (stride s). All three
+/// logical shapes must be tile-aligned (their padding is storage-internal)
+/// and every tile_dim must be the units' sqrt(m). Tasks, costs, chains and
+/// `after` lists are those of the row-major overload, so dealing and every
+/// counter match it. Keys default to tile addresses (detail::tiled_b_key);
+/// a TileKeyFn (element origins) can pin them to other storage —
+/// DenseLayer keys its packed tiles by the original weights so every path
+/// shares one identity. C is task-written: the caller joins before reading
+/// it and keeps A, B and C alive until then.
 template <typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
-    PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
-    const TiledMatrix<T>& B, std::type_identity_t<MatrixView<T>> C,
-    const std::vector<TaskTicket>& after, PoolMatmulOptions opts = {}) {
+    PoolExecutor<T>& exec, const TiledMatrix<T>& A, const TiledMatrix<T>& B,
+    TiledMatrix<T>& C, const std::vector<TaskTicket>& after,
+    PoolMatmulOptions opts = {}) {
   const std::size_t s = B.tile_dim();
-  if (B.rows() % s || B.cols() % s) {
+  const auto aligned = [s](const TiledMatrix<T>& x) {
+    return x.tile_dim() == s && x.rows() % s == 0 && x.cols() % s == 0;
+  };
+  if (!aligned(A) || !aligned(B) || !aligned(C)) {
     throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B logical shape must be tile-aligned");
+        "matmul_tcu_pool tiled: operands must share one tile_dim and be "
+        "tile-aligned");
   }
-  if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
+  if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
     throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
   }
   const Device<T>& unit0 = exec.pool().unit(0);
   if (s != unit0.tile_dim()) {
     throw std::invalid_argument(
-        "matmul_tcu_pool tiled: B tile_dim must equal the units' sqrt(m)");
+        "matmul_tcu_pool tiled: tile_dim must equal the units' sqrt(m)");
   }
   const std::uint64_t strip_cost =
-      B.tile_rows() * detail::strip_tile_cost(unit0, A.rows, opts.affinity);
+      B.tile_rows() * detail::strip_tile_cost(unit0, A.rows(), opts.affinity);
 
+  const TiledMatrix<T>* a = &A;
   const TiledMatrix<T>* b = &B;
+  TiledMatrix<T>* c = &C;
   std::vector<TaskTicket> tickets;
   tickets.reserve(B.tile_cols());
   for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
@@ -358,16 +369,15 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
         chain.push_back(detail::tiled_b_key(B, kt, jt, opts.tile_key));
       }
     }
-    auto task = [A, b, C, jt, s, keys = chain](Device<T>& unit) {
+    auto task = [a, b, c, jt, keys = chain](Device<T>& unit) {
       for (std::size_t kt = 0; kt < b->tile_rows(); ++kt) {
-        ConstMatrixView<T> a = A.subview(0, kt * s, A.rows, s);
-        MatrixView<T> c = C.subview(0, jt * s, A.rows, s);
         if (!keys.empty()) {
-          unit.gemm_resident(keys[kt], a, b->tile_view(kt, jt), c,
-                             /*accumulate=*/kt != 0);
+          unit.gemm_resident(keys[kt], a->strip_view(kt), b->tile_view(kt, jt),
+                             c->strip_view(jt), /*accumulate=*/kt != 0);
         } else {
           // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
-          unit.gemm(a, b->tile_view(kt, jt), c, /*accumulate=*/kt != 0);
+          unit.gemm(a->strip_view(kt), b->tile_view(kt, jt), c->strip_view(jt),
+                    /*accumulate=*/kt != 0);
         }
       }
     };

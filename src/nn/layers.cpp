@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
+#include <deque>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/dense.hpp"
 #include "linalg/parallel.hpp"
@@ -12,16 +13,45 @@ namespace tcu::nn {
 
 namespace {
 
-/// Bias + optional ReLU epilogue; the caller charges the CPU work.
-void apply_epilogue(Matrix<double>& out, const std::vector<double>& bias,
-                    bool relu) {
-  for (std::size_t i = 0; i < out.rows(); ++i) {
-    for (std::size_t j = 0; j < out.cols(); ++j) {
-      double v = out(i, j) + bias[j];
+/// Bias + optional ReLU epilogue from `src` into `dst` (same shape; they
+/// may alias), `bias` indexed by dst's columns; the caller charges the CPU
+/// work.
+void epilogue(ConstMatrixView<double> src, MatrixView<double> dst,
+              const double* bias, bool relu) {
+  for (std::size_t i = 0; i < dst.rows; ++i) {
+    for (std::size_t j = 0; j < dst.cols; ++j) {
+      double v = src(i, j) + bias[j];
       if (relu && v < 0.0) v = 0.0;
-      out(i, j) = v;
+      dst(i, j) = v;
     }
   }
+}
+
+/// One epilogue task per output strip jt (columns [jt*s, jt*s + w)),
+/// gated on exactly that strip's product ticket: `views(jt)` names the
+/// strip's source and destination, which no other strip touches. The
+/// per-strip CPU charges sum to the serial forward's epilogue charge.
+template <typename Views>
+std::vector<TaskTicket> submit_epilogues(PoolExecutor<double>& exec,
+                                         const std::vector<TaskTicket>& strips,
+                                         std::size_t s,
+                                         const std::vector<double>& bias,
+                                         bool relu, Views views) {
+  std::vector<TaskTicket> epilogues;
+  epilogues.reserve(strips.size());
+  for (std::size_t jt = 0; jt < strips.size(); ++jt) {
+    const auto io = views(jt);
+    const double* b = bias.data() + jt * s;
+    const std::uint64_t cost = static_cast<std::uint64_t>(io.second.rows) *
+                               io.second.cols * (relu ? 2 : 1);
+    epilogues.push_back(exec.submit(
+        {.cost = cost, .after = {strips[jt]}, .cpu = true},
+        [src = io.first, dst = io.second, b, relu, cost](Device<double>& unit) {
+          epilogue(src, dst, b, relu);
+          unit.charge_cpu(cost);
+        }));
+  }
+  return epilogues;
 }
 
 }  // namespace
@@ -74,7 +104,7 @@ Matrix<double> DenseLayer::forward(Device<double>& dev,
     linalg::matmul_tcu_resident_into(dev, activations, weights_.view(),
                                      out.view(), weights_key());
   }
-  apply_epilogue(out, bias_, relu);
+  epilogue(out.view(), out.view(), bias_.data(), relu);
   dev.charge_cpu(out.rows() * out.cols() * (relu ? 2 : 1));
   return out;
 }
@@ -89,45 +119,48 @@ std::vector<TaskTicket> DenseLayer::submit_forward(
   if (out.rows != activations.rows || out.cols != weights_.cols()) {
     throw std::invalid_argument("DenseLayer: output shape mismatch");
   }
-  // Affinity dealing, keyed on the row-major weights on both paths (the
-  // same identities the serial forward uses).
+  // Affinity dealing, keyed on the row-major weights (the same identities
+  // the serial forward uses).
   const std::size_t s = exec.pool().unit(0).tile_dim();
-  const linalg::PoolMatmulOptions opts{.affinity = true,
-                                       .tile_key = weights_key()};
-  std::vector<TaskTicket> strips;
-  if (tile_aligned(s, activations.rows)) {
-    strips = linalg::matmul_tcu_pool_strips(exec, activations,
-                                            tiled_weights(s), out, after, opts);
-  } else {
-    strips = linalg::matmul_tcu_pool_strips(exec, activations,
-                                            weights_.view(), out, after, opts);
-  }
+  const auto strips = linalg::matmul_tcu_pool_strips(
+      exec, activations, weights_.view(), out, after,
+      {.affinity = true, .tile_key = weights_key()});
+  return submit_epilogues(
+      exec, strips, s, bias_, relu, [&out, s](std::size_t jt) {
+        const std::size_t jb = jt * s;
+        const MatrixView<double> strip =
+            out.subview(0, jb, out.rows, std::min(s, out.cols - jb));
+        return std::pair{strip.as_const(), strip};
+      });
+}
 
-  // One epilogue task per output strip, gated on exactly that strip's
-  // product: columns [jb, jb+jw) of `out` are final once the ticket
-  // retires, and no other strip touches them. The per-strip CPU charges
-  // sum to the serial forward's epilogue charge.
-  const std::size_t rows = out.rows;
-  const std::size_t cols = out.cols;
-  std::vector<TaskTicket> epilogues;
-  for (std::size_t jb = 0; jb < cols; jb += s) {
-    const std::size_t jw = std::min(s, cols - jb);
-    const std::uint64_t cost =
-        static_cast<std::uint64_t>(rows) * jw * (relu ? 2 : 1);
-    epilogues.push_back(exec.submit(
-        {.cost = cost, .after = {strips[jb / s]}, .cpu = true},
-        [out, this, relu, jb, jw, rows, cost](Device<double>& unit) {
-          for (std::size_t i = 0; i < rows; ++i) {
-            for (std::size_t j = jb; j < jb + jw; ++j) {
-              double v = out(i, j) + bias_[j];
-              if (relu && v < 0.0) v = 0.0;
-              out(i, j) = v;
-            }
-          }
-          unit.charge_cpu(cost);
-        }));
+std::vector<TaskTicket> DenseLayer::submit_forward(
+    PoolExecutor<double>& exec, const TiledMatrix<double>& activations,
+    TiledMatrix<double>& product, MatrixView<double> out, bool relu,
+    const std::vector<TaskTicket>& after) const {
+  if (activations.cols() != weights_.rows()) {
+    throw std::invalid_argument("DenseLayer: activation width mismatch");
   }
-  return epilogues;
+  if (product.rows() != activations.rows() ||
+      product.cols() != weights_.cols() ||
+      (out.data != nullptr &&
+       (out.rows != product.rows() || out.cols != product.cols()))) {
+    throw std::invalid_argument("DenseLayer: output shape mismatch");
+  }
+  // Affinity dealing keyed on the row-major weights, as above; the
+  // all-tiled product checks that every shape is tile-aligned.
+  const std::size_t s = exec.pool().unit(0).tile_dim();
+  const auto strips = linalg::matmul_tcu_pool_strips(
+      exec, activations, tiled_weights(s), product, after,
+      {.affinity = true, .tile_key = weights_key()});
+  return submit_epilogues(
+      exec, strips, s, bias_, relu, [&product, out, s](std::size_t jt) {
+        const MatrixView<double> strip = product.strip_view(jt);
+        return std::pair{strip.as_const(),
+                         out.data != nullptr
+                             ? out.subview(0, jt * s, out.rows, s)
+                             : strip};
+      });
 }
 
 void Mlp::add_layer(DenseLayer layer) {
@@ -155,23 +188,57 @@ Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
   // Every layer submits its strips after the previous layer's epilogues,
   // then its own per-strip epilogues; one strict join closes the whole
-  // pass. The activation matrices are arena-held because in-flight tasks
-  // reference them long after the submitting loop iteration has moved on.
-  auto cur = std::make_shared<Matrix<double>>(materialize(batch));
+  // pass. Activations outlive the submitting loop iteration because
+  // in-flight tasks reference them until the join.
+  const std::size_t s = exec.pool().unit(0).tile_dim();
   exec.pool().charge_cpu(batch.rows * batch.cols);
-  std::vector<std::shared_ptr<Matrix<double>>> arena{cur};
+  if (!std::all_of(layers_.begin(), layers_.end(),
+                   [&](const DenseLayer& layer) {
+                     return layer.tile_aligned(s, batch.rows);
+                   })) {
+    // Ragged shapes: row-major activations, padded per strip in worker
+    // scratch, one per layer (a deque: queued tasks keep their addresses).
+    std::deque<Matrix<double>> acts;
+    acts.push_back(materialize(batch));
+    std::vector<TaskTicket> layer;
+    for (std::size_t l = 0; l < layers_.size(); ++l) {
+      const bool relu = l + 1 < layers_.size();
+      acts.emplace_back(batch.rows, layers_[l].out_features(), 0.0);
+      layer = layers_[l].submit_forward(exec, acts[l].view(),
+                                        acts.back().view(), relu, layer);
+    }
+    exec.join();
+    return std::move(acts.back());
+  }
+
+  // Tile-aligned shapes: strip-major activations, so every tall call
+  // reads and writes contiguous panels. Two buffers alternate — layer l
+  // reads `cur` and writes `spare`, and layer l + 1 writes into the buffer
+  // layer l read, which is safe because each of its strips waits on every
+  // layer-l epilogue, and each of those on its layer-l strip. A buffer of
+  // another width is a new one in `store` (a deque: queued tasks keep
+  // their addresses). The last layer's epilogues write the row-major
+  // result, allocated only then.
+  std::deque<TiledMatrix<double>> store;
+  TiledMatrix<double>* cur =
+      &store.emplace_back(TiledMatrix<double>::pack(batch, s));
+  TiledMatrix<double>* spare = nullptr;
+  Matrix<double> out;
   std::vector<TaskTicket> layer;
   for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const bool relu = l + 1 < layers_.size();
-    auto next = std::make_shared<Matrix<double>>(
-        cur->rows(), layers_[l].out_features(), 0.0);
-    layer = layers_[l].submit_forward(exec, cur->view().as_const(),
-                                      next->view(), relu, layer);
-    arena.push_back(next);
-    cur = std::move(next);
+    const bool last = l + 1 == layers_.size();
+    const std::size_t width = layers_[l].out_features();
+    if (spare == nullptr || spare->cols() != width) {
+      spare = &store.emplace_back(batch.rows, width, s);
+    }
+    if (last) out = Matrix<double>(batch.rows, width);
+    layer = layers_[l].submit_forward(exec, *cur, *spare,
+                                      last ? out.view() : MatrixView<double>{},
+                                      /*relu=*/!last, layer);
+    std::swap(cur, spare);
   }
   exec.join();
-  return std::move(*cur);
+  return out;
 }
 
 namespace {

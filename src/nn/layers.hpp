@@ -53,10 +53,24 @@ class DenseLayer {
   /// the serial forward, and the per-strip epilogue charges on the
   /// executing units sum to its epilogue charge. Strips are always dealt
   /// with affinity, keyed on the row-major weights' storage like the
-  /// serial forward.
+  /// serial forward. Any shapes: ragged strips are padded in worker
+  /// scratch.
   std::vector<TaskTicket> submit_forward(
       PoolExecutor<double>& exec, ConstMatrixView<double> activations,
       MatrixView<double> out, bool relu,
+      const std::vector<TaskTicket>& after) const;
+
+  /// The same tasks, costs, tickets and charges over strip-major
+  /// operands: the product of the tile-major `activations` and the cached
+  /// tile-major weights lands in `product`, so every tall call reads and
+  /// writes contiguous panels. Each strip's epilogue then applies bias/ReLU
+  /// in place in `product`, or, when `out` is non-empty, writes the
+  /// row-major `out` instead (an Mlp's last layer). Every shape must be
+  /// tile_aligned for the units' sqrt(m), and all three operands must stay
+  /// alive until the caller's join().
+  std::vector<TaskTicket> submit_forward(
+      PoolExecutor<double>& exec, const TiledMatrix<double>& activations,
+      TiledMatrix<double>& product, MatrixView<double> out, bool relu,
       const std::vector<TaskTicket>& after) const;
 
   /// The weights packed tile-major for tile dimension `s` (sqrt of the
@@ -67,19 +81,19 @@ class DenseLayer {
   /// forward itself).
   const TiledMatrix<double>& tiled_weights(std::size_t s) const;
 
+  /// True when every forward dimension is tile-aligned for `s`, i.e. the
+  /// tile-major paths charge exactly what the row-major fast path does
+  /// (the ragged scratch path keeps its own accounting).
+  bool tile_aligned(std::size_t s, std::size_t batch_rows) const {
+    return batch_rows % s == 0 && weights_.rows() % s == 0 &&
+           weights_.cols() % s == 0;
+  }
+
  private:
   /// Resident-tile identity of weight tile origin (kb, jb): the row-major
   /// weights storage address, shared by the row-major and tile-major
   /// paths so hits survive path changes.
   linalg::TileKeyFn weights_key() const;
-
-  /// True when every forward dimension is tile-aligned for `s`, i.e. the
-  /// tile-major fast path charges exactly what the row-major fast path
-  /// does (the ragged scratch path keeps its own accounting).
-  bool tile_aligned(std::size_t s, std::size_t batch_rows) const {
-    return batch_rows % s == 0 && weights_.rows() % s == 0 &&
-           weights_.cols() % s == 0;
-  }
 
   Matrix<double> weights_;
   std::vector<double> bias_;
@@ -110,6 +124,12 @@ class Mlp {
   /// on all of the previous layer's epilogues, and one strict join closes
   /// the pass. Outputs are bit-identical to the serial forward; the
   /// epilogue CPU is charged to the executing units.
+  ///
+  /// When every shape is tile-aligned, the batch is packed strip-major
+  /// once (charged like the serial forward's copy) and the layers
+  /// alternate between two strip-major activation buffers, so every tall
+  /// call reads and writes contiguous panels; the last layer's epilogues
+  /// write the row-major result. Ragged shapes keep row-major activations.
   Matrix<double> forward(PoolExecutor<double>& exec,
                          ConstMatrixView<double> batch) const;
 

@@ -175,24 +175,29 @@ struct Rung {
 void PrintTo(const Rung& rung, std::ostream* os) { *os << rung.name; }
 
 // Runs the sim loop and a rung on strided operands: views cut out of
-// larger matrices at an offset, so every row stride exceeds s. The whole
-// output matrices are compared, so a store past the view's edge fails too.
+// larger matrices at an offset, so every row stride exceeds s. With
+// `contiguous`, the operands are whole matrices instead (every stride is
+// s), the dense panels a strip-major tall call hands the kernel. The
+// whole output matrices are compared, so a store past the view's edge
+// fails too.
 template <typename T>
 void kernel_case(const Rung& rung, std::size_t n, std::size_t s,
-                 std::uint64_t seed) {
-  const auto a = random_matrix<T>(n + 2, s + 3, seed);
-  const auto b = random_matrix<T>(s + 1, s + 5, seed + 1);
-  auto c_sim = random_matrix<T>(n + 2, s + 7, seed + 2);
+                 std::uint64_t seed, bool contiguous = false) {
+  const std::size_t pad = contiguous ? 0 : 1;
+  const auto a = random_matrix<T>(n + 2 * pad, s + 3 * pad, seed);
+  const auto b = random_matrix<T>(s + pad, s + 5 * pad, seed + 1);
+  auto c_sim = random_matrix<T>(n + 2 * pad, s + 7 * pad, seed + 2);
   auto c_rung = c_sim;
   Counters unused;
   tcu::SimBackend<T> sim;
   for (const bool accumulate : {false, true}) {
-    sim.run(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
-            c_sim.subview(1, 4, n, s), accumulate, unused);
-    rung.run<T>(a.subview(1, 2, n, s), b.subview(1, 3, s, s),
-                c_rung.subview(1, 4, n, s), accumulate);
+    sim.run(a.subview(pad, 2 * pad, n, s), b.subview(pad, 3 * pad, s, s),
+            c_sim.subview(pad, 4 * pad, n, s), accumulate, unused);
+    rung.run<T>(a.subview(pad, 2 * pad, n, s), b.subview(pad, 3 * pad, s, s),
+                c_rung.subview(pad, 4 * pad, n, s), accumulate);
     EXPECT_EQ(c_sim, c_rung) << rung.name << " n=" << n << " s=" << s
-                             << " accumulate=" << accumulate;
+                             << " accumulate=" << accumulate
+                             << " contiguous=" << contiguous;
   }
 }
 
@@ -273,21 +278,28 @@ TEST_P(MicroRung, KernelTailsMatchReference) {
   const Rung& rung = GetParam();
   if (!rung.present()) GTEST_SKIP() << rung.name << " not on this CPU";
   // Every branch of both rungs for both element types: n % 4 in {0, 1, 3}
-  // for the row tail; s a multiple of the 2-vector block, one vector past
-  // it, and off the vector width (scalar column tail). avx2 vectors hold
-  // 4 doubles or 8 floats, avx512 ones 8 or 16; s = 40 (double) and 48
-  // (float) end on one zmm vector, s = 12 (double) and 24 (float) on a
-  // zmm and a ymm vector.
+  // for the row tail, and for the columns every remainder of the rung's
+  // block. avx2 vectors hold 4 doubles or 8 floats in 2-vector blocks;
+  // avx512 ones hold 8 or 16 in 4-vector blocks (32 doubles, 64 floats).
+  // For double on avx512, s = 96 leaves no zmm vector past the blocks,
+  // 72 one, 80 and 112 two, 56 and 120 three; 12, 20 and 25 end on a ymm
+  // vector or scalars. For float, 64 leaves none, 80 one, 96 two, 112
+  // three, and 56, 72 and 120 end on a ymm vector. Non-multiples of 4
+  // (7, 25) take the scalar column tail on every rung.
   for (const std::size_t n : {4u, 5u, 7u, 13u}) {
-    for (const std::size_t s :
-         {4u, 7u, 8u, 12u, 16u, 20u, 24u, 25u, 40u, 48u, 64u}) {
+    for (const std::size_t s : {4u, 7u, 8u, 12u, 16u, 20u, 24u, 25u, 40u,
+                                48u, 56u, 64u, 72u, 80u, 96u, 112u, 120u}) {
       kernel_case<double>(rung, n, s, 600 + 10 * n + s);
       kernel_case<float>(rung, n, s, 700 + 10 * n + s);
     }
   }
-  // The tall call the Mlp benchmark issues.
+  // The tall call the Mlp benchmark issues, on a strided 512-wide
+  // operand (row-major activations) and on contiguous panels (ld = s,
+  // strip-major activations).
   kernel_case<double>(rung, 512, 64, 800);
   kernel_case<float>(rung, 512, 64, 801);
+  kernel_case<double>(rung, 512, 64, 802, /*contiguous=*/true);
+  kernel_case<float>(rung, 512, 64, 803, /*contiguous=*/true);
   // An input on which fusing or reordering the k sum changes the bits.
   rounding_trap_case<double>(rung);
   rounding_trap_case<float>(rung);

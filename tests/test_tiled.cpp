@@ -1,14 +1,17 @@
-// Tile-major storage (TiledMatrix): packing, zero padding, tile
-// contiguity, and the tiled matmul paths' bit-identity against the
+// Tile-major storage (TiledMatrix): packing, zero padding, tile and
+// strip contiguity, and the tiled matmul paths' bit-identity against the
 // row-major Theorem 2 schedule. The layout exists so the resident B tiles
-// DenseLayer streams reach the device as contiguous blocks; these tests
-// pin the invariants the linalg/nn layers rely on, serially and through
-// the pooled `matmul_tcu_pool_strips` path the pooled Mlp forward runs.
+// DenseLayer streams, and the pooled Mlp's strip-major activations, reach
+// the device as contiguous blocks; these tests pin the invariants the
+// linalg/nn layers rely on, serially and through the all-tiled pooled
+// `matmul_tcu_pool_strips` path the pooled Mlp forward runs, up to the
+// benchmark's Mlp shape.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 #include <tuple>
 #include <utility>
 
@@ -18,6 +21,7 @@
 #include "core/pool.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/parallel.hpp"
+#include "nn/layers.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -29,6 +33,10 @@ using tcu::DevicePool;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 using tcu::TiledMatrix;
+
+bool line_aligned(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % 64 == 0;
+}
 
 Matrix<double> random_matrix(std::size_t r, std::size_t c,
                              std::uint64_t seed) {
@@ -104,6 +112,81 @@ TEST(TiledMatrix, PaddingStaysZero) {
   }
 }
 
+/// The packer before it copied row segments: one element at a time.
+TiledMatrix<double> pack_elementwise(const Matrix<double>& src,
+                                     std::size_t s) {
+  TiledMatrix<double> out(src.rows(), src.cols(), s);
+  for (std::size_t i = 0; i < src.rows(); ++i) {
+    for (std::size_t j = 0; j < src.cols(); ++j) out.at(i, j) = src(i, j);
+  }
+  return out;
+}
+
+TEST(TiledMatrix, RowSegmentPackMatchesElementwisePack) {
+  // Every tile, padding included, must hold the element-wise packer's
+  // bits; the padding of the ragged shapes must be exactly zero. A
+  // strided source (a subview) checks that the packer honors its stride.
+  for (const auto& [r, c, s] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t>{16, 16, 4},
+                                {15, 7, 4},
+                                {1, 9, 8},
+                                {70, 130, 64},
+                                {128, 128, 64}}) {
+    const auto big = random_matrix(r + 3, c + 5, 400 + r * 7 + c);
+    const auto src = tcu::materialize(big.subview(1, 2, r, c));
+    const auto got = TiledMatrix<double>::pack(big.subview(1, 2, r, c), s);
+    const auto want = pack_elementwise(src, s);
+    for (std::size_t tj = 0; tj < got.tile_cols(); ++tj) {
+      for (std::size_t ti = 0; ti < got.tile_rows(); ++ti) {
+        const auto g = got.tile_view(ti, tj);
+        const auto w = want.tile_view(ti, tj);
+        for (std::size_t i = 0; i < s; ++i) {
+          for (std::size_t j = 0; j < s; ++j) {
+            EXPECT_EQ(g(i, j), w(i, j)) << r << "x" << c << " s=" << s;
+            if (ti * s + i >= r || tj * s + j >= c) {
+              EXPECT_EQ(g(i, j), 0.0) << r << "x" << c << " s=" << s;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TiledMatrix, StripViewIsTheContiguousTileColumn) {
+  // strip_view(tj) is the logical rows of tile column tj as one dense
+  // panel: stride s, every row s elements after the previous one, first
+  // element on a cache line, padding columns zero.
+  for (const auto& [r, c, s] : {std::tuple<std::size_t, std::size_t,
+                                           std::size_t>{16, 16, 4},
+                                {15, 7, 4},
+                                {512, 512, 64},
+                                {500, 130, 64}}) {
+    const auto src = random_matrix(r, c, 500 + r + c);
+    auto packed = TiledMatrix<double>::pack(src.view(), s);
+    for (std::size_t tj = 0; tj < packed.tile_cols(); ++tj) {
+      const tcu::MatrixView<double> strip = packed.strip_view(tj);
+      const ConstMatrixView<double> cstrip =
+          static_cast<const TiledMatrix<double>&>(packed).strip_view(tj);
+      EXPECT_EQ(strip.rows, r);
+      EXPECT_EQ(strip.cols, s);
+      EXPECT_EQ(strip.stride, s);
+      EXPECT_EQ(strip.data, packed.tile_data(0, tj));
+      EXPECT_EQ(cstrip.data, strip.data);
+      if (s * s * sizeof(double) % 64 == 0) {
+        EXPECT_TRUE(line_aligned(strip.data)) << r << "x" << c << " " << tj;
+      }
+      for (std::size_t i = 0; i < r; ++i) {
+        for (std::size_t j = 0; j < s; ++j) {
+          const std::size_t gj = tj * s + j;
+          EXPECT_EQ(strip(i, j), gj < c ? src(i, gj) : 0.0)
+              << r << "x" << c << " (" << i << "," << gj << ")";
+        }
+      }
+    }
+  }
+}
+
 TEST(TiledMatrix, TilesAreContiguousAndStripMajor) {
   const auto src = random_matrix(12, 8, 201);
   const auto packed = TiledMatrix<double>::pack(src.view(), 4);
@@ -126,7 +209,7 @@ TEST(TiledMatrix, TilesAreContiguousAndStripMajor) {
 
 TEST(TiledMatrix, StorageIsCacheLineAligned) {
   const auto aligned = [](const TiledMatrix<double>& t) {
-    return reinterpret_cast<std::uintptr_t>(t.tile_view(0, 0).data) % 64 == 0;
+    return line_aligned(t.tile_view(0, 0).data);
   };
   for (const auto& [r, c, s] : {std::tuple<std::size_t, std::size_t,
                                            std::size_t>{1, 1, 1},
@@ -146,9 +229,8 @@ TEST(TiledMatrix, StorageIsCacheLineAligned) {
     if (s * s * sizeof(double) % 64 == 0) {
       for (std::size_t tj = 0; tj < packed.tile_cols(); ++tj) {
         for (std::size_t ti = 0; ti < packed.tile_rows(); ++ti) {
-          EXPECT_EQ(reinterpret_cast<std::uintptr_t>(
-                        packed.tile_view(ti, tj).data) % 64,
-                    0u) << ti << "," << tj;
+          EXPECT_TRUE(line_aligned(packed.tile_view(ti, tj).data))
+              << ti << "," << tj;
         }
       }
     }
@@ -184,6 +266,8 @@ TEST(TiledMatmul, BTiledMatchesRowMajorBitwise) {
 // --------------------------------------------------------- pool identity
 
 TEST(TiledMatmul, PooledBTiledMatchesSerialAcrossP) {
+  // The all-tiled pooled product (tile-major A, B and C) against the
+  // serial B-tiled product: same bits, same charges at every p.
   const auto a = random_matrix(48, 16, 306);
   const auto b = random_matrix(16, 32, 307);
   Device<double> serial({.m = 16, .latency = 5});
@@ -191,20 +275,24 @@ TEST(TiledMatmul, PooledBTiledMatchesSerialAcrossP) {
   Matrix<double> c_serial(48, 32, 0.0);
   tcu::linalg::matmul_tcu_resident_into(serial, a.view(), packed,
                                         c_serial.view());
+  const auto a_tiled = TiledMatrix<double>::pack(a.view(), 4);
 
   for (const std::size_t p : {1u, 2u, 4u}) {
     DevicePool<double> pool(p, {.m = 16, .latency = 5});
     tcu::check::ScopedCheck<double> check(pool);
     PoolExecutor<double> exec(pool);
-    Matrix<double> c_pool(48, 32, 0.0);
+    TiledMatrix<double> c_pool(48, 32, 4);
     const auto strips = tcu::linalg::matmul_tcu_pool_strips(
-        exec, a.view(), packed, c_pool.view(), /*after=*/{},
-        {.affinity = true});
+        exec, a_tiled, packed, c_pool, /*after=*/{}, {.affinity = true});
     EXPECT_EQ(strips.size(), packed.tile_cols());
     exec.join();
-    EXPECT_EQ(c_pool, c_serial) << "p=" << p;
+    for (std::size_t i = 0; i < 48; ++i) {
+      for (std::size_t j = 0; j < 32; ++j) {
+        EXPECT_EQ(c_pool.at(i, j), c_serial(i, j)) << "p=" << p;
+      }
+    }
     expect_counters_equal(pool.aggregate(), serial.counters(),
-                          "B-tiled pool p=" + std::to_string(p),
+                          "all-tiled pool p=" + std::to_string(p),
                           /*compare_evictions=*/false);
     check.verify();
   }
@@ -213,14 +301,89 @@ TEST(TiledMatmul, PooledBTiledMatchesSerialAcrossP) {
 TEST(TiledMatmul, MismatchedTileDimThrows) {
   DevicePool<double> pool(2, {.m = 16, .latency = 5});
   PoolExecutor<double> exec(pool);
-  const auto b = random_matrix(16, 16, 310);
-  const auto packed = TiledMatrix<double>::pack(b.view(), 8);  // != sqrt(16)
-  const auto a = random_matrix(16, 16, 311);
-  Matrix<double> c(16, 16, 0.0);
+  const auto a = TiledMatrix<double>::pack(random_matrix(16, 16, 311).view(), 8);
+  const auto b = TiledMatrix<double>::pack(random_matrix(16, 16, 310).view(), 8);
+  TiledMatrix<double> c(16, 16, 8);
+  // Tile dims agree with each other but not with the units' sqrt(16).
   EXPECT_THROW((void)tcu::linalg::matmul_tcu_pool_strips(
-                   exec, a.view(), packed, c.view(), /*after=*/{}),
+                   exec, a, b, c, /*after=*/{}),
+               std::invalid_argument);
+  // Operands whose tile dims disagree, or whose shapes are ragged.
+  const auto a4 = TiledMatrix<double>::pack(random_matrix(16, 16, 312).view(), 4);
+  TiledMatrix<double> c4(16, 16, 4);
+  EXPECT_THROW((void)tcu::linalg::matmul_tcu_pool_strips(
+                   exec, a4, b, c4, /*after=*/{}),
+               std::invalid_argument);
+  const auto b4 = TiledMatrix<double>::pack(random_matrix(16, 16, 313).view(), 4);
+  const auto ragged = TiledMatrix<double>::pack(random_matrix(14, 16, 314).view(), 4);
+  TiledMatrix<double> c_ragged(14, 16, 4);
+  EXPECT_THROW((void)tcu::linalg::matmul_tcu_pool_strips(
+                   exec, ragged, b4, c_ragged, /*after=*/{}),
                std::invalid_argument);
   exec.join();  // nothing was submitted
+}
+
+// ------------------------------------------- the benchmark's pooled Mlp
+
+/// perfbench's Mlp contract (perfbench/workloads.hpp): identical work,
+/// and every load the serial call paid is paid or saved on the pool.
+void expect_mlp_contract(const Counters& got, const Counters& ref,
+                         const std::string& what) {
+  EXPECT_EQ(got.tensor_calls, ref.tensor_calls) << what;
+  EXPECT_EQ(got.tensor_rows, ref.tensor_rows) << what;
+  EXPECT_EQ(got.tensor_macs, ref.tensor_macs) << what;
+  EXPECT_EQ(got.cpu_ops, ref.cpu_ops) << what;
+  EXPECT_EQ(got.tensor_time - got.latency_time,
+            ref.tensor_time - ref.latency_time) << what;
+  EXPECT_EQ(got.latency_time + got.latency_saved,
+            ref.latency_time + ref.latency_saved) << what;
+}
+
+TEST(TiledMlp, PooledForwardAtTheBenchmarkShapeMatchesSerial) {
+  // mlp_infer's model on the micro backend: 3 layers of 512 x 512,
+  // m = 4096 (s = 64), 64 resident tiles per lane, l = 256. The aligned
+  // batch of 512 takes the strip-major activations; the ragged batch of
+  // 500 keeps the row-major path. Both must give the serial forward's
+  // bits and meet perfbench's Mlp counter contract against it.
+  constexpr std::size_t kWidth = 512;
+  tcu::util::Xoshiro256 rng(901);
+  tcu::nn::Mlp mlp;
+  for (int l = 0; l < 3; ++l) {
+    std::vector<double> bias(kWidth);
+    for (auto& v : bias) v = rng.uniform(-0.1, 0.1);
+    mlp.add_layer(tcu::nn::DenseLayer(random_matrix(kWidth, kWidth, 910 + l),
+                                      std::move(bias)));
+  }
+  const Device<double>::Config unit{.m = 4096,
+                                    .latency = 256,
+                                    .allow_tall = true,
+                                    .resident_tiles = 64,
+                                    .backend = tcu::BackendKind::kMicro};
+  for (const std::size_t rows : {512u, 500u}) {
+    const auto batch = random_matrix(rows, kWidth, 920 + rows);
+    // Capacity 1: the serial forward pays every weight load, the
+    // baseline the pool's latency split is conserved against.
+    Device<double>::Config serial_unit = unit;
+    serial_unit.resident_tiles = 1;
+    Device<double> serial(serial_unit);
+    const auto expect = mlp.forward(serial, batch.view());
+    for (const std::size_t p : {1u, 3u}) {
+      DevicePool<double> pool(p, unit);
+      PoolExecutor<double> exec(pool);
+      const std::string what =
+          "rows=" + std::to_string(rows) + " p=" + std::to_string(p);
+      EXPECT_EQ(mlp.forward(exec, batch.view()), expect) << what;
+      expect_mlp_contract(pool.aggregate(), serial.counters(), what);
+      if (rows % 64 == 0 && p > 1) {
+        // Warm calls: resident weight tiles hit, and the strip-major
+        // activation buffers of the previous call are gone.
+        for (int call = 1; call < 3; ++call) {
+          EXPECT_EQ(mlp.forward(exec, batch.view()), expect)
+              << what << " call " << call;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
