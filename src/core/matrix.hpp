@@ -214,10 +214,9 @@ class Matrix {
 /// tall operand or destination, the layouts real TCU loads want. Logical
 /// dimensions are zero-padded up to tile multiples (the paper's
 /// divisibility assumption, materialized in storage). It backs
-/// DenseLayer's packed weights, which the tiled
-/// `matmul_tcu_resident_into` streams as resident tiles, and the pooled
-/// Mlp's activations, which the all-tiled `matmul_tcu_pool_strips` streams
-/// strip by strip.
+/// DenseLayer's packed weights and the Mlp's activations on tile-aligned
+/// shapes, which the all-tiled `matmul_tcu_pool_strips` streams strip by
+/// strip past the resident weight tiles.
 template <typename T>
 class TiledMatrix {
  public:

@@ -293,7 +293,14 @@ class PoolExecutor {
   ~PoolExecutor() { shutdown(); }
 
   DevicePool<T>& pool() { return pool_; }
+
+  /// The reads a schedule makes of any executor. `unit0` prices tasks
+  /// (every unit shares its tile side and costs), `size` is the lane
+  /// count, and `charge_cpu` charges work done on the submit thread —
+  /// here to the pool's shared CPU.
+  const Device<T>& unit0() const { return pool_.unit(0); }
   std::size_t size() const { return pool_.size(); }
+  void charge_cpu(std::uint64_t ops) { pool_.charge_cpu(ops); }
 
   /// Cumulative fault-recovery statistics over this executor's lifetime:
   /// counters summed across rounds, `quarantined` listing every unit ever
@@ -879,6 +886,12 @@ class InlineExecutor {
     if (obs) obs->on_task_end(/*failed=*/false);
     return ticket;
   }
+
+  /// The schedule reads of PoolExecutor: the one device prices tasks, is
+  /// the one lane, and takes the submit thread's CPU charges.
+  const Device<T>& unit0() const { return dev_; }
+  std::size_t size() const { return 1; }
+  void charge_cpu(std::uint64_t ops) { dev_.charge_cpu(ops); }
 
   void evict_all() { dev_.evict_all(); }
 

@@ -211,11 +211,11 @@ void ct_level_pooled(const DftCtx& ctx, MatrixView<Complex> batch,
   ctx.keep->push_back(w_tile);
 
   PoolExecutor<Complex>& exec = *ctx.exec;
-  const Device<Complex>& unit0 = exec.pool().unit(0);
+  const Device<Complex>& unit0 = exec.unit0();
   const std::size_t rows = b * n2;
   const std::size_t tiles = rows / s;
   const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(exec.pool().size(), tiles));
+      std::max<std::size_t>(1, std::min(exec.size(), tiles));
   const std::uint64_t key = make_tile_key(kDftTileTag, n1);
   const bool affinity = ctx.affinity;
   // With affinity every chunk's one tagged call reuses the level's tile;
@@ -348,10 +348,10 @@ void base_case_pooled(const DftCtx& ctx, MatrixView<Complex> batch) {
   ctx.keep->push_back(w_tile);
 
   PoolExecutor<Complex>& exec = *ctx.exec;
-  const Device<Complex>& unit0 = exec.pool().unit(0);
+  const Device<Complex>& unit0 = exec.unit0();
   const std::size_t tiles = b / s;
   const std::size_t chunks =
-      std::max<std::size_t>(1, std::min(exec.pool().size(), tiles));
+      std::max<std::size_t>(1, std::min(exec.size(), tiles));
   const std::uint64_t key = make_tile_key(kDftTileTag, len);
   const bool affinity = ctx.affinity;
   // With affinity every chunk's one tagged call reuses the level's tile;
@@ -455,7 +455,7 @@ void dft_batch_rec(const DftCtx& ctx, MatrixView<Complex> batch) {
     // issued (a cpu task leaves the lane's prediction mirror alone).
     PoolExecutor<Complex>& exec = *ctx.exec;
     const std::size_t chunks =
-        std::max<std::size_t>(1, std::min(exec.pool().size(), b));
+        std::max<std::size_t>(1, std::min(exec.size(), b));
     std::vector<TaskTicket> tickets;
     std::size_t r0 = 0;
     for (std::size_t c = 0; c < chunks; ++c) {

@@ -133,7 +133,6 @@ Matrix<std::int64_t> apsd_seidel(Device<std::int64_t>& dev,
 Matrix<std::int64_t> apsd_seidel(PoolExecutor<std::int64_t>& exec,
                                  ConstMatrixView<std::int64_t> adjacency,
                                  ApsdOptions opts) {
-  DevicePool<std::int64_t>& pool = exec.pool();
   SeidelCtx ctx{
       .product =
           [&exec, opts](const Mat& a, const Mat& b) {
@@ -143,7 +142,7 @@ Matrix<std::int64_t> apsd_seidel(PoolExecutor<std::int64_t>& exec,
             }
             return linalg::matmul_tcu_pool(exec, a.view(), b.view());
           },
-      .charge_cpu = [&pool](std::uint64_t ops) { pool.charge_cpu(ops); },
+      .charge_cpu = [&exec](std::uint64_t ops) { exec.charge_cpu(ops); },
   };
   return seidel_with_ctx(ctx, adjacency);
 }

@@ -5,30 +5,23 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/backend.hpp"
 #include "linalg/gep.hpp"
 
 namespace tcu::graph {
 
 namespace {
 
-// Closure's CPU loops (the entry check, kernels A-C and D's clamp) are
-// compiled once per SIMD width and picked by cpuid at load time: the
-// library builds for baseline x86-64, which alone would leave them at
-// SSE2. A clone must not throw (an exception leaving one terminates), so
-// the cloned functions only compute and their callers throw.
-#if defined(__x86_64__) && defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define TCU_SIMD_CLONES \
-  __attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-#endif
-#ifndef TCU_SIMD_CLONES
-#define TCU_SIMD_CLONES
-#endif
+// Closure's CPU loops (the entry check, kernels A-C and D's clamp) have
+// one source body each, inlined into one function per SIMD width, and
+// `loops()` picks a width once per process by the micro backend's cpuid
+// rung: the library builds for baseline x86-64, which alone would leave
+// them at SSE2. Plain function pointers need no IFUNC resolver, which a
+// sanitizer runtime cannot run before it is initialised.
 
 /// True when every entry of `d` is 0 or 1. Each row is OR-reduced
 /// without branches, so the scan vectorises; NaN is unequal to both.
-TCU_SIMD_CLONES bool all_boolean(ConstMatrixView<Vert> d) {
+[[gnu::always_inline]] inline bool all_boolean_body(ConstMatrixView<Vert> d) {
   for (std::size_t i = 0; i < d.rows; ++i) {
     const Vert* row = d.data + i * d.stride;
     unsigned bad = 0;  // a bool accumulator does not vectorise
@@ -38,6 +31,81 @@ TCU_SIMD_CLONES bool all_boolean(ConstMatrixView<Vert> d) {
     if (bad != 0) return false;
   }
   return true;
+}
+
+/// X |= P * Q over the boolean semiring, in the Figure 5 k/i/j order.
+/// Row i is skipped when its pivot entry P(i, k) is 0; otherwise row k of
+/// Q is ORed into it with a branch-free max on 0/1 values, compiled at
+/// each rung's width (16 floats per zmm on avx512f, 8 per ymm on avx2,
+/// 4 per xmm otherwise). P and Q may alias X: the pivot column and row do
+/// not change during their own k step (X(i,k) |= X(i,k) & X(k,k)), so the
+/// output equals the unskipped scalar loop bit for bit.
+[[gnu::always_inline]] inline void or_product_body(MatrixView<Vert> X,
+                                                   ConstMatrixView<Vert> P,
+                                                   ConstMatrixView<Vert> Q) {
+  const std::size_t s = P.cols;
+  for (std::size_t k = 0; k < s; ++k) {
+    const Vert* xk = &Q(k, 0);
+    for (std::size_t i = 0; i < X.rows; ++i) {
+      if (P(i, k) == 0) continue;
+      Vert* xi = &X(i, 0);
+      for (std::size_t j = 0; j < X.cols; ++j) xi[j] = std::max(xi[j], xk[j]);
+    }
+  }
+}
+
+/// Clamp a strip back to 0/1 after an arithmetic D update (lines 5-7 of
+/// function D in Figure 7): x = min(x, 1), branch-free.
+[[gnu::always_inline]] inline void clamp_block_body(MatrixView<Vert> X) {
+  for (std::size_t i = 0; i < X.rows; ++i) {
+    Vert* row = X.data + i * X.stride;
+    for (std::size_t j = 0; j < X.cols; ++j) {
+      row[j] = std::min(row[j], Vert{1});
+    }
+  }
+}
+
+/// The three loops compiled for one SIMD width.
+struct Loops {
+  bool (*all_boolean)(ConstMatrixView<Vert>);
+  void (*or_product)(MatrixView<Vert>, ConstMatrixView<Vert>,
+                     ConstMatrixView<Vert>);
+  void (*clamp_block)(MatrixView<Vert>);
+};
+
+// One rung: each body inlined under the rung's target attribute `ATTR`.
+#define TCU_CLOSURE_RUNG(rung, ATTR)                                    \
+  namespace rung {                                                      \
+  ATTR bool all_boolean(ConstMatrixView<Vert> d) {                      \
+    return all_boolean_body(d);                                         \
+  }                                                                     \
+  ATTR void or_product(MatrixView<Vert> X, ConstMatrixView<Vert> P,     \
+                       ConstMatrixView<Vert> Q) {                       \
+    or_product_body(X, P, Q);                                           \
+  }                                                                     \
+  ATTR void clamp_block(MatrixView<Vert> X) { clamp_block_body(X); }    \
+  constexpr Loops kLoops{all_boolean, or_product, clamp_block};         \
+  }
+
+TCU_CLOSURE_RUNG(generic, )
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TCU_CLOSURE_X86 1
+TCU_CLOSURE_RUNG(avx512, __attribute__((target("avx512f"))))
+TCU_CLOSURE_RUNG(avx2, __attribute__((target("avx2"))))
+#endif
+#undef TCU_CLOSURE_RUNG
+
+/// The rung `micro_simd_name()` reports, chosen on first use.
+const Loops& loops() {
+#ifdef TCU_CLOSURE_X86
+  static const Loops chosen = backend_detail::micro_has_avx512() ? avx512::kLoops
+                              : backend_detail::micro_has_avx2()
+                                  ? avx2::kLoops
+                                  : generic::kLoops;
+  return chosen;
+#else
+  return generic::kLoops;
+#endif
 }
 
 /// Uncharged precondition of every entry point: `d` is square and holds
@@ -53,29 +121,8 @@ void check_adjacency(ConstMatrixView<Vert> d, std::size_t tile_dim) {
     throw std::invalid_argument(
         "closure: tile side too large for exact kernel D sums");
   }
-  if (!all_boolean(d)) {
+  if (!loops().all_boolean(d)) {
     throw std::invalid_argument("closure: entries must be 0 or 1");
-  }
-}
-
-/// X |= P * Q over the boolean semiring, in the Figure 5 k/i/j order.
-/// Row i is skipped when its pivot entry P(i, k) is 0; otherwise row k of
-/// Q is ORed into it with a branch-free max on 0/1 values, compiled at
-/// each clone's width (16 floats per zmm on avx512f, 8 per ymm on avx2,
-/// 4 per xmm otherwise). P and Q may alias X: the pivot column and row do
-/// not change during their own k step (X(i,k) |= X(i,k) & X(k,k)), so the
-/// output equals the unskipped scalar loop bit for bit.
-TCU_SIMD_CLONES void or_product(MatrixView<Vert> X,
-                                ConstMatrixView<Vert> P,
-                                ConstMatrixView<Vert> Q) {
-  const std::size_t s = P.cols;
-  for (std::size_t k = 0; k < s; ++k) {
-    const Vert* xk = &Q(k, 0);
-    for (std::size_t i = 0; i < X.rows; ++i) {
-      if (P(i, k) == 0) continue;
-      Vert* xi = &X(i, 0);
-      for (std::size_t j = 0; j < X.cols; ++j) xi[j] = std::max(xi[j], xk[j]);
-    }
   }
 }
 
@@ -83,38 +130,28 @@ TCU_SIMD_CLONES void or_product(MatrixView<Vert> X,
 // their s^3 CPU cost to the unit that runs them.
 
 /// Kernel A (Figure 7): boolean closure within the diagonal block.
-void kernel_a(MatrixView<Vert> X) { or_product(X, X, X); }
+void kernel_a(MatrixView<Vert> X) { loops().or_product(X, X, X); }
 
 /// Kernel B (Figure 7): X |= Y (diagonal block) times X, boolean.
 void kernel_b(MatrixView<Vert> X, ConstMatrixView<Vert> Y) {
-  or_product(X, Y, X);
+  loops().or_product(X, Y, X);
 }
 
 /// Kernel C (Figure 7): X |= X times Y (diagonal block), boolean.
 void kernel_c(MatrixView<Vert> X, ConstMatrixView<Vert> Y) {
-  or_product(X, X, Y);
-}
-
-/// Clamp a strip back to 0/1 after an arithmetic D update (lines 5-7 of
-/// function D in Figure 7): x = min(x, 1), branch-free.
-TCU_SIMD_CLONES void clamp_block(MatrixView<Vert> X) {
-  for (std::size_t i = 0; i < X.rows; ++i) {
-    Vert* row = X.data + i * X.stride;
-    for (std::size_t j = 0; j < X.cols; ++j) {
-      row[j] = std::min(row[j], Vert{1});
-    }
-  }
+  loops().or_product(X, X, Y);
 }
 
 /// Figure 7 on any executor: the GEP schedule over every off-pivot block,
-/// for n a multiple of `unit0`'s tile side. Kernel D(k, j) loads X_kj as
+/// for n a multiple of the tile side. Kernel D(k, j) loads X_kj as
 /// the weight matrix and streams the column panel X_ik for all i != k —
 /// contiguous above and below the pivot row, so two tall calls, each
 /// followed by its clamp. X_kj is rewritten by kernel B every pivot, so
 /// equal addresses would not mean equal content: D is an untagged,
 /// empty-chain task.
 template <typename Exec>
-void closure_gep(Exec& exec, const Device<Vert>& unit0, MatrixView<Vert> X) {
+void closure_gep(Exec& exec, MatrixView<Vert> X) {
+  const Device<Vert>& unit0 = exec.unit0();
   const std::size_t n = X.rows;
   const std::size_t s = unit0.tile_dim();
   const std::size_t t = n / s;
@@ -143,7 +180,7 @@ void closure_gep(Exec& exec, const Device<Vert>& unit0, MatrixView<Vert> X) {
           // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
           unit.gemm(X.subview(0, k * s, k * s, s), weight,
                     X.subview(0, j * s, k * s, s), /*accumulate=*/true);
-          clamp_block(X.subview(0, j * s, k * s, s));
+          loops().clamp_block(X.subview(0, j * s, k * s, s));
           unit.charge_cpu(static_cast<std::uint64_t>(k) * s * s);
         }
         if (k + 1 < t) {
@@ -151,7 +188,7 @@ void closure_gep(Exec& exec, const Device<Vert>& unit0, MatrixView<Vert> X) {
           // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
           unit.gemm(X.subview(top, k * s, n - top, s), weight,
                     X.subview(top, j * s, n - top, s), /*accumulate=*/true);
-          clamp_block(X.subview(top, j * s, n - top, s));
+          loops().clamp_block(X.subview(top, j * s, n - top, s));
           unit.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
         }
       });
@@ -160,17 +197,16 @@ void closure_gep(Exec& exec, const Device<Vert>& unit0, MatrixView<Vert> X) {
 /// Both entry points: check `d`, pad it with isolated vertices (no edges:
 /// they cannot create paths, so the closure restricted to the original
 /// vertices is unchanged) up to a multiple of the tile side, and run the
-/// closure on `exec`. The padding copies are charged to `cpu` — the
-/// device on the serial path, the pool's shared CPU on the pooled one.
-template <typename Exec, typename Cpu>
-void closure_padded(Exec& exec, const Device<Vert>& unit0, Cpu& cpu,
-                    MatrixView<Vert> d) {
-  const std::size_t s = unit0.tile_dim();
+/// closure on `exec`. The padding copies are charged to the executor's
+/// shared CPU.
+template <typename Exec>
+void closure_padded(Exec& exec, MatrixView<Vert> d) {
+  const std::size_t s = exec.unit0().tile_dim();
   check_adjacency(d, s);
   const std::size_t n = d.rows;
   if (n == 0) return;
   if (n % s == 0) {
-    closure_gep(exec, unit0, d);
+    closure_gep(exec, d);
     return;
   }
   const std::size_t np = ((n + s - 1) / s) * s;
@@ -178,12 +214,12 @@ void closure_padded(Exec& exec, const Device<Vert>& unit0, Cpu& cpu,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
   }
-  cpu.charge_cpu(np * np);
-  closure_gep(exec, unit0, padded.view());
+  exec.charge_cpu(np * np);
+  closure_gep(exec, padded.view());
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
   }
-  cpu.charge_cpu(n * n);
+  exec.charge_cpu(n * n);
 }
 
 }  // namespace
@@ -191,7 +227,7 @@ void closure_padded(Exec& exec, const Device<Vert>& unit0, Cpu& cpu,
 void closure_naive(MatrixView<Vert> d, Counters& counters) {
   check_adjacency(d, 0);
   const std::size_t n = d.rows;
-  or_product(d, d, d);
+  loops().or_product(d, d, d);
   // Figure 5 charges one unit per innermost update; it scans every j of a
   // row whose pivot entry is 0, too.
   counters.charge_cpu(static_cast<std::uint64_t>(n) * n * n);
@@ -199,11 +235,11 @@ void closure_naive(MatrixView<Vert> d, Counters& counters) {
 
 void closure_tcu(Device<Vert>& dev, MatrixView<Vert> d) {
   InlineExecutor<Vert> exec(dev);
-  closure_padded(exec, dev, dev, d);
+  closure_padded(exec, d);
 }
 
 void closure_tcu(PoolExecutor<Vert>& exec, MatrixView<Vert> d) {
-  closure_padded(exec, exec.pool().unit(0), exec.pool(), d);
+  closure_padded(exec, d);
 }
 
 AdjMatrix closure_bfs_oracle(ConstMatrixView<Vert> adjacency) {

@@ -5,8 +5,8 @@
 // this workload: "the same model can be applied to k vectors". Multiplying
 // k left operands by one resident B must pay the weight-load latency per
 // *tile*, not per batch item — achieved by stacking the batch into a
-// single tall left operand. The multi-unit overload deals the stacked
-// product's output strips across a `DevicePool`'s worker threads.
+// single tall left operand, whose output strips are dealt across the
+// executor's lanes.
 
 #include <algorithm>
 #include <type_traits>
@@ -69,58 +69,46 @@ std::vector<Matrix<T>> unstack_batch(const Matrix<T>& product,
 
 }  // namespace detail
 
-/// Multiply each k x s block in `batch` by the shared B. All inputs must
-/// have the same shape (rows x B.rows). Returns one output per input;
-/// the tensor unit sees a single stacked tall operand per weight tile, so
-/// the latency l is charged once per weight tile, never per batch item.
-/// B's tiles are residency-tagged by storage address: a previously
-/// untagged product here invalidated the device's whole TileCache and
-/// re-paid every tile load on the next batched call against the same B,
-/// undercounting the §3 asymmetry property the API exists for. Repeated
-/// calls now hit resident tiles (given `resident_tiles` capacity), with a
-/// single call's charges unchanged. The key-identity caveat of
-/// `PoolMatmulOptions::affinity` applies: B must be long-lived, unchanged
-/// storage. Callers that mutate B or churn allocations between calls
-/// must call `Device::evict_all()` between them (or use the untagged
-/// `matmul_tcu` directly) — an address key on recycled storage would
-/// otherwise claim residency for different content.
-template <typename T>
-std::vector<Matrix<T>> matmul_batch_shared_b(
-    Device<T>& dev, const std::vector<Matrix<T>>& batch,
-    std::type_identity_t<ConstMatrixView<T>> B) {
-  if (batch.empty()) return {};
-  detail::validate_batch(batch, B);
-  Matrix<T> stacked = detail::stack_batch(batch);
-  dev.charge_cpu(stacked.rows() * stacked.cols());
-  Matrix<T> product(stacked.rows(), B.cols, T{});
-  matmul_tcu_resident_into(dev, stacked.view(), B, product.view());
-  dev.charge_cpu(product.rows() * product.cols());
-  return detail::unstack_batch(product, batch.size(), batch.front().rows());
-}
-
-/// Multi-unit batched product over a caller-owned persistent executor:
-/// the stacked tall operand's output strips run across the pool's worker
-/// threads (ragged shapes are padded in worker-local scratch), and by
-/// default the B tiles are dealt with affinity — a steady stream of
-/// batches against the same resident B pays each tile's load latency
-/// once, not once per round, with the units' `resident_hits` counters
-/// recording the savings. Pass `{.affinity = false}` for the pure
-/// least-loaded reload-every-round schedule (the benches use it as the
-/// comparison baseline). A deep shared B (chain k > 1) can pass
+/// Multiply each k x s block in `batch` by the shared B, on either
+/// executor. All inputs must have the same shape (rows x B.rows). Returns
+/// one output per input; the tensor unit sees a single stacked tall
+/// operand per weight tile, so the latency l is charged once per weight
+/// tile, never per batch item. The stacked product's output strips are
+/// dealt across the executor's lanes (ragged shapes are padded in
+/// task-local scratch). By default the B tiles are dealt with affinity,
+/// keyed by storage address: a steady stream of batches against the same
+/// resident B pays each tile's load latency once, not once per call, with
+/// the units' `resident_hits` counters recording the savings. The
+/// key-identity caveat of `PoolMatmulOptions::affinity` applies: B must be
+/// long-lived, unchanged storage. Callers that mutate B or churn
+/// allocations between calls must call `evict_all()` between them (or
+/// pass `{.affinity = false}`) — an address key on recycled storage would
+/// otherwise claim residency for different content. `{.affinity = false}`
+/// is also the pure least-loaded reload-every-call schedule the benches
+/// compare against. A deep shared B (chain k > 1) can pass
 /// `{.affinity = true, .split_chains = true}` to split the chains at tile
 /// granularity when the cache capacity is below k.
-template <typename T>
+template <template <typename> class Exec, typename T>
 std::vector<Matrix<T>> matmul_batch_shared_b(
-    PoolExecutor<T>& exec, const std::vector<Matrix<T>>& batch,
+    Exec<T>& exec, const std::vector<Matrix<T>>& batch,
     std::type_identity_t<ConstMatrixView<T>> B,
     PoolMatmulOptions opts = {.affinity = true}) {
   if (batch.empty()) return {};
   detail::validate_batch(batch, B);
   Matrix<T> stacked = detail::stack_batch(batch);
-  exec.pool().charge_cpu(stacked.rows() * stacked.cols());
+  exec.charge_cpu(stacked.rows() * stacked.cols());
   Matrix<T> product = matmul_tcu_pool(exec, stacked.view(), B, opts);
-  exec.pool().charge_cpu(product.rows() * product.cols());
+  exec.charge_cpu(product.rows() * product.cols());
   return detail::unstack_batch(product, batch.size(), batch.front().rows());
+}
+
+/// The affinity product above run inline on one device.
+template <typename T>
+std::vector<Matrix<T>> matmul_batch_shared_b(
+    Device<T>& dev, const std::vector<Matrix<T>>& batch,
+    std::type_identity_t<ConstMatrixView<T>> B) {
+  InlineExecutor<T> exec(dev);
+  return matmul_batch_shared_b(exec, batch, B, {.affinity = true});
 }
 
 }  // namespace tcu::linalg

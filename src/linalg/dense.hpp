@@ -90,9 +90,8 @@ void ragged_strip_into(Device<T>& dev, ConstMatrixView<T> A,
 }
 
 /// The whole Theorem 2 schedule — aligned fast path and ragged scratch
-/// path — around a caller-supplied tensor-call body, so the untagged and
-/// residency-tagged products run the bit-identical tiling and can never
-/// drift apart. `do_gemm(kb, jb, a, b, c, accumulate)` issues the call.
+/// path — around a caller-supplied tensor-call body.
+/// `do_gemm(kb, jb, a, b, c, accumulate)` issues the call.
 template <typename T, typename GemmFn>
 void tiled_matmul_into(Device<T>& dev, ConstMatrixView<T> A,
                        ConstMatrixView<T> B, MatrixView<T> C,
@@ -162,43 +161,6 @@ Matrix<T> matmul_tcu(Device<T>& dev, std::type_identity_t<ConstMatrixView<T>> A,
   return C;
 }
 
-/// Theorem 2 with residency-tagged weight tiles: identical call structure
-/// and charges to `matmul_tcu_into`, but every B tile carries its identity
-/// key, so the device's TileCache can serve repeated products against the
-/// same weights without re-paying the load latency — one load per tile
-/// while it stays resident (`Counters::resident_hits` records the reuse),
-/// and in the weak model the square calls of one tall split share their
-/// tile's single load. This is the serial half of the §3 asymmetry
-/// property the pool's affinity dealer realizes across lanes.
-template <typename T>
-void matmul_tcu_resident_into(Device<T>& dev,
-                              std::type_identity_t<ConstMatrixView<T>> A,
-                              std::type_identity_t<ConstMatrixView<T>> B,
-                              std::type_identity_t<MatrixView<T>> C,
-                              const TileKeyFn& tile_key = {}) {
-  detail::tiled_matmul_into(
-      dev, A, B, C,
-      [&dev, &B, &tile_key](std::size_t kb, std::size_t jb,
-                            ConstMatrixView<T> a, ConstMatrixView<T> b,
-                            MatrixView<T> c, bool accumulate) {
-        const std::uint64_t key =
-            tile_key ? tile_key(kb, jb)
-                     : reinterpret_cast<std::uintptr_t>(&B(kb, jb));
-        dev.gemm_resident(key, a, b, c, accumulate);
-      });
-}
-
-/// Allocating wrapper for `matmul_tcu_resident_into`.
-template <typename T>
-Matrix<T> matmul_tcu_resident(Device<T>& dev,
-                              std::type_identity_t<ConstMatrixView<T>> A,
-                              std::type_identity_t<ConstMatrixView<T>> B,
-                              const TileKeyFn& tile_key = {}) {
-  Matrix<T> C(A.rows, B.cols, T{});
-  matmul_tcu_resident_into(dev, A, B, C.view(), tile_key);
-  return C;
-}
-
 namespace detail {
 
 /// Default identity of a tile-major B's tile (kt, jt): the tile's storage
@@ -215,41 +177,5 @@ std::uint64_t tiled_b_key(const TiledMatrix<T>& B, std::size_t kt,
 }
 
 }  // namespace detail
-
-/// Theorem 2 with a tile-major right operand: every B tile handed to the
-/// device is a contiguous s x s block (stride s), not a strided subview
-/// of a row-major matrix — the layout contract real TCU loads want. A and
-/// C stay row-major; B's logical dimensions must be tile-aligned (ragged
-/// shapes take the row-major overload's scratch path). Call structure,
-/// charges, and — keyed on the same identities — residency transitions
-/// are identical to the aligned row-major path.
-template <typename T>
-void matmul_tcu_resident_into(Device<T>& dev,
-                              std::type_identity_t<ConstMatrixView<T>> A,
-                              const TiledMatrix<T>& B,
-                              std::type_identity_t<MatrixView<T>> C,
-                              const TileKeyFn& tile_key = {}) {
-  const std::size_t s = dev.tile_dim();
-  if (B.tile_dim() != s) {
-    throw std::invalid_argument(
-        "matmul tiled: B tile_dim must equal the device's sqrt(m)");
-  }
-  if (B.rows() % s || B.cols() % s) {
-    throw std::invalid_argument(
-        "matmul tiled: B logical shape must be tile-aligned");
-  }
-  if (A.cols != B.rows() || C.rows != A.rows || C.cols != B.cols()) {
-    throw std::invalid_argument("matmul tiled: shape mismatch");
-  }
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-      // tcu-lint: anchored-ok(B is caller-owned long-lived storage; callers that repack or recycle it must evict_all, same contract as the row-major resident overload)
-      dev.gemm_resident(detail::tiled_b_key(B, kt, jt, tile_key),
-                        A.subview(0, kt * s, A.rows, s), B.tile_view(kt, jt),
-                        C.subview(0, jt * s, A.rows, s),
-                        /*accumulate=*/kt != 0);
-    }
-  }
-}
 
 }  // namespace tcu::linalg

@@ -137,11 +137,12 @@ inline constexpr std::uint64_t kernel_c_cost(std::uint64_t s) {
 }
 
 /// Figure 4 on any executor: the GEP schedule over the blocks after each
-/// pivot. `unit0` gives the tile side and costs the D tasks. Each kernel
-/// D is one tall `gemm_resident` of the column panel below the diagonal
-/// past X'_j, its chain that one key.
+/// pivot. The executor's `unit0` gives the tile side and costs the D
+/// tasks. Each kernel D is one tall `gemm_resident` of the column panel
+/// below the diagonal past X'_j, its chain that one key.
 template <typename T, typename Exec>
-void ge_forward(Exec& exec, const Device<T>& unit0, MatrixView<T> X) {
+void ge_forward(Exec& exec, MatrixView<T> X) {
+  const Device<T>& unit0 = exec.unit0();
   const std::size_t r = X.rows;
   const std::size_t s = unit0.tile_dim();
   if (X.cols != r) throw std::invalid_argument("ge_forward_tcu: square input");
@@ -197,7 +198,7 @@ void ge_forward(Exec& exec, const Device<T>& unit0, MatrixView<T> X) {
 template <typename T>
 void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
   InlineExecutor<T> exec(dev);
-  ge_detail::ge_forward(exec, dev, X);
+  ge_detail::ge_forward(exec, X);
 }
 
 /// Theorem 4 across the pool: the same GEP schedule as one
@@ -211,7 +212,7 @@ void ge_forward_tcu(Device<T>& dev, MatrixView<T> X) {
 /// empty cache, so evictions shrink with the number of lanes used.
 template <typename T>
 void ge_forward_tcu_pool(PoolExecutor<T>& exec, MatrixView<T> X) {
-  ge_detail::ge_forward(exec, exec.pool().unit(0), X);
+  ge_detail::ge_forward(exec, X);
 }
 
 /// Build the (R x R) augmented matrix of Figure 2 for the system A x = b

@@ -14,7 +14,9 @@
 // the calling thread against *projected* loads equal to the exact
 // simulated cost each strip will charge, so the assignment — and with it
 // every unit's `Counters` — is bit-identical to the historical serial
-// execute-then-pick loop regardless of thread interleaving.
+// execute-then-pick loop regardless of thread interleaving. Every entry
+// point takes either executor: on an `InlineExecutor` the same tasks run
+// in submit order on one device, which is the serial product.
 //
 // Two modes extend the PR 1 runtime:
 //   * ragged shapes — the final partial strip/tile is zero-padded into
@@ -130,12 +132,11 @@ void ragged_strip(Device<T>& unit, ConstMatrixView<T> A, ConstMatrixView<T> B,
 /// tile order after the join — a deterministic, p-independent summation
 /// (bit-identical to running the same mode on one unit; exact for
 /// integral T).
-template <typename T>
-void matmul_pool_tile_split(PoolExecutor<T>& exec, ConstMatrixView<T> A,
+template <template <typename> class Exec, typename T>
+void matmul_pool_tile_split(Exec<T>& exec, ConstMatrixView<T> A,
                             ConstMatrixView<T> B, MatrixView<T> C,
                             const TileKeyFn& tile_key) {
-  DevicePool<T>& pool = exec.pool();
-  const Device<T>& unit0 = pool.unit(0);
+  const Device<T>& unit0 = exec.unit0();
   const std::size_t s = unit0.tile_dim();
   const std::size_t p = A.rows, q = A.cols, r = B.cols;
   const std::size_t k_tiles = (q + s - 1) / s;
@@ -202,7 +203,7 @@ void matmul_pool_tile_split(PoolExecutor<T>& exec, ConstMatrixView<T> A,
           }
         }
       }
-      pool.charge_cpu(p * jw);
+      exec.charge_cpu(p * jw);
     }
   }
 }
@@ -235,14 +236,14 @@ void check_pool_shapes(ConstMatrixView<T> A, ConstMatrixView<T> B,
 /// CPU combine needs the join). The caller owes the executor a join()
 /// before the submit thread reads C, and must keep A, B, and C alive
 /// until then.
-template <typename T>
+template <template <typename> class Exec, typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
-    PoolExecutor<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
+    Exec<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
     std::type_identity_t<ConstMatrixView<T>> B,
     std::type_identity_t<MatrixView<T>> C,
     const std::vector<TaskTicket>& after, PoolMatmulOptions opts = {}) {
   detail::check_pool_shapes(A, B, C);
-  const Device<T>& unit0 = exec.pool().unit(0);
+  const Device<T>& unit0 = exec.unit0();
   const std::size_t s = unit0.tile_dim();
   const std::size_t p = A.rows, q = A.cols, r = B.cols;
   const bool ragged = (p % s) || (q % s) || (r % s);
@@ -292,14 +293,14 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
 /// churn — and the barrier at the end leaves the executor ready for the
 /// next round. With `split_chains` (and affinity) deep chains are instead
 /// split into per-tile tasks with a CPU combine (see PoolMatmulOptions).
-template <typename T>
-void matmul_tcu_pool_into(PoolExecutor<T>& exec,
+template <template <typename> class Exec, typename T>
+void matmul_tcu_pool_into(Exec<T>& exec,
                           std::type_identity_t<ConstMatrixView<T>> A,
                           std::type_identity_t<ConstMatrixView<T>> B,
                           std::type_identity_t<MatrixView<T>> C,
                           PoolMatmulOptions opts = {}) {
   detail::check_pool_shapes(A, B, C);
-  const std::size_t s = exec.pool().unit(0).tile_dim();
+  const std::size_t s = exec.unit0().tile_dim();
   if (opts.affinity && opts.split_chains && A.cols > s) {
     detail::matmul_pool_tile_split(exec, A, B, C, opts.tile_key);
     return;
@@ -309,8 +310,8 @@ void matmul_tcu_pool_into(PoolExecutor<T>& exec,
 }
 
 /// Allocating wrapper over the persistent-executor path.
-template <typename T>
-Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
+template <template <typename> class Exec, typename T>
+Matrix<T> matmul_tcu_pool(Exec<T>& exec,
                           std::type_identity_t<ConstMatrixView<T>> A,
                           std::type_identity_t<ConstMatrixView<T>> B,
                           PoolMatmulOptions opts = {}) {
@@ -331,9 +332,9 @@ Matrix<T> matmul_tcu_pool(PoolExecutor<T>& exec,
 /// DenseLayer keys its packed tiles by the original weights so every path
 /// shares one identity. C is task-written: the caller joins before reading
 /// it and keeps A, B and C alive until then.
-template <typename T>
+template <template <typename> class Exec, typename T>
 std::vector<TaskTicket> matmul_tcu_pool_strips(
-    PoolExecutor<T>& exec, const TiledMatrix<T>& A, const TiledMatrix<T>& B,
+    Exec<T>& exec, const TiledMatrix<T>& A, const TiledMatrix<T>& B,
     TiledMatrix<T>& C, const std::vector<TaskTicket>& after,
     PoolMatmulOptions opts = {}) {
   const std::size_t s = B.tile_dim();
@@ -348,7 +349,7 @@ std::vector<TaskTicket> matmul_tcu_pool_strips(
   if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
     throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
   }
-  const Device<T>& unit0 = exec.pool().unit(0);
+  const Device<T>& unit0 = exec.unit0();
   if (s != unit0.tile_dim()) {
     throw std::invalid_argument(
         "matmul_tcu_pool tiled: tile_dim must equal the units' sqrt(m)");

@@ -266,7 +266,7 @@ template <typename T>
 Matrix<T> strassen_run_plan(PoolExecutor<T>& exec, StrassenLeafPlan<T>& plan,
                             const std::function<Matrix<T>()>& root,
                             const StrassenOptions& opts) {
-  const Device<T>& unit0 = exec.pool().unit(0);
+  const Device<T>& unit0 = exec.unit0();
   plan.results.resize(plan.leaf_a.size());
   for (std::size_t idx = 0; idx < plan.leaf_a.size(); ++idx) {
     const std::uint64_t cost =

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "linalg/dense.hpp"
 #include "linalg/parallel.hpp"
 
 namespace tcu::nn {
@@ -30,9 +29,10 @@ void epilogue(ConstMatrixView<double> src, MatrixView<double> dst,
 /// One epilogue task per output strip jt (columns [jt*s, jt*s + w)),
 /// gated on exactly that strip's product ticket: `views(jt)` names the
 /// strip's source and destination, which no other strip touches. The
-/// per-strip CPU charges sum to the serial forward's epilogue charge.
-template <typename Views>
-std::vector<TaskTicket> submit_epilogues(PoolExecutor<double>& exec,
+/// per-strip CPU charges sum to rows x cols of the output, twice that
+/// with ReLU.
+template <typename Exec, typename Views>
+std::vector<TaskTicket> submit_epilogues(Exec& exec,
                                          const std::vector<TaskTicket>& strips,
                                          std::size_t s,
                                          const std::vector<double>& bias,
@@ -84,33 +84,15 @@ linalg::TileKeyFn DenseLayer::weights_key() const {
 Matrix<double> DenseLayer::forward(Device<double>& dev,
                                    ConstMatrixView<double> activations,
                                    bool relu) const {
-  if (activations.cols != weights_.rows()) {
-    throw std::invalid_argument("DenseLayer: activation width mismatch");
-  }
-  // The weights are the layer's long-lived resident operand, so their
-  // tiles carry identity keys (row-major storage addresses on every
-  // path): repeated forwards on a device whose cache covers the weight
-  // tiles skip the re-load latency, the same contract the executor path
-  // realizes per lane. Aligned shapes stream the cached tile-major
-  // weights — each resident tile is a contiguous block — with call
-  // structure and charges identical to the row-major fast path; ragged
-  // shapes keep the scratch path's accounting.
   Matrix<double> out(activations.rows, weights_.cols(), 0.0);
-  if (tile_aligned(dev.tile_dim(), activations.rows)) {
-    linalg::matmul_tcu_resident_into(dev, activations,
-                                     tiled_weights(dev.tile_dim()),
-                                     out.view(), weights_key());
-  } else {
-    linalg::matmul_tcu_resident_into(dev, activations, weights_.view(),
-                                     out.view(), weights_key());
-  }
-  epilogue(out.view(), out.view(), bias_.data(), relu);
-  dev.charge_cpu(out.rows() * out.cols() * (relu ? 2 : 1));
+  InlineExecutor<double> exec(dev);
+  submit_forward(exec, activations, out.view(), relu, {});
   return out;
 }
 
+template <typename Exec>
 std::vector<TaskTicket> DenseLayer::submit_forward(
-    PoolExecutor<double>& exec, ConstMatrixView<double> activations,
+    Exec& exec, ConstMatrixView<double> activations,
     MatrixView<double> out, bool relu,
     const std::vector<TaskTicket>& after) const {
   if (activations.cols != weights_.rows()) {
@@ -119,9 +101,8 @@ std::vector<TaskTicket> DenseLayer::submit_forward(
   if (out.rows != activations.rows || out.cols != weights_.cols()) {
     throw std::invalid_argument("DenseLayer: output shape mismatch");
   }
-  // Affinity dealing, keyed on the row-major weights (the same identities
-  // the serial forward uses).
-  const std::size_t s = exec.pool().unit(0).tile_dim();
+  // Affinity dealing, keyed on the row-major weights.
+  const std::size_t s = exec.unit0().tile_dim();
   const auto strips = linalg::matmul_tcu_pool_strips(
       exec, activations, weights_.view(), out, after,
       {.affinity = true, .tile_key = weights_key()});
@@ -134,8 +115,9 @@ std::vector<TaskTicket> DenseLayer::submit_forward(
       });
 }
 
+template <typename Exec>
 std::vector<TaskTicket> DenseLayer::submit_forward(
-    PoolExecutor<double>& exec, const TiledMatrix<double>& activations,
+    Exec& exec, const TiledMatrix<double>& activations,
     TiledMatrix<double>& product, MatrixView<double> out, bool relu,
     const std::vector<TaskTicket>& after) const {
   if (activations.cols() != weights_.rows()) {
@@ -149,7 +131,7 @@ std::vector<TaskTicket> DenseLayer::submit_forward(
   }
   // Affinity dealing keyed on the row-major weights, as above; the
   // all-tiled product checks that every shape is tile-aligned.
-  const std::size_t s = exec.pool().unit(0).tile_dim();
+  const std::size_t s = exec.unit0().tile_dim();
   const auto strips = linalg::matmul_tcu_pool_strips(
       exec, activations, tiled_weights(s), product, after,
       {.affinity = true, .tile_key = weights_key()});
@@ -173,25 +155,19 @@ void Mlp::add_layer(DenseLayer layer) {
 
 Matrix<double> Mlp::forward(Device<double>& dev,
                             ConstMatrixView<double> batch) const {
-  if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  Matrix<double> cur = materialize(batch);
-  dev.charge_cpu(batch.rows * batch.cols);
-  for (std::size_t l = 0; l < layers_.size(); ++l) {
-    const bool relu = l + 1 < layers_.size();
-    cur = layers_[l].forward(dev, cur.view(), relu);
-  }
-  return cur;
+  InlineExecutor<double> exec(dev);
+  return forward(exec, batch);
 }
 
-Matrix<double> Mlp::forward(PoolExecutor<double>& exec,
-                            ConstMatrixView<double> batch) const {
+template <typename Exec>
+Matrix<double> Mlp::forward(Exec& exec, ConstMatrixView<double> batch) const {
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
   // Every layer submits its strips after the previous layer's epilogues,
   // then its own per-strip epilogues; one strict join closes the whole
   // pass. Activations outlive the submitting loop iteration because
   // in-flight tasks reference them until the join.
-  const std::size_t s = exec.pool().unit(0).tile_dim();
-  exec.pool().charge_cpu(batch.rows * batch.cols);
+  const std::size_t s = exec.unit0().tile_dim();
+  exec.charge_cpu(batch.rows * batch.cols);
   if (!std::all_of(layers_.begin(), layers_.end(),
                    [&](const DenseLayer& layer) {
                      return layer.tile_aligned(s, batch.rows);
@@ -344,32 +320,19 @@ Matrix<double> conv2d_tcu(Device<double>& dev, ConstMatrixView<double> input,
                           std::size_t channels_in,
                           ConstMatrixView<double> filters, std::size_t kh,
                           std::size_t kw) {
-  ConvLowering lo = lower_conv(dev.tile_dim(), input, channels_in, filters,
-                               kh, kw);
-  dev.charge_cpu(lo.cpu_ops);
-
-  // Tall GEMM: every output position streams past the resident filters,
-  // whose tiles carry stable identity keys — the bank's load latency is
-  // charged once per tile load, not per call touching it.
-  Matrix<double> gem(lo.rows_p, lo.cout_p, 0.0);
-  linalg::matmul_tcu_resident_into(dev, lo.cols.view(), lo.bank.view(),
-                                   gem.view(), conv_bank_key(filters));
-
-  Matrix<double> out = conv_relayout(lo, gem);
-  dev.charge_cpu(lo.channels_out * lo.oh * lo.ow);
-  return out;
+  InlineExecutor<double> exec(dev);
+  return conv2d_tcu_pool(exec, input, channels_in, filters, kh, kw);
 }
 
-Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
-                               ConstMatrixView<double> input,
+template <typename Exec>
+Matrix<double> conv2d_tcu_pool(Exec& exec, ConstMatrixView<double> input,
                                std::size_t channels_in,
                                ConstMatrixView<double> filters,
                                std::size_t kh, std::size_t kw,
                                const linalg::PoolMatmulOptions& opts) {
-  DevicePool<double>& pool = exec.pool();
-  const std::size_t s = pool.unit(0).tile_dim();
+  const std::size_t s = exec.unit0().tile_dim();
   ConvLowering lo = lower_conv(s, input, channels_in, filters, kh, kw);
-  pool.charge_cpu(lo.cpu_ops);
+  exec.charge_cpu(lo.cpu_ops);
 
   Matrix<double> gem(lo.rows_p, lo.cout_p, 0.0);
 
@@ -387,7 +350,7 @@ Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
                                  gem.view(), gemm_opts);
   } else {
     const std::size_t row_tiles = lo.rows_p / s;
-    const std::size_t chunks = std::min(pool.size(), row_tiles);
+    const std::size_t chunks = std::min(exec.size(), row_tiles);
     std::size_t r0 = 0;
     for (std::size_t c = 0; c < chunks; ++c) {
       const std::size_t nr =
@@ -401,7 +364,7 @@ Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
   }
 
   Matrix<double> out = conv_relayout(lo, gem);
-  pool.charge_cpu(lo.channels_out * lo.oh * lo.ow);
+  exec.charge_cpu(lo.channels_out * lo.oh * lo.ow);
   return out;
 }
 
@@ -437,5 +400,34 @@ Matrix<double> conv2d_ram(ConstMatrixView<double> input,
   counters.charge_cpu(ops);
   return out;
 }
+
+// Every entry point above runs on either executor: the pool deals its
+// tasks across lanes, and the inline executor runs them on one device.
+template std::vector<TaskTicket> DenseLayer::submit_forward(
+    PoolExecutor<double>&, ConstMatrixView<double>, MatrixView<double>, bool,
+    const std::vector<TaskTicket>&) const;
+template std::vector<TaskTicket> DenseLayer::submit_forward(
+    InlineExecutor<double>&, ConstMatrixView<double>, MatrixView<double>,
+    bool, const std::vector<TaskTicket>&) const;
+template std::vector<TaskTicket> DenseLayer::submit_forward(
+    PoolExecutor<double>&, const TiledMatrix<double>&, TiledMatrix<double>&,
+    MatrixView<double>, bool, const std::vector<TaskTicket>&) const;
+template std::vector<TaskTicket> DenseLayer::submit_forward(
+    InlineExecutor<double>&, const TiledMatrix<double>&, TiledMatrix<double>&,
+    MatrixView<double>, bool, const std::vector<TaskTicket>&) const;
+template Matrix<double> Mlp::forward(PoolExecutor<double>&,
+                                     ConstMatrixView<double>) const;
+template Matrix<double> Mlp::forward(InlineExecutor<double>&,
+                                     ConstMatrixView<double>) const;
+template Matrix<double> conv2d_tcu_pool(PoolExecutor<double>&,
+                                        ConstMatrixView<double>, std::size_t,
+                                        ConstMatrixView<double>, std::size_t,
+                                        std::size_t,
+                                        const linalg::PoolMatmulOptions&);
+template Matrix<double> conv2d_tcu_pool(InlineExecutor<double>&,
+                                        ConstMatrixView<double>, std::size_t,
+                                        ConstMatrixView<double>, std::size_t,
+                                        std::size_t,
+                                        const linalg::PoolMatmulOptions&);
 
 }  // namespace tcu::nn

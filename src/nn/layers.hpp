@@ -34,12 +34,14 @@ class DenseLayer {
   std::size_t out_features() const { return weights_.cols(); }
 
   /// y = activations x W + b for a (batch x in) input, streamed through
-  /// the device weight-stationarily; optional ReLU epilogue.
+  /// the device weight-stationarily; optional ReLU epilogue. Runs the
+  /// row-major `submit_forward` on an InlineExecutor over `dev`.
   Matrix<double> forward(Device<double>& dev,
                          ConstMatrixView<double> activations,
                          bool relu = true) const;
 
-  /// Multi-unit forward over a caller-owned persistent executor: submits
+  /// The forward as tasks on either executor (PoolExecutor or
+  /// InlineExecutor): submits
   /// the weight product one task per output strip — every strip declares
   /// its full B-tile chain, so repeated forwards skip the weight re-load
   /// latency on every tile still resident on its lane — plus a per-strip
@@ -49,14 +51,14 @@ class DenseLayer {
   /// layer's epilogues, which write `activations`); the epilogues'
   /// tickets are returned for the next layer. No strict join: `out` is
   /// entirely task-written and must only be read (and `activations`/`out`
-  /// only freed) after the caller's join(). Outputs are bit-identical to
-  /// the serial forward, and the per-strip epilogue charges on the
-  /// executing units sum to its epilogue charge. Strips are always dealt
-  /// with affinity, keyed on the row-major weights' storage like the
-  /// serial forward. Any shapes: ragged strips are padded in worker
-  /// scratch.
+  /// only freed) after the caller's join(). Outputs do not depend on the
+  /// lane count, and the per-strip epilogue charges on the executing
+  /// units sum to rows x cols of `out` (twice that with ReLU). Strips are
+  /// always dealt with affinity, keyed on the row-major weights' storage.
+  /// Any shapes: ragged strips are padded in worker scratch.
+  template <typename Exec>
   std::vector<TaskTicket> submit_forward(
-      PoolExecutor<double>& exec, ConstMatrixView<double> activations,
+      Exec& exec, ConstMatrixView<double> activations,
       MatrixView<double> out, bool relu,
       const std::vector<TaskTicket>& after) const;
 
@@ -68,8 +70,9 @@ class DenseLayer {
   /// row-major `out` instead (an Mlp's last layer). Every shape must be
   /// tile_aligned for the units' sqrt(m), and all three operands must stay
   /// alive until the caller's join().
+  template <typename Exec>
   std::vector<TaskTicket> submit_forward(
-      PoolExecutor<double>& exec, const TiledMatrix<double>& activations,
+      Exec& exec, const TiledMatrix<double>& activations,
       TiledMatrix<double>& product, MatrixView<double> out, bool relu,
       const std::vector<TaskTicket>& after) const;
 
@@ -107,31 +110,32 @@ class Mlp {
   std::size_t depth() const { return layers_.size(); }
 
   /// Forward pass of a batch; ReLU between layers, linear final layer.
+  /// Runs the executor forward below on an InlineExecutor over `dev`.
   Matrix<double> forward(Device<double>& dev,
                          ConstMatrixView<double> batch) const;
 
-  /// Forward pass across a multi-unit pool's persistent executor (layers
-  /// stay sequential; each layer's weight product parallelizes over
-  /// output strips). An inference server keeps one executor alive across
-  /// requests and pays thread startup never and weight-tile load latency
-  /// only on first touch — with enough `resident_tiles` capacity, every
-  /// layer's whole chain of weight tiles stays resident on its lane
-  /// across requests (every layer deals its strips with affinity; see
-  /// DenseLayer::submit_forward).
+  /// Forward pass on either executor. Across a multi-unit pool's
+  /// persistent executor layers stay sequential, and each layer's weight
+  /// product parallelizes over output strips. An inference server keeps
+  /// one executor alive across requests and pays thread startup never and
+  /// weight-tile load latency only on first touch — with enough
+  /// `resident_tiles` capacity, every layer's whole chain of weight tiles
+  /// stays resident on its lane across requests (every layer deals its
+  /// strips with affinity; see DenseLayer::submit_forward).
   ///
   /// The layers run as one dependency-ordered round: per-strip epilogue
   /// tasks depend on their own strip's ticket, each layer's strips depend
   /// on all of the previous layer's epilogues, and one strict join closes
-  /// the pass. Outputs are bit-identical to the serial forward; the
+  /// the pass. Outputs are bit-identical at every lane count; the
   /// epilogue CPU is charged to the executing units.
   ///
   /// When every shape is tile-aligned, the batch is packed strip-major
-  /// once (charged like the serial forward's copy) and the layers
+  /// once (charged as one copy of the batch) and the layers
   /// alternate between two strip-major activation buffers, so every tall
   /// call reads and writes contiguous panels; the last layer's epilogues
   /// write the row-major result. Ragged shapes keep row-major activations.
-  Matrix<double> forward(PoolExecutor<double>& exec,
-                         ConstMatrixView<double> batch) const;
+  template <typename Exec>
+  Matrix<double> forward(Exec& exec, ConstMatrixView<double> batch) const;
 
  private:
   std::vector<DenseLayer> layers_;
@@ -151,14 +155,14 @@ class Mlp {
 /// weak model the square calls of one tall stream share their tile's
 /// load, and repeated layers against the same filters hit across calls.
 /// The im2col matrix and bank are laid out tile-aligned (zero padding,
-/// charged as CPU work), so serial and pool paths share one aligned
-/// schedule.
+/// charged as CPU work). Runs `conv2d_tcu_pool`'s schedule on an
+/// InlineExecutor over `dev`.
 Matrix<double> conv2d_tcu(Device<double>& dev, ConstMatrixView<double> input,
                           std::size_t channels_in,
                           ConstMatrixView<double> filters, std::size_t kh,
                           std::size_t kw);
 
-/// Multi-unit convolution over a caller-owned persistent executor: the
+/// Convolution on either executor; over a pool's persistent executor the
 /// im2col rows are split into up to p tile-aligned row blocks, and each
 /// block's output strips are dealt across the pool's lanes
 /// (`matmul_tcu_pool_strips`, one join for the whole product), each strip
@@ -175,8 +179,8 @@ Matrix<double> conv2d_tcu(Device<double>& dev, ConstMatrixView<double> input,
 /// (bank tile, output strip) with a CPU combine, serving banks deeper
 /// than the tile cache (see PoolMatmulOptions); on a one-tile bank it
 /// keeps the row blocks. `{.affinity = false}` is the untagged baseline.
-Matrix<double> conv2d_tcu_pool(PoolExecutor<double>& exec,
-                               ConstMatrixView<double> input,
+template <typename Exec>
+Matrix<double> conv2d_tcu_pool(Exec& exec, ConstMatrixView<double> input,
                                std::size_t channels_in,
                                ConstMatrixView<double> filters,
                                std::size_t kh, std::size_t kw,

@@ -34,6 +34,7 @@ using tcu::BackendKind;
 using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
+using tcu::InlineExecutor;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 
@@ -128,8 +129,11 @@ template <typename T>
 void serial_identity_case(const Matrix<T>& a, const Matrix<T>& b) {
   Device<T> sim({.m = 64, .latency = 5, .backend = BackendKind::kSim});
   Device<T> micro({.m = 64, .latency = 5, .backend = BackendKind::kMicro});
-  auto c_sim = tcu::linalg::matmul_tcu_resident(sim, a.view(), b.view());
-  auto c_micro = tcu::linalg::matmul_tcu_resident(micro, a.view(), b.view());
+  InlineExecutor<T> on_sim(sim), on_micro(micro);
+  auto c_sim = tcu::linalg::matmul_tcu_pool(on_sim, a.view(), b.view(),
+                                            {.affinity = true});
+  auto c_micro = tcu::linalg::matmul_tcu_pool(on_micro, a.view(), b.view(),
+                                              {.affinity = true});
   EXPECT_EQ(c_sim, c_micro);  // bitwise: micro keeps the k order, no FMA
   expect_counters_equal(micro.counters(), sim.counters(), "serial micro");
 }
@@ -457,9 +461,11 @@ TEST(BackendEquivalence, BlasBoundedUlpWithIdenticalCounters) {
   const auto b = random_matrix(48, 48, 902);
   Device<double> sim({.m = 64, .latency = 5, .backend = BackendKind::kSim});
   Device<double> blas({.m = 64, .latency = 5, .backend = BackendKind::kBlas});
-  const auto c_sim = tcu::linalg::matmul_tcu_resident(sim, a.view(), b.view());
-  const auto c_blas =
-      tcu::linalg::matmul_tcu_resident(blas, a.view(), b.view());
+  InlineExecutor<double> on_sim(sim), on_blas(blas);
+  const auto c_sim = tcu::linalg::matmul_tcu_pool(on_sim, a.view(), b.view(),
+                                                  {.affinity = true});
+  const auto c_blas = tcu::linalg::matmul_tcu_pool(
+      on_blas, a.view(), b.view(), {.affinity = true});
   ASSERT_EQ(c_sim.rows(), c_blas.rows());
   ASSERT_EQ(c_sim.cols(), c_blas.cols());
   for (std::size_t i = 0; i < c_sim.rows(); ++i) {

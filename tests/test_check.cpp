@@ -197,8 +197,11 @@ TEST(CheckGreen, SerialResidencyWorkloadsPass) {
   ScopedCheck<double> check(dev);
   auto a = random_matrix(12, 8, 1);
   auto b = random_matrix(8, 12, 2);
-  auto r1 = tcu::linalg::matmul_tcu_resident(dev, a.view(), b.view());
-  auto r2 = tcu::linalg::matmul_tcu_resident(dev, a.view(), b.view());
+  tcu::InlineExecutor<double> exec(dev);
+  auto r1 = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view(),
+                                         {.affinity = true});
+  auto r2 = tcu::linalg::matmul_tcu_pool(exec, a.view(), b.view(),
+                                         {.affinity = true});
   EXPECT_EQ(r1, r2);
   EXPECT_GT(dev.counters().resident_hits, 0u);
   // The untagged baseline allowlists its own cold stream.

@@ -15,7 +15,8 @@
 //     declared costs, never wall time), with outputs bit-identical to
 //     the serial device;
 //   * a 1-unit pool matches a single device in every aggregate counter
-//     field (closure, GE, affinity DFT, Mlp);
+//     field (closure, GE, affinity DFT, and the Mlp, conv2d and shared-B
+//     batch, whose Device& entry points run the pooled schedule inline);
 //   * the contract checker stays green across every workload's round
 //     (each lane's mirror is validated at the strict join).
 
@@ -29,6 +30,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,6 +41,7 @@
 #include "dft/dft.hpp"
 #include "graph/closure.hpp"
 #include "graph/generators.hpp"
+#include "linalg/batch.hpp"
 #include "linalg/gauss.hpp"
 #include "nn/layers.hpp"
 #include "util/rng.hpp"
@@ -77,12 +81,14 @@ Matrix<Complex> random_cbatch(std::size_t b, std::size_t len,
   return out;
 }
 
-tcu::nn::Mlp make_mlp() {
+/// An Mlp whose layer l maps widths[l] to widths[l + 1] features.
+tcu::nn::Mlp make_mlp(const std::vector<std::size_t>& widths = {16, 16, 16,
+                                                                16}) {
   tcu::util::Xoshiro256 rng(77);
   tcu::nn::Mlp mlp;
-  for (int l = 0; l < 3; ++l) {
-    auto w = random_matrix(16, 16, 70 + l);
-    std::vector<double> bias(16);
+  for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+    auto w = random_matrix(widths[l], widths[l + 1], 70 + l);
+    std::vector<double> bias(widths[l + 1]);
     for (auto& v : bias) v = rng.uniform(-1, 1);
     mlp.add_layer(tcu::nn::DenseLayer(w, bias));
   }
@@ -454,15 +460,62 @@ TEST(EpochOneUnit, MatchesSerialInEveryField) {
     EXPECT_EQ(pool_b, serial_b);
     expect_counters_bitwise(pool.aggregate(), dev.counters(), "DFT p=1");
   }
+  // The dense products' Device& entry points run their pooled schedules
+  // on an InlineExecutor. Against a 1-lane pool at tile-cache capacities
+  // 1, 2 and 64, over two successive calls (the second starts from the
+  // residency the first left), each must match in bits and every field.
+  const auto dense_case = [](const std::string& what, const auto& run) {
+    for (const std::size_t tiles : {1u, 2u, 64u}) {
+      Device<double> dev({.m = 16, .latency = 3, .resident_tiles = tiles});
+      DevicePool<double> pool(1,
+                              {.m = 16, .latency = 3, .resident_tiles = tiles});
+      PoolExecutor<double> exec(pool);
+      for (int call = 0; call < 2; ++call) {
+        const std::string tag = what + " p=1 tiles=" + std::to_string(tiles) +
+                                " call=" + std::to_string(call);
+        const auto expect = run(dev);
+        EXPECT_EQ(run(exec), expect) << tag;
+        expect_counters_bitwise(pool.aggregate(), dev.counters(), tag);
+      }
+    }
+  };
+  const std::vector<std::pair<std::string, std::vector<std::size_t>>> mlps = {
+      {"Mlp", {16, 16, 16, 16}}, {"Mlp ragged width", {16, 10, 7}}};
+  for (const auto& [name, widths] : mlps) {
+    const auto mlp = make_mlp(widths);
+    for (const std::size_t rows : {16u, 13u}) {
+      const auto in = random_matrix(rows, widths.front(), 927);
+      dense_case(name + " rows=" + std::to_string(rows),
+                 [&](auto& on) { return mlp.forward(on, in.view()); });
+    }
+  }
   {
-    const auto mlp = make_mlp();
-    const auto in = random_matrix(16, 16, 927);
-    Device<double> dev({.m = 16, .latency = 3});
-    const auto expect = mlp.forward(dev, in.view());
-    DevicePool<double> pool(1, {.m = 16, .latency = 3});
-    PoolExecutor<double> exec(pool);
-    EXPECT_EQ(mlp.forward(exec, in.view()), expect);
-    expect_counters_bitwise(pool.aggregate(), dev.counters(), "Mlp p=1");
+    // 2 channels of 6 x 7 through 3 filters of 3 x 3: an 18-tap bank
+    // padded to a 5-tile chain.
+    const auto input = random_matrix(12, 7, 928);
+    const auto filters = random_matrix(3, 18, 929);
+    dense_case("conv2d", [&](auto& on) {
+      if constexpr (std::is_same_v<std::decay_t<decltype(on)>,
+                                   Device<double>>) {
+        return tcu::nn::conv2d_tcu(on, input.view(), 2, filters.view(), 3, 3);
+      } else {
+        return tcu::nn::conv2d_tcu_pool(on, input.view(), 2, filters.view(),
+                                        3, 3);
+      }
+    });
+  }
+  for (const auto& [rows, inner, cols] :
+       {std::tuple{8u, 8u, 12u}, std::tuple{5u, 6u, 7u}}) {
+    std::vector<Matrix<double>> batch;
+    for (std::uint64_t i = 0; i < 3; ++i) {
+      batch.push_back(random_matrix(rows, inner, 930 + i));
+    }
+    const auto b = random_matrix(inner, cols, 933);
+    dense_case("shared-B batch " + std::to_string(rows) + "x" +
+                   std::to_string(inner) + "x" + std::to_string(cols),
+               [&](auto& on) {
+                 return tcu::linalg::matmul_batch_shared_b(on, batch, b.view());
+               });
   }
 }
 

@@ -1,11 +1,16 @@
 // Tests for the neural-network layers: dense layers vs hand-computed
-// references, MLP composition, conv2d via im2col vs the direct sliding
-// window, and the weight-stationary cost structure (latency per tile,
-// not per batch item).
+// references, MLP composition and a naive-product oracle, conv2d via
+// im2col vs the direct sliding window, and the weight-stationary cost
+// structure (latency per tile, not per batch item).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "core/pool.hpp"
 #include "linalg/batch.hpp"
+#include "linalg/dense.hpp"
 #include "nn/layers.hpp"
 #include "util/rng.hpp"
 
@@ -102,6 +107,50 @@ TEST(MlpTest, EmptyNetworkThrows) {
   Device<double> dev({.m = 16});
   Matrix<double> x(1, 4);
   EXPECT_THROW((void)mlp.forward(dev, x.view()), std::invalid_argument);
+}
+
+TEST(MlpTest, MatchesNaiveOracle) {
+  // The forward against an independent reference: matmul_naive plus bias
+  // and ReLU (none after the last layer), layer by layer, on an aligned
+  // and a ragged shape, inline on one device and on a 3-lane pool.
+  const auto check = [](std::size_t rows,
+                        const std::vector<std::size_t>& widths) {
+    Mlp mlp;
+    Matrix<double> expect = random_matrix(rows, widths.front(), 40);
+    const Matrix<double> batch = expect;
+    Counters naive;
+    for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+      const auto w = random_matrix(widths[l], widths[l + 1], 41 + l);
+      const auto bias = random_matrix(1, widths[l + 1], 51 + l);
+      mlp.add_layer(DenseLayer(
+          w, std::vector<double>(bias.data(), bias.data() + bias.cols())));
+      expect =
+          tcu::linalg::matmul_naive<double>(expect.view(), w.view(), naive);
+      for (std::size_t i = 0; i < expect.rows(); ++i) {
+        for (std::size_t j = 0; j < expect.cols(); ++j) {
+          expect(i, j) += bias(0, j);
+          if (l + 2 < widths.size()) {
+            expect(i, j) = std::max(expect(i, j), 0.0);
+          }
+        }
+      }
+    }
+    Device<double> dev({.m = 16});
+    tcu::DevicePool<double> pool(3, {.m = 16});
+    tcu::PoolExecutor<double> exec(pool);
+    for (const auto& got :
+         {mlp.forward(dev, batch.view()), mlp.forward(exec, batch.view())}) {
+      ASSERT_EQ(got.rows(), expect.rows());
+      ASSERT_EQ(got.cols(), expect.cols());
+      for (std::size_t i = 0; i < got.rows(); ++i) {
+        for (std::size_t j = 0; j < got.cols(); ++j) {
+          ASSERT_NEAR(got(i, j), expect(i, j), 1e-12) << rows;
+        }
+      }
+    }
+  };
+  check(16, {16, 12, 8, 4});  // every shape a multiple of sqrt(m) = 4
+  check(13, {10, 7, 5});      // ragged batch rows and layer widths
 }
 
 class ConvSweep

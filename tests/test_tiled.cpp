@@ -30,6 +30,7 @@ using tcu::ConstMatrixView;
 using tcu::Counters;
 using tcu::Device;
 using tcu::DevicePool;
+using tcu::InlineExecutor;
 using tcu::Matrix;
 using tcu::PoolExecutor;
 using tcu::TiledMatrix;
@@ -244,22 +245,29 @@ TEST(TiledMatrix, InvalidShapesThrow) {
 // ------------------------------------------------------- serial identity
 
 TEST(TiledMatmul, BTiledMatchesRowMajorBitwise) {
-  // Aligned shapes: the tile-major B path must charge and compute exactly
-  // what the row-major resident path does — same tall calls, same k
+  // Aligned shapes: the all-tiled product must charge and compute exactly
+  // what the row-major resident product does — same tall calls, same k
   // order, same counters (keys differ: tile addresses vs row-major
-  // addresses — identity structure, not values, is what matters).
+  // addresses — identity structure, not values, is what matters). Both
+  // run inline on one device.
   const auto a = random_matrix(32, 16, 300);
   const auto b = random_matrix(16, 24, 301);
   Device<double> row({.m = 16, .latency = 5, .resident_tiles = 2});
   Device<double> tiled({.m = 16, .latency = 5, .resident_tiles = 2});
   const auto packed = TiledMatrix<double>::pack(b.view(), 4);
 
-  const auto c_row =
-      tcu::linalg::matmul_tcu_resident(row, a.view(), b.view());
-  Matrix<double> c_tiled(32, 24, 0.0);
-  tcu::linalg::matmul_tcu_resident_into(tiled, a.view(), packed,
-                                        c_tiled.view());
-  EXPECT_EQ(c_row, c_tiled);
+  InlineExecutor<double> on_row(row), on_tiled(tiled);
+  const auto c_row = tcu::linalg::matmul_tcu_pool(on_row, a.view(), b.view(),
+                                                  {.affinity = true});
+  TiledMatrix<double> c_tiled(32, 24, 4);
+  tcu::linalg::matmul_tcu_pool_strips(
+      on_tiled, TiledMatrix<double>::pack(a.view(), 4), packed, c_tiled,
+      /*after=*/{}, {.affinity = true});
+  for (std::size_t i = 0; i < 32; ++i) {
+    for (std::size_t j = 0; j < 24; ++j) {
+      EXPECT_EQ(c_tiled.at(i, j), c_row(i, j));
+    }
+  }
   expect_counters_equal(tiled.counters(), row.counters(), "B-tiled serial");
 }
 
@@ -267,14 +275,16 @@ TEST(TiledMatmul, BTiledMatchesRowMajorBitwise) {
 
 TEST(TiledMatmul, PooledBTiledMatchesSerialAcrossP) {
   // The all-tiled pooled product (tile-major A, B and C) against the
-  // serial B-tiled product: same bits, same charges at every p.
+  // row-major resident product run inline on one device: same bits, same
+  // charges at every p.
   const auto a = random_matrix(48, 16, 306);
   const auto b = random_matrix(16, 32, 307);
   Device<double> serial({.m = 16, .latency = 5});
   const auto packed = TiledMatrix<double>::pack(b.view(), 4);
   Matrix<double> c_serial(48, 32, 0.0);
-  tcu::linalg::matmul_tcu_resident_into(serial, a.view(), packed,
-                                        c_serial.view());
+  InlineExecutor<double> inline_exec(serial);
+  tcu::linalg::matmul_tcu_pool_into(inline_exec, a.view(), b.view(),
+                                    c_serial.view(), {.affinity = true});
   const auto a_tiled = TiledMatrix<double>::pack(a.view(), 4);
 
   for (const std::size_t p : {1u, 2u, 4u}) {
@@ -343,8 +353,9 @@ TEST(TiledMlp, PooledForwardAtTheBenchmarkShapeMatchesSerial) {
   // mlp_infer's model on the micro backend: 3 layers of 512 x 512,
   // m = 4096 (s = 64), 64 resident tiles per lane, l = 256. The aligned
   // batch of 512 takes the strip-major activations; the ragged batch of
-  // 500 keeps the row-major path. Both must give the serial forward's
-  // bits and meet perfbench's Mlp counter contract against it.
+  // 500 keeps the row-major path. Both must give the bits of the forward
+  // run inline on one device and meet perfbench's Mlp counter contract
+  // against it.
   constexpr std::size_t kWidth = 512;
   tcu::util::Xoshiro256 rng(901);
   tcu::nn::Mlp mlp;
@@ -361,7 +372,7 @@ TEST(TiledMlp, PooledForwardAtTheBenchmarkShapeMatchesSerial) {
                                     .backend = tcu::BackendKind::kMicro};
   for (const std::size_t rows : {512u, 500u}) {
     const auto batch = random_matrix(rows, kWidth, 920 + rows);
-    // Capacity 1: the serial forward pays every weight load, the
+    // Capacity 1: the inline forward pays every weight load, the
     // baseline the pool's latency split is conserved against.
     Device<double>::Config serial_unit = unit;
     serial_unit.resident_tiles = 1;
