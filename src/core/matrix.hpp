@@ -216,7 +216,9 @@ class Matrix {
 /// divisibility assumption, materialized in storage). It backs
 /// DenseLayer's packed weights and the Mlp's activations on tile-aligned
 /// shapes, which the all-tiled `matmul_tcu_pool_strips` streams strip by
-/// strip past the resident weight tiles.
+/// strip past the resident weight tiles, and transitive closure's GEP
+/// round, which reaches the layout in place through `transpose_segments`
+/// when it can.
 template <typename T>
 class TiledMatrix {
  public:
@@ -310,6 +312,47 @@ class TiledMatrix {
   std::size_t tile_rows_ = 0, tile_cols_ = 0;
   std::vector<T, CacheLineAllocator<T>> data_;
 };
+
+/// Transpose in place a contiguous rows x cols matrix whose elements are
+/// `seg`-element segments: segment (i, j), at i * cols + j, moves to
+/// j * rows + i. A row-major n x (t * s) matrix is an n x t matrix of
+/// s-element row segments, and its transpose is strip-major storage:
+/// `transpose_segments(data, n, t, s)` leaves exactly the storage
+/// `TiledMatrix::pack` gives when n is a multiple of s (tile column j one
+/// contiguous n x s panel, stride s), and `transpose_segments(data, t, n,
+/// s)` restores row-major. Each cycle of the permutation is followed once,
+/// carrying one segment and marking finished segments in a bitmap of
+/// rows * cols bits, so no second matrix is allocated.
+template <typename T>
+void transpose_segments(T* data, std::size_t rows, std::size_t cols,
+                        std::size_t seg) {
+  if (rows <= 1 || cols <= 1) return;  // the identity
+  const std::size_t count = rows * cols;
+  std::vector<std::uint64_t> done((count + 63) / 64, 0);
+  const auto mark = [&done](std::size_t q) {
+    done[q / 64] |= std::uint64_t{1} << (q % 64);
+  };
+  // Destination q = j * rows + i takes source i * cols + j.
+  const auto source = [rows, cols](std::size_t q) {
+    return (q % rows) * cols + q / rows;
+  };
+  std::vector<T> carry(seg);
+  for (std::size_t start = 0; start < count; ++start) {
+    if ((done[start / 64] >> (start % 64)) & 1) continue;
+    mark(start);
+    std::size_t from = source(start);
+    if (from == start) continue;
+    std::copy_n(data + start * seg, seg, carry.data());
+    std::size_t q = start;
+    do {
+      std::copy_n(data + from * seg, seg, data + q * seg);
+      q = from;
+      mark(q);
+      from = source(q);
+    } while (from != start);
+    std::copy_n(carry.data(), seg, data + q * seg);
+  }
+}
 
 /// Copy `src` into `dst`; shapes must match.
 template <typename T>

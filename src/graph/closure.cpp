@@ -142,22 +142,30 @@ void kernel_c(MatrixView<Vert> X, ConstMatrixView<Vert> Y) {
   loops().or_product(X, X, Y);
 }
 
-/// Figure 7 on any executor: the GEP schedule over every off-pivot block,
-/// for n a multiple of the tile side. Kernel D(k, j) loads X_kj as
+/// Figure 7 on any executor: the GEP schedule over every off-pivot block
+/// of the n x n matrix `X`, n a multiple of the tile side s, held in
+/// strip-major storage (TiledMatrix's layout): block column j is one
+/// contiguous n x s panel of stride s, and each block a contiguous s x s
+/// tile. Kernels A-C read and write tiles. Kernel D(k, j) loads X_kj as
 /// the weight matrix and streams the column panel X_ik for all i != k —
-/// contiguous above and below the pivot row, so two tall calls, each
-/// followed by its clamp. X_kj is rewritten by kernel B every pivot, so
+/// the rows of strip k above and below the pivot tile, so two tall calls
+/// into the same rows of strip j, each followed by its clamp. Every write
+/// is thus one contiguous range (a tile, or whole rows of a strip), where
+/// on row-major storage each was s-element pieces of rows that other
+/// lanes were writing too. X_kj is rewritten by kernel B every pivot, so
 /// equal addresses would not mean equal content: D is an untagged,
 /// empty-chain task.
 template <typename Exec>
-void closure_gep(Exec& exec, MatrixView<Vert> X) {
+void closure_gep(Exec& exec, Vert* X, std::size_t n) {
   const Device<Vert>& unit0 = exec.unit0();
-  const std::size_t n = X.rows;
   const std::size_t s = unit0.tile_dim();
   const std::size_t t = n / s;
   const std::uint64_t s3 = static_cast<std::uint64_t>(s) * s * s;
-  const auto block = [X, s](std::size_t i, std::size_t j) {
-    return X.subview(i * s, j * s, s, s);
+  const auto strip = [X, n, s](std::size_t j) {
+    return MatrixView<Vert>(X + j * n * s, n, s, s);
+  };
+  const auto block = [strip, s](std::size_t i, std::size_t j) {
+    return strip(j).row_block(i * s, s);
   };
   linalg::gep_schedule(
       exec, t, linalg::GepRange::kEveryOffPivot, {.a = s3, .b = s3, .c = s3},
@@ -174,52 +182,74 @@ void closure_gep(Exec& exec, MatrixView<Vert> X) {
         if (k + 1 < t) spec.cost += projected_gemm_cost(unit0, n - (k + 1) * s);
         return spec;
       },
-      [X, block, n, s, t](Device<Vert>& unit, std::size_t k, std::size_t j) {
+      [strip, block, n, s, t](Device<Vert>& unit, std::size_t k,
+                              std::size_t j) {
         const auto weight = block(k, j);
+        const auto panel = strip(k);
+        const auto out = strip(j);
         if (k > 0) {
           // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
-          unit.gemm(X.subview(0, k * s, k * s, s), weight,
-                    X.subview(0, j * s, k * s, s), /*accumulate=*/true);
-          loops().clamp_block(X.subview(0, j * s, k * s, s));
+          unit.gemm(panel.row_block(0, k * s), weight, out.row_block(0, k * s),
+                    /*accumulate=*/true);
+          loops().clamp_block(out.row_block(0, k * s));
           unit.charge_cpu(static_cast<std::uint64_t>(k) * s * s);
         }
         if (k + 1 < t) {
           const std::size_t top = (k + 1) * s;
           // tcu-lint: untagged-ok(empty-chain task; weight mutated per pivot)
-          unit.gemm(X.subview(top, k * s, n - top, s), weight,
-                    X.subview(top, j * s, n - top, s), /*accumulate=*/true);
-          loops().clamp_block(X.subview(top, j * s, n - top, s));
+          unit.gemm(panel.row_block(top, n - top), weight,
+                    out.row_block(top, n - top), /*accumulate=*/true);
+          loops().clamp_block(out.row_block(top, n - top));
           unit.charge_cpu(static_cast<std::uint64_t>(n - top) * s);
         }
       });
 }
 
-/// Both entry points: check `d`, pad it with isolated vertices (no edges:
-/// they cannot create paths, so the closure restricted to the original
-/// vertices is unchanged) up to a multiple of the tile side, and run the
-/// closure on `exec`. The padding copies are charged to the executor's
-/// shared CPU.
+/// Both entry points: check `d`, bring it into strip-major storage, run
+/// the closure on `exec` and bring the result back.
+///
+/// A contiguous `d` (stride == cols) with n a multiple of the tile side
+/// is permuted in place (`transpose_segments`) and back after the join,
+/// also when the round throws, so the caller never sees strip-major data.
+/// Permuting costs one s-element buffer and an n * n / s bit bitmap; a
+/// copy would add a second n x n matrix to the peak resident set.
+///
+/// Any other `d` — a ragged n, or a view into a wider matrix, whose
+/// neighbouring columns an in-place permutation would scramble — is
+/// packed into a TiledMatrix. Its zero padding adds isolated vertices (no
+/// edges: they cannot create paths, so the closure restricted to the
+/// original vertices is unchanged) up to a multiple of the tile side, and
+/// the logical part is copied back after the join. The padding copies
+/// of a ragged n are charged to the executor's shared CPU; the layout
+/// change itself is not a model operation and is never charged.
 template <typename Exec>
 void closure_padded(Exec& exec, MatrixView<Vert> d) {
   const std::size_t s = exec.unit0().tile_dim();
   check_adjacency(d, s);
   const std::size_t n = d.rows;
   if (n == 0) return;
-  if (n % s == 0) {
-    closure_gep(exec, d);
+  if (n % s == 0 && d.stride == n) {
+    const std::size_t t = n / s;
+    transpose_segments(d.data, n, t, s);
+    try {
+      closure_gep(exec, d.data, n);
+    } catch (...) {
+      transpose_segments(d.data, t, n, s);
+      throw;
+    }
+    transpose_segments(d.data, t, n, s);
     return;
   }
-  const std::size_t np = ((n + s - 1) / s) * s;
-  AdjMatrix padded(np, np, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) padded(i, j) = d(i, j);
+  TiledMatrix<Vert> padded = TiledMatrix<Vert>::pack(d, s);
+  const std::size_t np = padded.tile_rows() * s;
+  if (np != n) exec.charge_cpu(np * np);
+  closure_gep(exec, padded.strip_view(0).data, np);
+  for (std::size_t tj = 0; tj < padded.tile_cols(); ++tj) {
+    const std::size_t width = std::min(s, n - tj * s);
+    copy(padded.strip_view(tj).subview(0, 0, n, width).as_const(),
+         d.subview(0, tj * s, n, width));
   }
-  exec.charge_cpu(np * np);
-  closure_gep(exec, padded.view());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) d(i, j) = padded(i, j);
-  }
-  exec.charge_cpu(n * n);
+  if (np != n) exec.charge_cpu(n * n);
 }
 
 }  // namespace

@@ -15,6 +15,15 @@
 // overloads run one schedule, the GEP graph shared with Gaussian
 // elimination (linalg/gep.hpp): inline on a device, or across a pool.
 //
+// The schedule runs on strip-major storage, `TiledMatrix`'s layout: block
+// column j is one contiguous n x sqrt(m) panel, each block a contiguous
+// tile, so D's tall calls read and write dense panels and no two lanes
+// write rows of the same panel. A contiguous input with n a multiple of
+// sqrt(m) is permuted into that layout in place and back after the round
+// (no second n x n matrix; the caller never sees strip-major data, also
+// when the round throws); a ragged n or a view into a wider matrix is
+// packed into a zero-padded TiledMatrix and copied back.
+//
 // Vertices are 0/1 floats. Kernel D adds at most sqrt(m) products of 0/1
 // entries to an old 0/1 entry, so every partial sum is an integer no
 // larger than sqrt(m) + 1. Float holds every integer up to 2^24 exactly,

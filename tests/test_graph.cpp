@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/costs.hpp"
+#include "fault/fault.hpp"
 #include "graph/apsd.hpp"
 #include "graph/closure.hpp"
 #include "graph/generators.hpp"
@@ -164,6 +165,112 @@ TEST(Closure, RejectsTileTooWideForExactSums) {
   AdjMatrix adj(3, 3, 0);
   Device<Vert> dev({.m = std::size_t{1} << 48});
   EXPECT_THROW(closure_tcu(dev, adj.view()), std::invalid_argument);
+}
+
+/// Runs closure_tcu on `d` inline on one device, or on a 3-unit pool
+/// when `pooled`, and returns the counters it charged.
+Counters run_closure(bool pooled, std::size_t m, tcu::MatrixView<Vert> d) {
+  if (!pooled) {
+    Device<Vert> dev({.m = m});
+    closure_tcu(dev, d);
+    return dev.counters();
+  }
+  tcu::DevicePool<Vert> pool(3, {.m = m});
+  tcu::PoolExecutor<Vert> exec(pool);
+  closure_tcu(exec, d);
+  return pool.aggregate();
+}
+
+void expect_same_charges(const Counters& got, const Counters& want) {
+  EXPECT_EQ(got.tensor_calls, want.tensor_calls);
+  EXPECT_EQ(got.tensor_rows, want.tensor_rows);
+  EXPECT_EQ(got.tensor_time, want.tensor_time);
+  EXPECT_EQ(got.tensor_macs, want.tensor_macs);
+  EXPECT_EQ(got.latency_time, want.latency_time);
+  EXPECT_EQ(got.cpu_ops, want.cpu_ops);
+}
+
+TEST(Closure, StridedViewLeavesItsNeighboursAlone) {
+  // A view into a wider matrix (stride > cols), tile-aligned (n = 64) and
+  // ragged (n = 50) at s = 16: the closure must not touch the columns
+  // beside it, and must give the bits and charges of a contiguous run.
+  constexpr Vert kOutside = 7;
+  for (const std::size_t n : {64u, 50u}) {
+    const AdjMatrix adj = random_digraph(n, 0.05, 80 + n);
+    const AdjMatrix want = closure_bfs_oracle(adj.view());
+    for (const bool pooled : {false, true}) {
+      AdjMatrix contiguous = adj;
+      const Counters contiguous_charges =
+          run_closure(pooled, 256, contiguous.view());
+      ASSERT_TRUE(contiguous == want) << "n=" << n << " pooled=" << pooled;
+
+      AdjMatrix big(n + 5, n + 11, kOutside);
+      const auto view = big.subview(2, 3, n, n);
+      tcu::copy(adj.view(), view);
+      const Counters charges = run_closure(pooled, 256, view);
+      expect_same_charges(charges, contiguous_charges);
+      for (std::size_t i = 0; i < big.rows(); ++i) {
+        for (std::size_t j = 0; j < big.cols(); ++j) {
+          const bool inside = i >= 2 && i < n + 2 && j >= 3 && j < n + 3;
+          ASSERT_EQ(big(i, j), inside ? want(i - 2, j - 3) : kOutside)
+              << "n=" << n << " pooled=" << pooled << " (" << i << "," << j
+              << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(Closure, RaggedSizeChargesThePaddingCopies) {
+  // 100 vertices at s = 16 pad to np = 112: the charges are the padded
+  // matrix's closure plus np^2 (copy in) and n^2 (copy out).
+  const std::size_t n = 100, np = 112;
+  const AdjMatrix adj = random_digraph(n, 0.03, 90);
+  AdjMatrix padded(np, np, 0);
+  tcu::copy(adj.view(), padded.subview(0, 0, n, n));
+  for (const bool pooled : {false, true}) {
+    AdjMatrix d = adj;
+    const Counters charges = run_closure(pooled, 256, d.view());
+    AdjMatrix d_padded = padded;
+    Counters want = run_closure(pooled, 256, d_padded.view());
+    want.cpu_ops += np * np + n * n;
+    expect_same_charges(charges, want);
+    EXPECT_TRUE(d == closure_bfs_oracle(adj.view())) << "pooled=" << pooled;
+  }
+}
+
+TEST(Closure, ThrowingRoundLeavesTheInputRowMajor) {
+  // Every unit dies at its first tensor call, so the round throws after
+  // pivot 0's CPU kernels ran on the in-place strip-major copy. The
+  // caller must get row-major data back: the closure only adds edges, so
+  // every entry lies between the input and its closure.
+  const std::size_t n = 64;
+  const AdjMatrix adj = random_digraph(n, 0.05, 95);
+  const AdjMatrix closed = closure_bfs_oracle(adj.view());
+  const auto expect_between = [&](const AdjMatrix& d, const char* what) {
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_TRUE(adj(i, j) <= d(i, j) && d(i, j) <= closed(i, j))
+            << what << " (" << i << "," << j << ")";
+      }
+    }
+  };
+  tcu::fault::FaultPlan plan(1, {.death_at = {{0, 0}, {1, 0}, {2, 0}}});
+  {
+    AdjMatrix d = adj;
+    Device<Vert> dev({.m = 256});
+    dev.set_fault_injector(plan.injector(0));
+    EXPECT_THROW(closure_tcu(dev, d.view()), tcu::fault::PermanentUnitFault);
+    expect_between(d, "inline");
+  }
+  {
+    AdjMatrix d = adj;
+    tcu::DevicePool<Vert> pool(3, {.m = 256});
+    tcu::fault::ScopedInjection<Vert> inject(pool, plan);
+    tcu::PoolExecutor<Vert> exec(pool);
+    EXPECT_THROW(closure_tcu(exec, d.view()), tcu::fault::PermanentUnitFault);
+    expect_between(d, "pooled");
+  }
 }
 
 TEST(Closure, CostTracksTheorem5AcrossSizes) {

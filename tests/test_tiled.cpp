@@ -238,6 +238,60 @@ TEST(TiledMatrix, StorageIsCacheLineAligned) {
   }
 }
 
+/// transpose_segments over n x (t * s) matrices of distinct values: the
+/// forward transpose leaves TiledMatrix::pack's storage, read through
+/// tile_view and strip_view, and the transpose with the shape swapped
+/// restores the input, also for a row count that is not a multiple of s.
+template <typename T>
+void check_transpose_segments() {
+  for (const std::size_t s : {1u, 4u, 64u}) {
+    for (const std::size_t t : {1u, 2u, 8u}) {
+      for (const std::size_t n : {s, 3 * s, std::size_t{7}}) {
+        const std::string what = "n=" + std::to_string(n) + " t=" +
+                                 std::to_string(t) + " s=" + std::to_string(s);
+        Matrix<T> src(n, t * s);
+        for (std::size_t i = 0; i < n; ++i) {
+          for (std::size_t j = 0; j < t * s; ++j) {
+            src(i, j) = static_cast<T>(i * t * s + j);
+          }
+        }
+        Matrix<T> work = src;
+        tcu::transpose_segments(work.data(), n, t, s);
+        if (n % s == 0) {
+          const auto packed = TiledMatrix<T>::pack(src.view(), s);
+          for (std::size_t tj = 0; tj < t; ++tj) {
+            const ConstMatrixView<T> want = packed.strip_view(tj);
+            const ConstMatrixView<T> got(work.data() + tj * n * s, n, s, s);
+            for (std::size_t i = 0; i < n; ++i) {
+              for (std::size_t j = 0; j < s; ++j) {
+                ASSERT_EQ(got(i, j), want(i, j)) << what;
+              }
+            }
+            for (std::size_t ti = 0; ti < n / s; ++ti) {
+              const ConstMatrixView<T> tile = packed.tile_view(ti, tj);
+              ASSERT_EQ(work.data() + (tile.data - packed.tile_data(0, 0)),
+                        &got(ti * s, 0))
+                  << what;
+              for (std::size_t i = 0; i < s; ++i) {
+                for (std::size_t j = 0; j < s; ++j) {
+                  ASSERT_EQ(got(ti * s + i, j), tile(i, j)) << what;
+                }
+              }
+            }
+          }
+        }
+        tcu::transpose_segments(work.data(), t, n, s);
+        EXPECT_TRUE(work == src) << what;
+      }
+    }
+  }
+}
+
+TEST(TiledMatrix, TransposeSegmentsIsThePackInPlace) {
+  check_transpose_segments<float>();
+  check_transpose_segments<double>();
+}
+
 TEST(TiledMatrix, InvalidShapesThrow) {
   EXPECT_THROW(TiledMatrix<double>(4, 4, 0), std::invalid_argument);
 }
