@@ -216,9 +216,9 @@ class Matrix {
 /// divisibility assumption, materialized in storage). It backs
 /// DenseLayer's packed weights and the Mlp's activations on tile-aligned
 /// shapes, which the all-tiled `matmul_tcu_pool_strips` streams strip by
-/// strip past the resident weight tiles, and transitive closure's GEP
-/// round, which reaches the layout in place through `transpose_segments`
-/// when it can.
+/// strip past the resident weight tiles, and the GEP rounds of transitive
+/// closure and Gaussian elimination, which reach the layout through
+/// `with_strip_major` (in place when they can).
 template <typename T>
 class TiledMatrix {
  public:
@@ -362,6 +362,49 @@ void copy(ConstMatrixView<T> src, MatrixView<T> dst) {
   }
   for (std::size_t i = 0; i < src.rows; ++i) {
     for (std::size_t j = 0; j < src.cols; ++j) dst(i, j) = src(i, j);
+  }
+}
+
+/// Run `body(strips, np)` on the square matrix `d` held in strip-major
+/// storage for tile side `s` (TiledMatrix's layout): np is d.rows rounded
+/// up to a multiple of s, block column j the contiguous np x s panel at
+/// strips + j * np * s (stride s), and block (i, j) tile i of that panel.
+/// The GEP rounds of transitive closure and Gaussian elimination run
+/// there, so every block a task writes is one contiguous range rather
+/// than s-element pieces of rows that other lanes write too.
+///
+/// A contiguous `d` (stride == cols) whose side is a multiple of s is
+/// permuted in place (`transpose_segments`) and back after `body`
+/// returns, also when it throws, so the caller never sees strip-major
+/// data. Permuting costs one s-element buffer and a d.rows² / s bit
+/// bitmap; a copy would add a second matrix to the peak resident set.
+///
+/// Any other `d` — a ragged side, or a view into a wider matrix, whose
+/// neighbouring columns an in-place permutation would scramble — is
+/// packed into a zero-padded TiledMatrix, and the logical part copied
+/// back after `body` returns; when `body` throws, `d` keeps its input.
+template <typename T, typename Body>
+void with_strip_major(MatrixView<T> d, std::size_t s, Body&& body) {
+  const std::size_t n = d.rows;
+  assert(d.cols == n && s > 0);
+  if (n == 0 || (n % s == 0 && d.stride == n)) {
+    const std::size_t t = n / s;
+    transpose_segments(d.data, n, t, s);
+    try {
+      body(d.data, n);
+    } catch (...) {
+      transpose_segments(d.data, t, n, s);
+      throw;
+    }
+    transpose_segments(d.data, t, n, s);
+    return;
+  }
+  TiledMatrix<T> packed = TiledMatrix<T>::pack(d.as_const(), s);
+  body(packed.strip_view(0).data, packed.tile_rows() * s);
+  for (std::size_t tj = 0; tj < packed.tile_cols(); ++tj) {
+    const std::size_t width = std::min(s, n - tj * s);
+    copy(packed.strip_view(tj).subview(0, 0, n, width).as_const(),
+         d.subview(0, tj * s, n, width));
   }
 }
 

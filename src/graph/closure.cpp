@@ -205,50 +205,25 @@ void closure_gep(Exec& exec, Vert* X, std::size_t n) {
       });
 }
 
-/// Both entry points: check `d`, bring it into strip-major storage, run
-/// the closure on `exec` and bring the result back.
-///
-/// A contiguous `d` (stride == cols) with n a multiple of the tile side
-/// is permuted in place (`transpose_segments`) and back after the join,
-/// also when the round throws, so the caller never sees strip-major data.
-/// Permuting costs one s-element buffer and an n * n / s bit bitmap; a
-/// copy would add a second n x n matrix to the peak resident set.
-///
-/// Any other `d` — a ragged n, or a view into a wider matrix, whose
-/// neighbouring columns an in-place permutation would scramble — is
-/// packed into a TiledMatrix. Its zero padding adds isolated vertices (no
-/// edges: they cannot create paths, so the closure restricted to the
-/// original vertices is unchanged) up to a multiple of the tile side, and
-/// the logical part is copied back after the join. The padding copies
-/// of a ragged n are charged to the executor's shared CPU; the layout
-/// change itself is not a model operation and is never charged.
+/// Both entry points: check `d` and run the closure on `exec` in
+/// strip-major storage (`with_strip_major`: in place for a contiguous
+/// tile-aligned `d`, packed into a TiledMatrix otherwise). The packed
+/// copy's zero padding adds isolated vertices (no edges: they cannot
+/// create paths, so the closure restricted to the original vertices is
+/// unchanged) up to a multiple of the tile side. The padding copies of a
+/// ragged n are charged to the executor's shared CPU; the layout change
+/// itself is not a model operation and is never charged.
 template <typename Exec>
 void closure_padded(Exec& exec, MatrixView<Vert> d) {
   const std::size_t s = exec.unit0().tile_dim();
   check_adjacency(d, s);
   const std::size_t n = d.rows;
   if (n == 0) return;
-  if (n % s == 0 && d.stride == n) {
-    const std::size_t t = n / s;
-    transpose_segments(d.data, n, t, s);
-    try {
-      closure_gep(exec, d.data, n);
-    } catch (...) {
-      transpose_segments(d.data, t, n, s);
-      throw;
-    }
-    transpose_segments(d.data, t, n, s);
-    return;
-  }
-  TiledMatrix<Vert> padded = TiledMatrix<Vert>::pack(d, s);
-  const std::size_t np = padded.tile_rows() * s;
+  const std::size_t np = (n + s - 1) / s * s;
   if (np != n) exec.charge_cpu(np * np);
-  closure_gep(exec, padded.strip_view(0).data, np);
-  for (std::size_t tj = 0; tj < padded.tile_cols(); ++tj) {
-    const std::size_t width = std::min(s, n - tj * s);
-    copy(padded.strip_view(tj).subview(0, 0, n, width).as_const(),
-         d.subview(0, tj * s, n, width));
-  }
+  with_strip_major(d, s, [&exec](Vert* strips, std::size_t side) {
+    closure_gep(exec, strips, side);
+  });
   if (np != n) exec.charge_cpu(n * n);
 }
 

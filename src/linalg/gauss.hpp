@@ -15,12 +15,44 @@
 // the entire column panel below the diagonal streams through the unit as
 // one tall call, giving Theta(n^{3/2}/sqrt(m) + (n/m) l + n sqrt(m))
 // (Theorem 4). Serial and pooled, it runs the GEP schedule it shares
-// with transitive closure (linalg/gep.hpp).
+// with transitive closure (linalg/gep.hpp), on strip-major storage
+// (`with_strip_major`, core/matrix.hpp): in place for a contiguous
+// matrix, packed for a view into a wider one.
 //
 // Only the upper triangle (the row-echelon output consumed by back
 // substitution) is meaningful after the forward phase; below-diagonal
 // storage holds partially-transformed multipliers, exactly as in the
 // paper's pseudocode which never zeroes it.
+//
+// Kernels A-C are CPU work made of one step, x -= a * y / c, and for
+// double each step's division bounded them. The double kernels
+// (gauss.cpp) are compiled once per SIMD rung, one rung picked per
+// process by cpuid through plain function pointers (no IFUNC, which a
+// sanitizer runtime cannot run before it starts):
+//
+//   rung     target            quotient of each step
+//   avx512   avx512f           8 lanes per zmm, FMA-corrected, below
+//   avx2     avx2,fma          4 lanes per ymm, FMA-corrected, below
+//   generic  the build's       the division loop (the templates here)
+//
+// The FMA rungs take r = RN(1 / c) once per pivot and, per element,
+// num = RN(a * y) and q = RN(num * r), then twice
+// q = fma(fma(-q, c, num), r, q), and x -= q. The residual
+// fma(-q, c, num) is exact while q is within a few ulps of num / c;
+// the first correction makes q faithful, and Markstein's theorem (IBM J.
+// Res. Dev. 34(1), 1990; Muller et al., Handbook of Floating-Point
+// Arithmetic, 2nd ed., §4.7) then makes the second one RN(num / c): the
+// quotient IEEE division returns, so every output bit equals the
+// division loop's. The theorem needs num, q and the residual to stay
+// normal and finite, so an FMA rung takes the fast step only when
+//   |c| in [2^-500, 2^500]                       (once per pivot),
+//   |y| in [2^-250, 2^250] for the pivot row     (once per pivot),
+//   |a| in [2^-250, 2^250]                       (once per row),
+// and X' = -X / diag(Y) takes num = -x with |x| in [2^-500, 2^500]
+// (once per row). That excludes zeros (the residual form returns +0 for a
+// -0 numerator), subnormals, infinities and NaN; a row outside the guard
+// runs the division loop, which rounds the same on every rung. Any T
+// other than double runs the template kernels below.
 
 #include <cstdint>
 #include <type_traits>
@@ -136,20 +168,57 @@ inline constexpr std::uint64_t kernel_c_cost(std::uint64_t s) {
   return s * (s * (s - 1) / 2);
 }
 
-/// Figure 4 on any executor: the GEP schedule over the blocks after each
-/// pivot. The executor's `unit0` gives the tile side and costs the D
-/// tasks. Each kernel D is one tall `gemm_resident` of the column panel
-/// below the diagonal past X'_j, its chain that one key.
-template <typename T, typename Exec>
-void ge_forward(Exec& exec, MatrixView<T> X) {
-  const Device<T>& unit0 = exec.unit0();
-  const std::size_t r = X.rows;
-  const std::size_t s = unit0.tile_dim();
-  if (X.cols != r) throw std::invalid_argument("ge_forward_tcu: square input");
-  if (r % s != 0) {
-    throw std::invalid_argument(
-        "ge_forward_tcu: dimension must be a multiple of sqrt(m)");
+/// Kernels A-C as plain function pointers.
+template <typename T>
+struct GeKernels {
+  void (*a)(MatrixView<T>);
+  void (*b)(MatrixView<T>, ConstMatrixView<T>, MatrixView<T>);
+  void (*c)(MatrixView<T>, ConstMatrixView<T>);
+};
+
+/// One rung of the double kernels (gauss.cpp), with the two steps every
+/// kernel is made of, exposed so tests can check each rung's quotients.
+struct GeDoubleRung {
+  const char* name;  ///< "avx512", "avx2" or "generic"
+  GeKernels<double> kernels;
+  /// Rows i < rows: x_i[j] -= a_i * y[j] / c for j < n, where row x_i
+  /// starts at x + i * ldx and a_i = a[i * lda]; y, a and the rows are
+  /// disjoint.
+  void (*eliminate)(double* x, std::size_t ldx, const double* a,
+                    std::size_t lda, std::size_t rows, const double* y,
+                    std::size_t n, double c);
+  /// out[j] = -x[j] / c for j < n (one row of X' = -X / diag(Y)).
+  void (*rescale)(double* out, const double* x, std::size_t n, double c);
+};
+
+/// The rung this process runs, picked by cpuid on first use: avx512 when
+/// the CPU has AVX-512F, else avx2 when it has AVX2 and FMA, else generic.
+const GeDoubleRung& ge_double_rung();
+
+/// Every rung this build has and the running CPU supports, widest first;
+/// the last is always generic.
+std::vector<GeDoubleRung> ge_double_rungs();
+
+/// Kernels A-C for T: the chosen double rung, the templates otherwise.
+template <typename T>
+GeKernels<T> ge_kernels() {
+  if constexpr (std::is_same_v<T, double>) {
+    return ge_double_rung().kernels;
+  } else {
+    return {kernel_a<T>, kernel_b<T>, kernel_c<T>};
   }
+}
+
+/// Figure 4 on any executor over the r x r matrix at `X` in strip-major
+/// storage (`with_strip_major`): the GEP schedule over the blocks after
+/// each pivot. The executor's `unit0` gives the tile side and costs the D
+/// tasks. Kernels A-C take tiles; each kernel D is one tall
+/// `gemm_resident` of strip k's rows below the diagonal past X'_j into
+/// the same rows of strip j, its chain that one key.
+template <typename T, typename Exec>
+void ge_round(Exec& exec, T* X, std::size_t r) {
+  const Device<T>& unit0 = exec.unit0();
+  const std::size_t s = unit0.tile_dim();
   // The (k, j) keys are call-local: drop any residency a previous
   // elimination left behind so equal keys cannot alias different X'_j.
   exec.evict_all();
@@ -161,30 +230,50 @@ void ge_forward(Exec& exec, MatrixView<T> X) {
   const auto xp_j = [xp = xp.view(), s](std::size_t j) {
     return xp.subview(j * s, 0, s, s);
   };
-  const auto block = [X, s](std::size_t i, std::size_t j) {
-    return X.subview(i * s, j * s, s, s);
+  const auto strip = [X, r, s](std::size_t j) {
+    return MatrixView<T>(X + j * r * s, r, s, s);
   };
+  const auto block = [strip, s](std::size_t i, std::size_t j) {
+    return strip(j).row_block(i * s, s);
+  };
+  const GeKernels<T> kern = ge_kernels<T>();
   gep_schedule(
       exec, r / s, GepRange::kAfterPivot,
       {.a = kernel_a_cost(s), .b = kernel_b_cost(s), .c = kernel_c_cost(s)},
-      [block](std::size_t k) { kernel_a(block(k, k)); },
-      [block, xp_j](std::size_t k, std::size_t j) {
-        kernel_b(block(k, j), block(k, k), xp_j(j));
+      [block, kern](std::size_t k) { kern.a(block(k, k)); },
+      [block, xp_j, kern](std::size_t k, std::size_t j) {
+        kern.b(block(k, j), block(k, k), xp_j(j));
       },
-      [block](std::size_t k, std::size_t i) {
-        kernel_c(block(i, k), block(k, k));
+      [block, kern](std::size_t k, std::size_t i) {
+        kern.c(block(i, k), block(k, k));
       },
       [&unit0, r, s](std::size_t k, std::size_t j) {
         return TaskSpec{.cost = detail::strip_tile_cost(unit0, r - (k + 1) * s,
                                                         /*affinity=*/true),
                         .chain = {ge_panel_key(k, j)}};
       },
-      [X, xp_j, r, s](Device<T>& unit, std::size_t k, std::size_t j) {
+      [strip, xp_j, r, s](Device<T>& unit, std::size_t k, std::size_t j) {
         const std::size_t top = (k + 1) * s;
-        unit.gemm_resident(ge_panel_key(k, j), X.subview(top, k * s, r - top, s),
-                           xp_j(j), X.subview(top, j * s, r - top, s),
+        unit.gemm_resident(ge_panel_key(k, j), strip(k).row_block(top, r - top),
+                           xp_j(j), strip(j).row_block(top, r - top),
                            /*accumulate=*/true);
       });
+}
+
+/// Check `X` and run `ge_round` on it in strip-major storage.
+template <typename T, typename Exec>
+void ge_forward(Exec& exec, MatrixView<T> X) {
+  const std::size_t s = exec.unit0().tile_dim();
+  if (X.cols != X.rows) {
+    throw std::invalid_argument("ge_forward_tcu: square input");
+  }
+  if (X.rows % s != 0) {
+    throw std::invalid_argument(
+        "ge_forward_tcu: dimension must be a multiple of sqrt(m)");
+  }
+  with_strip_major(X, s, [&exec](T* strips, std::size_t r) {
+    ge_round(exec, strips, r);
+  });
 }
 
 }  // namespace ge_detail

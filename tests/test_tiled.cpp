@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 #include <tuple>
@@ -290,6 +291,58 @@ void check_transpose_segments() {
 TEST(TiledMatrix, TransposeSegmentsIsThePackInPlace) {
   check_transpose_segments<float>();
   check_transpose_segments<double>();
+}
+
+TEST(TiledMatrix, WithStripMajorRunsOnThePackAndRestoresRowMajor) {
+  // A contiguous aligned matrix (permuted in place), a ragged one and an
+  // aligned view into a wider matrix (both packed). The body must see
+  // `pack`'s storage; what it writes must reach the caller row-major, and
+  // when it throws the caller must get row-major data back: its writes
+  // permuted back in place, the untouched input when packed. Columns
+  // beside a view are never touched.
+  constexpr std::size_t s = 4;
+  constexpr double kOutside = -7.0;
+  struct Case {
+    std::size_t n, rows, cols, r0, c0;
+  };
+  for (const Case c : {Case{12, 12, 12, 0, 0}, Case{10, 10, 10, 0, 0},
+                       Case{8, 11, 13, 2, 3}}) {
+    const auto input = random_matrix(c.n, c.n, 320 + c.n);
+    const std::size_t np = (c.n + s - 1) / s * s;
+    const bool in_place = c.cols == c.n && c.n % s == 0;
+    for (const bool throws : {false, true}) {
+      Matrix<double> big(c.rows, c.cols, kOutside);
+      const auto d = big.subview(c.r0, c.c0, c.n, c.n);
+      tcu::copy(input.view(), d);
+      const auto body = [&](double* strips, std::size_t side) {
+        ASSERT_EQ(side, np);
+        const auto want = TiledMatrix<double>::pack(input.view(), s);
+        const double* packed = want.strip_view(0).data;
+        for (std::size_t q = 0; q < np * np; ++q) {
+          ASSERT_EQ(strips[q], packed[q]) << "q=" << q;
+          strips[q] += 1000.0;
+        }
+        if (throws) throw std::runtime_error("body");
+      };
+      if (throws) {
+        EXPECT_THROW(tcu::with_strip_major(d, s, body), std::runtime_error);
+      } else {
+        tcu::with_strip_major(d, s, body);
+      }
+      const bool written = !throws || in_place;
+      for (std::size_t i = 0; i < c.rows; ++i) {
+        for (std::size_t j = 0; j < c.cols; ++j) {
+          const bool inside = i >= c.r0 && i < c.r0 + c.n && j >= c.c0 &&
+                              j < c.c0 + c.n;
+          const double want =
+              !inside ? kOutside
+                      : input(i - c.r0, j - c.c0) + (written ? 1000.0 : 0.0);
+          ASSERT_EQ(big(i, j), want) << "n=" << c.n << " throws=" << throws
+                                     << " (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(TiledMatrix, InvalidShapesThrow) {
