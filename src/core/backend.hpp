@@ -34,6 +34,7 @@
 // owns the charges.
 
 #include <algorithm>
+#include <complex>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -219,6 +220,23 @@ class MicroBackend final : public GemmBackend<T> {
     }
   }
 };
+
+// The std::complex<double> products run out of line, compiled once in
+// backend_complex.cpp without SLP vectorization: GCC's SLP vectorizer
+// lowers a complex multiply to vfmaddsub on an FMA -march,
+// -ffp-contract=off notwithstanding, so an inline copy in another TU (a
+// test, a bench) would round differently, and the linker may keep that
+// copy for the whole binary.
+template <>
+void SimBackend<std::complex<double>>::run(
+    ConstMatrixView<std::complex<double>> A,
+    ConstMatrixView<std::complex<double>> B,
+    MatrixView<std::complex<double>> C, bool accumulate, Counters&);
+template <>
+void MicroBackend<std::complex<double>>::run(
+    ConstMatrixView<std::complex<double>> A,
+    ConstMatrixView<std::complex<double>> B,
+    MatrixView<std::complex<double>> C, bool accumulate, Counters&);
 
 #ifdef TCU_BLAS
 /// Vendor BLAS [sd]gemm. Only instantiable for float/double; sums are

@@ -51,13 +51,13 @@ struct DftOptions {
   /// issue `gemm_resident` instead of untagged `gemm`, so consecutive
   /// levels sharing W_n (every level of a smooth length splits by the
   /// same factor) and repeated transforms keep the tile resident instead
-  /// of reloading it; on the pool path the chunked calls of one level
-  /// declare the key as their chain, so each lane pays the level's tile
-  /// load once while it stays cached. Off by default: the untagged
-  /// accounting (l per level serially, plus one reload per extra chunk on
-  /// the pool path) is the Theorem 7 contract the PR 2 benches pinned.
-  /// The stencil pipelines (§4.6), whose batched transforms re-visit the
-  /// same levels many times per call, turn this on.
+  /// of reloading it; the chunked calls of one level declare the key as
+  /// their chain, so each lane pays the level's tile load once while it
+  /// stays cached. Off by default: the untagged accounting (l per level
+  /// on one unit, plus one reload per extra chunk of a split level) is
+  /// the Theorem 7 contract the pool benches pin. The stencil pipelines
+  /// (§4.6), whose batched transforms re-visit the same levels many times
+  /// per call, turn this on.
   bool affinity = false;
 };
 
@@ -74,21 +74,17 @@ CVec dft_tcu(CplxDevice& dev, const CVec& x, bool inverse = false);
 
 /// Batched forward DFT: every row of `batch` (b x len) is transformed in
 /// place. All rows share each level's tensor calls.
-void dft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
-                   const DftOptions& opts = {});
-
-/// Batched inverse DFT (conjugation trick + 1/len scaling), in place.
-void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
-                    const DftOptions& opts = {});
-
-/// Multi-unit batched DFT: each Cooley-Tukey level's single tall tensor
-/// product is split into contiguous row chunks (boundaries on multiples
-/// of sqrt(m)) dealt across the pool's units. Output bits and every
-/// counter except the call count and latency term match the serial path
-/// exactly: a k-way split issues k tall calls instead of one and each
-/// unit re-loads the level's Fourier tile, costing (k - 1) * l extra
-/// latency per level — the model's inherent cost of parallelizing one
-/// call. A 1-unit pool reproduces the serial counters bit-for-bit.
+///
+/// `Exec` is `PoolExecutor<Complex>` or `InlineExecutor<Complex>`; the
+/// `Device&` overloads run the schedule on an InlineExecutor over `dev`.
+/// Each Cooley-Tukey level's single tall tensor product is split into
+/// contiguous row chunks (boundaries on multiples of sqrt(m)) dealt
+/// across the executor's units. Output bits and every counter except the
+/// call count and latency term are independent of the split: a k-way
+/// split issues k tall calls instead of one and each unit re-loads the
+/// level's Fourier tile, costing (k - 1) * l extra latency per level —
+/// the model's inherent cost of parallelizing one call. A 1-unit pool
+/// matches the `Device&` entry in every field.
 ///
 /// Each level's chunk fuses its gather, tall tensor product, and
 /// twiddle/scatter into one unit task with the glue CPU charged to the
@@ -98,34 +94,41 @@ void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
 /// (transposes, Bluestein glue, pointwise products) and at the return.
 /// One persistent executor serves the whole recursion or a stream of
 /// transforms.
-void dft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
+template <typename Exec>
+void dft_batch_tcu(Exec& exec, MatrixView<Complex> batch,
                    const DftOptions& opts = {});
-void idft_batch_tcu(PoolExecutor<Complex>& exec, MatrixView<Complex> batch,
+void dft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
+                   const DftOptions& opts = {});
+
+/// Batched inverse DFT (conjugation trick + 1/len scaling), in place.
+template <typename Exec>
+void idft_batch_tcu(Exec& exec, MatrixView<Complex> batch,
+                    const DftOptions& opts = {});
+void idft_batch_tcu(CplxDevice& dev, MatrixView<Complex> batch,
                     const DftOptions& opts = {});
 
-/// 2-D DFT of an r x c matrix: DFT of every row, then of every column.
+/// 2-D DFT of an r x c matrix: DFT of every row, then of every column,
+/// each pass a batched transform as above.
+template <typename Exec>
+Matrix<Complex> dft2_tcu(Exec& exec, ConstMatrixView<Complex> x,
+                         bool inverse = false, const DftOptions& opts = {});
 Matrix<Complex> dft2_tcu(CplxDevice& dev, ConstMatrixView<Complex> x,
                          bool inverse = false, const DftOptions& opts = {});
 
-/// Pool 2-D DFT: both batched passes run their levels row-chunked across
-/// the executor's units (same contract as the pool dft_batch_tcu).
-Matrix<Complex> dft2_tcu(PoolExecutor<Complex>& exec,
-                         ConstMatrixView<Complex> x, bool inverse = false,
-                         const DftOptions& opts = {});
-
 /// Circular convolution of equal-length vectors via the convolution
 /// theorem (three DFTs + pointwise product).
+template <typename Exec>
+CVec circular_convolve_tcu(Exec& exec, const CVec& a, const CVec& b,
+                           const DftOptions& opts = {});
 CVec circular_convolve_tcu(CplxDevice& dev, const CVec& a, const CVec& b,
                            const DftOptions& opts = {});
-CVec circular_convolve_tcu(PoolExecutor<Complex>& exec, const CVec& a,
-                           const CVec& b, const DftOptions& opts = {});
 
 /// 2-D circular convolution of equal-shape matrices.
-Matrix<Complex> circular_convolve2_tcu(CplxDevice& dev,
-                                       ConstMatrixView<Complex> a,
+template <typename Exec>
+Matrix<Complex> circular_convolve2_tcu(Exec& exec, ConstMatrixView<Complex> a,
                                        ConstMatrixView<Complex> kernel,
                                        const DftOptions& opts = {});
-Matrix<Complex> circular_convolve2_tcu(PoolExecutor<Complex>& exec,
+Matrix<Complex> circular_convolve2_tcu(CplxDevice& dev,
                                        ConstMatrixView<Complex> a,
                                        ConstMatrixView<Complex> kernel,
                                        const DftOptions& opts = {});

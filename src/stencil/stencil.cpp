@@ -4,23 +4,23 @@
 #include <vector>
 
 #include "dft/dft.hpp"
-#include "stencil/stencil_ctx.hpp"
 
 namespace tcu::stencil {
 
 namespace {
 
-/// Execution handle threading the Lemma 1 / Lemma 2 pipeline through
-/// either a single device or a pool executor — the residency-tagged DFT
-/// dispatch shared with the 1-D pipeline (see stencil_ctx.hpp).
-using StencilCtx = detail::DftDispatch;
+/// The pipeline's DFT options: its batched transforms re-visit the same
+/// Cooley-Tukey levels many times per call, so the level tiles stay
+/// resident (and a split level's chunks declare the level key as their
+/// chain, landing on lanes that already hold the tile).
+constexpr dft::DftOptions kDft{.affinity = true};
 
 /// Linear 2-D convolution of real matrices a (ra x ca) and b (rb x cb)
 /// into (ra+rb-1) x (ca+cb-1), computed as a circular convolution of
 /// exactly that size on the tensor unit (no wrap-around can occur at full
 /// size). Used by the Lemma 2 polynomial powering.
-Matrix<double> conv2_linear_tcu(const StencilCtx& ctx,
-                                ConstMatrixView<double> a,
+template <typename Exec>
+Matrix<double> conv2_linear_tcu(Exec& exec, ConstMatrixView<double> a,
                                 ConstMatrixView<double> b) {
   const std::size_t out_rows = a.rows + b.rows - 1;
   const std::size_t out_cols = a.cols + b.cols - 1;
@@ -39,26 +39,26 @@ Matrix<double> conv2_linear_tcu(const StencilCtx& ctx,
   for (std::size_t i = 0; i < b.rows; ++i) {
     for (std::size_t j = 0; j < b.cols; ++j) pb(i, j) = b(i, j);
   }
-  ctx.charge_cpu(2 * rows * cols);
-  auto full = ctx.circular_convolve2(pa.view(), pb.view());
+  exec.charge_cpu(2 * rows * cols);
+  auto full = dft::circular_convolve2_tcu(exec, pa.view(), pb.view(), kDft);
   Matrix<double> out(out_rows, out_cols);
   for (std::size_t i = 0; i < out_rows; ++i) {
     for (std::size_t j = 0; j < out_cols; ++j) {
       out(i, j) = full(i, j).real();
     }
   }
-  ctx.charge_cpu(out_rows * out_cols);
+  exec.charge_cpu(out_rows * out_cols);
   return out;
 }
 
 /// Convolution power by repeated squaring (the P(x,y)^k of Lemma 2).
-Matrix<double> kernel_power(const StencilCtx& ctx, const Kernel3& w,
-                            std::size_t k) {
+template <typename Exec>
+Matrix<double> kernel_power(Exec& exec, const Kernel3& w, std::size_t k) {
   if (k == 1) return w;
-  Matrix<double> half = kernel_power(ctx, w, k / 2);
-  Matrix<double> sq = conv2_linear_tcu(ctx, half.view(), half.view());
+  Matrix<double> half = kernel_power(exec, w, k / 2);
+  Matrix<double> sq = conv2_linear_tcu(exec, half.view(), half.view());
   if (k % 2 == 0) return sq;
-  return conv2_linear_tcu(ctx, sq.view(), w.view());
+  return conv2_linear_tcu(exec, sq.view(), w.view());
 }
 
 void check_kernel(const Kernel3& w) {
@@ -71,13 +71,14 @@ void check_kernel(const Kernel3& w) {
 /// vertically in `stack` ((count*N) x N). The row pass transforms all
 /// rows of all blocks with one batched call per DFT level; the column
 /// pass transposes each block, batches again, and transposes back.
-void dft2_stacked(const StencilCtx& ctx, MatrixView<Complex> stack,
-                  std::size_t block, bool inverse) {
+template <typename Exec>
+void dft2_stacked(Exec& exec, MatrixView<Complex> stack, std::size_t block,
+                  bool inverse) {
   auto pass = [&](MatrixView<Complex> rows) {
     if (inverse) {
-      ctx.idft_batch(rows);
+      dft::idft_batch_tcu(exec, rows, kDft);
     } else {
-      ctx.dft_batch(rows);
+      dft::dft_batch_tcu(exec, rows, kDft);
     }
   };
   pass(stack);
@@ -90,7 +91,7 @@ void dft2_stacked(const StencilCtx& ctx, MatrixView<Complex> stack,
       }
     }
   }
-  ctx.charge_cpu(stack.rows * block);
+  exec.charge_cpu(stack.rows * block);
   pass(stack);
   for (std::size_t bidx = 0; bidx < count; ++bidx) {
     auto blk = stack.subview(bidx * block, 0, block, block);
@@ -100,19 +101,20 @@ void dft2_stacked(const StencilCtx& ctx, MatrixView<Complex> stack,
       }
     }
   }
-  ctx.charge_cpu(stack.rows * block);
+  exec.charge_cpu(stack.rows * block);
 }
 
-Matrix<double> weight_matrix_impl(const StencilCtx& ctx, const Kernel3& w,
+template <typename Exec>
+Matrix<double> weight_matrix_impl(Exec& exec, const Kernel3& w,
                                   std::size_t k) {
   check_kernel(w);
   if (k == 0) throw std::invalid_argument("stencil: k must be >= 1");
-  return kernel_power(ctx, w, k);
+  return kernel_power(exec, w, k);
 }
 
-Matrix<double> stencil_impl(const StencilCtx& ctx,
-                            ConstMatrixView<double> grid, const Kernel3& w,
-                            std::size_t k) {
+template <typename Exec>
+Matrix<double> stencil_impl(Exec& exec, ConstMatrixView<double> grid,
+                            const Kernel3& w, std::size_t k) {
   check_kernel(w);
   if (k == 0) throw std::invalid_argument("stencil: k must be >= 1");
   const std::size_t rows = grid.rows, cols = grid.cols;
@@ -126,10 +128,10 @@ Matrix<double> stencil_impl(const StencilCtx& ctx,
   for (std::size_t i = 0; i < rows; ++i) {
     for (std::size_t j = 0; j < cols; ++j) padded(i, j) = grid(i, j);
   }
-  ctx.charge_cpu(pr * pc);
+  exec.charge_cpu(pr * pc);
 
   // Lemma 2: the unrolled weight matrix.
-  Matrix<double> W = weight_matrix_impl(ctx, w, k);
+  Matrix<double> W = weight_matrix_impl(exec, w, k);
   const std::size_t N = 3 * k;  // block neighbourhood / convolution size
 
   // Kernel for correlation-as-convolution at size N:
@@ -149,8 +151,8 @@ Matrix<double> stencil_impl(const StencilCtx& ctx,
                    static_cast<std::size_t>(k + b));
     }
   }
-  ctx.charge_cpu((2 * k + 1) * (2 * k + 1));
-  Matrix<Complex> fk = ctx.dft2(kf.view(), false);
+  exec.charge_cpu((2 * k + 1) * (2 * k + 1));
+  Matrix<Complex> fk = dft::dft2_tcu(exec, kf.view(), false, kDft);
 
   // Assemble every block's 3k x 3k neighbourhood, stacked vertically so
   // the batched DFT shares tensor calls across all blocks (Lemma 1).
@@ -175,11 +177,11 @@ Matrix<double> stencil_impl(const StencilCtx& ctx,
       }
     }
   }
-  ctx.charge_cpu(count * N * N);
+  exec.charge_cpu(count * N * N);
 
   // Forward transform of all neighbourhoods, pointwise multiply with the
   // kernel spectrum, inverse transform.
-  dft2_stacked(ctx, stack.view(), N, /*inverse=*/false);
+  dft2_stacked(exec, stack.view(), N, /*inverse=*/false);
   for (std::size_t bidx = 0; bidx < count; ++bidx) {
     for (std::size_t i = 0; i < N; ++i) {
       for (std::size_t j = 0; j < N; ++j) {
@@ -187,8 +189,8 @@ Matrix<double> stencil_impl(const StencilCtx& ctx,
       }
     }
   }
-  ctx.charge_cpu(count * N * N);
-  dft2_stacked(ctx, stack.view(), N, /*inverse=*/true);
+  exec.charge_cpu(count * N * N);
+  dft2_stacked(exec, stack.view(), N, /*inverse=*/true);
 
   // Extract the centre k x k of each block.
   Matrix<double> out(rows, cols, 0.0);
@@ -206,7 +208,7 @@ Matrix<double> stencil_impl(const StencilCtx& ctx,
       }
     }
   }
-  ctx.charge_cpu(count * k * k);
+  exec.charge_cpu(count * k * k);
   return out;
 }
 
@@ -293,19 +295,21 @@ Matrix<double> weight_matrix_unrolled(const Kernel3& w, std::size_t k,
 
 Matrix<double> weight_matrix_tcu(Device<Complex>& dev, const Kernel3& w,
                                  std::size_t k) {
-  return weight_matrix_impl(StencilCtx{.dev = &dev}, w, k);
+  InlineExecutor<Complex> exec(dev);
+  return weight_matrix_impl(exec, w, k);
 }
 
 Matrix<double> stencil_tcu(Device<Complex>& dev,
                            ConstMatrixView<double> grid, const Kernel3& w,
                            std::size_t k) {
-  return stencil_impl(StencilCtx{.dev = &dev}, grid, w, k);
+  InlineExecutor<Complex> exec(dev);
+  return stencil_impl(exec, grid, w, k);
 }
 
 Matrix<double> stencil_tcu_pool(PoolExecutor<Complex>& exec,
                                 ConstMatrixView<double> grid,
                                 const Kernel3& w, std::size_t k) {
-  return stencil_impl(StencilCtx{.exec = &exec}, grid, w, k);
+  return stencil_impl(exec, grid, w, k);
 }
 
 }  // namespace tcu::stencil

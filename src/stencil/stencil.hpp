@@ -56,7 +56,8 @@ Matrix<double> weight_matrix_unrolled(const Kernel3& w, std::size_t k,
                                       Counters& counters);
 
 /// Lemma 2: the (2k+1) x (2k+1) weight matrix via repeated squaring of
-/// the kernel polynomial with DFT convolutions on the tensor unit.
+/// the kernel polynomial with DFT convolutions on the tensor unit (on an
+/// InlineExecutor over `dev`).
 Matrix<double> weight_matrix_tcu(Device<Complex>& dev, const Kernel3& w,
                                  std::size_t k);
 
@@ -65,8 +66,9 @@ Matrix<double> weight_matrix_tcu(Device<Complex>& dev, const Kernel3& w,
 /// zeros, which is exact for the zero-boundary semantics). Every DFT
 /// level's Fourier tile is residency-tagged (DftOptions::affinity): the
 /// Theta(n/k^2) batched transforms re-visit the same levels many times
-/// per call, so the tile stays resident instead of reloading — the
-/// serial path shows strictly positive `Counters::resident_hits`.
+/// per call, so the tile stays resident instead of reloading — one
+/// device shows strictly positive `Counters::resident_hits`. Runs the
+/// pipeline of `stencil_tcu_pool` on an InlineExecutor over `dev`.
 Matrix<double> stencil_tcu(Device<Complex>& dev,
                            ConstMatrixView<double> grid, const Kernel3& w,
                            std::size_t k);
@@ -78,10 +80,11 @@ Matrix<double> stencil_tcu(Device<Complex>& dev,
 /// lane while it stays cached, not once per chunk. Outputs are
 /// bit-identical to `stencil_tcu` at every unit count, and so is every
 /// aggregate counter except the documented chunking effect on the
-/// latency split: with `calls` the aggregate tensor-call count,
-/// `latency_time + latency_saved - serial.latency_time ==
-/// (calls - serial.tensor_calls) * l` (a 1-unit pool matches serial in
-/// every field).
+/// latency split: with `calls` the aggregate tensor-call count and
+/// `one` the counters of `stencil_tcu` on one device,
+/// `latency_time + latency_saved - one.latency_time ==
+/// (calls - one.tensor_calls) * l` (a 1-unit pool matches it in every
+/// field).
 Matrix<double> stencil_tcu_pool(PoolExecutor<Complex>& exec,
                                 ConstMatrixView<double> grid,
                                 const Kernel3& w, std::size_t k);

@@ -3,20 +3,17 @@
 #include <array>
 #include <stdexcept>
 
-#include "stencil/stencil_ctx.hpp"
-
 namespace tcu::stencil {
 
 namespace {
 
-/// The residency-tagged DFT dispatch shared with the 2-D pipeline (see
-/// stencil_ctx.hpp).
-using Stencil1dCtx = detail::DftDispatch;
+/// Residency-tagged DFT levels, exactly as in the 2-D pipeline.
+constexpr dft::DftOptions kDft{.affinity = true};
 
 /// Linear convolution of two real vectors via a circular DFT convolution
 /// of exactly the output length.
-std::vector<double> conv1_linear_tcu(const Stencil1dCtx& ctx,
-                                     const std::vector<double>& a,
+template <typename Exec>
+std::vector<double> conv1_linear_tcu(Exec& exec, const std::vector<double>& a,
                                      const std::vector<double>& b) {
   const std::size_t out_len = a.size() + b.size() - 1;
   // Power-of-two circular size: exact for linear convolution and keeps
@@ -26,25 +23,26 @@ std::vector<double> conv1_linear_tcu(const Stencil1dCtx& ctx,
   dft::CVec fa(len, dft::Complex{}), fb(len, dft::Complex{});
   for (std::size_t i = 0; i < a.size(); ++i) fa[i] = a[i];
   for (std::size_t i = 0; i < b.size(); ++i) fb[i] = b[i];
-  ctx.charge_cpu(a.size() + b.size());
-  auto conv = ctx.circular_convolve(fa, fb);
+  exec.charge_cpu(a.size() + b.size());
+  auto conv = dft::circular_convolve_tcu(exec, fa, fb, kDft);
   std::vector<double> out(out_len);
   for (std::size_t i = 0; i < out_len; ++i) out[i] = conv[i].real();
-  ctx.charge_cpu(out_len);
+  exec.charge_cpu(out_len);
   return out;
 }
 
-std::vector<double> kernel_power1(const Stencil1dCtx& ctx,
-                                  const std::vector<double>& w,
+template <typename Exec>
+std::vector<double> kernel_power1(Exec& exec, const std::vector<double>& w,
                                   std::size_t k) {
   if (k == 1) return w;
-  auto half = kernel_power1(ctx, w, k / 2);
-  auto sq = conv1_linear_tcu(ctx, half, half);
+  auto half = kernel_power1(exec, w, k / 2);
+  auto sq = conv1_linear_tcu(exec, half, half);
   if (k % 2 == 0) return sq;
-  return conv1_linear_tcu(ctx, sq, w);
+  return conv1_linear_tcu(exec, sq, w);
 }
 
-std::vector<double> stencil1d_impl(const Stencil1dCtx& ctx,
+template <typename Exec>
+std::vector<double> stencil1d_impl(Exec& exec,
                                    const std::vector<double>& signal,
                                    const std::array<double, 3>& w,
                                    std::size_t k) {
@@ -52,14 +50,14 @@ std::vector<double> stencil1d_impl(const Stencil1dCtx& ctx,
   const std::size_t n = signal.size();
   if (n == 0) return {};
 
-  const auto W = kernel_power1(ctx, {w[0], w[1], w[2]}, k);  // length 2k+1
+  const auto W = kernel_power1(exec, {w[0], w[1], w[2]}, k);  // length 2k+1
   const std::size_t N = 3 * k;
 
   // Zero-pad the signal to a multiple of k.
   const std::size_t pn = ((n + k - 1) / k) * k;
   std::vector<double> padded(pn, 0.0);
   for (std::size_t i = 0; i < n; ++i) padded[i] = signal[i];
-  ctx.charge_cpu(pn);
+  exec.charge_cpu(pn);
 
   // Correlation-as-convolution kernel at size N.
   dft::CVec kf(N, dft::Complex{});
@@ -70,10 +68,10 @@ std::vector<double> stencil1d_impl(const Stencil1dCtx& ctx,
         static_cast<std::int64_t>(N));
     kf[u] = W[static_cast<std::size_t>(k + a)];
   }
-  ctx.charge_cpu(2 * k + 1);
+  exec.charge_cpu(2 * k + 1);
   Matrix<dft::Complex> fk(1, N);
   for (std::size_t i = 0; i < N; ++i) fk(0, i) = kf[i];
-  ctx.dft_batch(fk.view());
+  dft::dft_batch_tcu(exec, fk.view(), kDft);
 
   // All block neighbourhoods as one batch (the 1-D Lemma 1).
   const std::size_t blocks = pn / k;
@@ -87,13 +85,13 @@ std::vector<double> stencil1d_impl(const Stencil1dCtx& ctx,
       }
     }
   }
-  ctx.charge_cpu(blocks * N);
-  ctx.dft_batch(batch.view());
+  exec.charge_cpu(blocks * N);
+  dft::dft_batch_tcu(exec, batch.view(), kDft);
   for (std::size_t blk = 0; blk < blocks; ++blk) {
     for (std::size_t i = 0; i < N; ++i) batch(blk, i) *= fk(0, i);
   }
-  ctx.charge_cpu(blocks * N);
-  ctx.idft_batch(batch.view());
+  exec.charge_cpu(blocks * N);
+  dft::idft_batch_tcu(exec, batch.view(), kDft);
 
   std::vector<double> out(n);
   for (std::size_t blk = 0; blk < blocks; ++blk) {
@@ -102,7 +100,7 @@ std::vector<double> stencil1d_impl(const Stencil1dCtx& ctx,
       if (g < n) out[g] = batch(blk, k + i).real();
     }
   }
-  ctx.charge_cpu(n);
+  exec.charge_cpu(n);
   return out;
 }
 
@@ -136,21 +134,23 @@ std::vector<double> weight_vector_tcu(Device<dft::Complex>& dev,
                                       const std::array<double, 3>& w,
                                       std::size_t k) {
   if (k == 0) throw std::invalid_argument("stencil1d: k must be >= 1");
-  return kernel_power1(Stencil1dCtx{.dev = &dev}, {w[0], w[1], w[2]}, k);
+  InlineExecutor<dft::Complex> exec(dev);
+  return kernel_power1(exec, {w[0], w[1], w[2]}, k);
 }
 
 std::vector<double> stencil1d_tcu(Device<dft::Complex>& dev,
                                   const std::vector<double>& signal,
                                   const std::array<double, 3>& w,
                                   std::size_t k) {
-  return stencil1d_impl(Stencil1dCtx{.dev = &dev}, signal, w, k);
+  InlineExecutor<dft::Complex> exec(dev);
+  return stencil1d_impl(exec, signal, w, k);
 }
 
 std::vector<double> stencil1d_tcu_pool(PoolExecutor<dft::Complex>& exec,
                                        const std::vector<double>& signal,
                                        const std::array<double, 3>& w,
                                        std::size_t k) {
-  return stencil1d_impl(Stencil1dCtx{.exec = &exec}, signal, w, k);
+  return stencil1d_impl(exec, signal, w, k);
 }
 
 }  // namespace tcu::stencil

@@ -31,13 +31,15 @@ std::vector<double> weight_vector_tcu(Device<dft::Complex>& dev,
 
 /// Blocked-convolution evaluation (the 1-D Lemma 1 + Theorem 8). DFT
 /// level tiles are residency-tagged, exactly as in the 2-D pipeline.
+/// Runs the pipeline of `stencil1d_tcu_pool` on an InlineExecutor over
+/// `dev`, as does `weight_vector_tcu`.
 std::vector<double> stencil1d_tcu(Device<dft::Complex>& dev,
                                   const std::vector<double>& signal,
                                   const std::array<double, 3>& w,
                                   std::size_t k);
 
 /// Multi-unit 1-D stencil: same contract as `stencil_tcu_pool` — outputs
-/// bit-identical to the serial path at every unit count, counters
+/// bit-identical to `stencil1d_tcu` at every unit count, counters
 /// matching modulo the documented chunked-call latency split.
 std::vector<double> stencil1d_tcu_pool(PoolExecutor<dft::Complex>& exec,
                                        const std::vector<double>& signal,

@@ -1,12 +1,20 @@
 // Tests for the Theorem 7 DFT: agreement with the naive O(n^2) oracle for
 // smooth, prime and mixed lengths (exercising the Cooley-Tukey and
 // Bluestein paths), inverse round trips, Parseval's identity, batching,
-// 2-D transforms, the convolution theorem, and the (n + l) log_m n cost.
+// 2-D transforms, the convolution theorem, the (n + l) log_m n cost, and
+// golden counters and output bits for the Device& entry points.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <sstream>
+
 #include "core/costs.hpp"
 #include "dft/dft.hpp"
+#include "stencil/stencil.hpp"
+#include "stencil/stencil1d.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -279,6 +287,177 @@ TEST(DftCost, TcuBeatsNaiveModelTime) {
   (void)tcu::dft::dft_tcu(dev, x);
   (void)tcu::dft::dft_naive(x, ram);
   EXPECT_LT(dev.counters().time(), ram.time());
+}
+
+// ------------------------------------------- golden Device& entry points
+
+/// FNV-style hash of the bit patterns of a run's outputs.
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(double v) {
+    h = (h ^ std::bit_cast<std::uint64_t>(v)) * 0x100000001b3ull;
+  }
+  void add(Complex v) {
+    add(v.real());
+    add(v.imag());
+  }
+  template <typename T>
+  void add(const Matrix<T>& m) {
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) add(m(i, j));
+    }
+  }
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    for (const T& x : v) add(x);
+  }
+};
+
+Matrix<Complex> random_batch(std::size_t b, std::size_t len,
+                             std::uint64_t seed) {
+  tcu::util::Xoshiro256 rng(seed);
+  Matrix<Complex> out(b, len);
+  for (std::size_t r = 0; r < b; ++r) {
+    for (std::size_t j = 0; j < len; ++j) {
+      out(r, j) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    }
+  }
+  return out;
+}
+
+/// `calls` successive in-place batched transforms of one b x len batch.
+template <std::size_t b, std::size_t len, bool affinity, int calls = 1>
+std::uint64_t batch_run(Device<Complex>& dev) {
+  Matrix<Complex> batch = random_batch(b, len, 900 + len);
+  for (int i = 0; i < calls; ++i) {
+    tcu::dft::dft_batch_tcu(dev, batch.view(), {.affinity = affinity});
+  }
+  BitHash h;
+  h.add(batch);
+  return h.h;
+}
+
+struct GoldenCase {
+  const char* name;
+  Device<Complex>::Config cfg;
+  std::uint64_t (*run)(Device<Complex>&);
+  std::uint64_t hash;
+  /// calls, rows, tensor_time, macs, latency, hits, latency_saved,
+  /// evictions, tagged_calls, cpu_ops, systolic_cycles.
+  std::array<std::uint64_t, 11> counters;
+};
+
+std::array<std::uint64_t, 11> fields(const Counters& c) {
+  return {c.tensor_calls,  c.tensor_rows,   c.tensor_time,
+          c.tensor_macs,   c.latency_time,  c.resident_hits,
+          c.latency_saved, c.evictions,     c.tagged_calls,
+          c.cpu_ops,       c.systolic_cycles};
+}
+
+using Cfg = Device<Complex>::Config;
+const Cfg kTall{.m = 16, .latency = 11};
+const Cfg kTall4{.m = 16, .latency = 11, .resident_tiles = 4};
+const Cfg kWeak{.m = 16, .latency = 11, .allow_tall = false};
+
+// Every charge and output bit of the Device& entry points (m = 16,
+// l = 11). A change meant to move them recaptures a row from the
+// paste-ready `hash, {fields}` line its failure prints.
+const GoldenCase kGolden[] = {
+    {"smooth b=3 len=24", kTall, batch_run<3, 24, false>,
+     0xf73106cd456aa3b6ull, {3, 78, 345, 1248, 33, 0, 0, 0, 0, 749, 0}},
+    {"base case b=5 len=3", kTall, batch_run<5, 3, false>,
+     0x7611388979076238ull, {1, 5, 31, 80, 11, 0, 0, 0, 0, 39, 0}},
+    {"bluestein b=2 len=13", kTall, batch_run<2, 13, false>,
+     0xe91286ceadaeb6e7ull, {9, 160, 739, 2560, 99, 0, 0, 0, 0, 1927, 0}},
+    {"weak b=3 len=24", kWeak, batch_run<3, 24, false>,
+     0xf73106cd456aa3b6ull, {20, 80, 540, 1280, 220, 0, 0, 0, 0, 749, 0}},
+    {"smooth x2", kTall, batch_run<3, 24, false, 2>,
+     0x34e5cdb21bdfdddull, {6, 156, 690, 2496, 66, 0, 0, 0, 0, 1498, 0}},
+    {"smooth affinity x2 c=4", kTall4, batch_run<3, 24, true, 2>,
+     0x34e5cdb21bdfdddull, {6, 156, 657, 2496, 33, 3, 33, 0, 6, 1498, 0}},
+    {"bluestein affinity x2", kTall, batch_run<2, 13, true, 2>,
+     0x50ef74349d543344ull, {18, 320, 1412, 5120, 132, 6, 66, 11, 18, 3854, 0}},
+    {"weak affinity x2 c=4", Cfg{.m = 16, .latency = 11, .allow_tall = false,
+                                 .resident_tiles = 4},
+     batch_run<3, 24, true, 2>,
+     0x34e5cdb21bdfdddull, {40, 160, 673, 2560, 33, 37, 407, 0, 40, 1498, 0}},
+    {"idft b=2 len=12 affinity", kTall,
+     [](Device<Complex>& dev) {
+       Matrix<Complex> batch = random_batch(2, 12, 910);
+       tcu::dft::idft_batch_tcu(dev, batch.view(), {.affinity = true});
+       BitHash h;
+       h.add(batch);
+       return h.h;
+     },
+     0x67cb2d2d59c33fa6ull, {2, 14, 78, 224, 22, 0, 0, 1, 2, 217, 0}},
+    {"dft2 5x9", kTall,
+     [](Device<Complex>& dev) {
+       const Matrix<Complex> x = random_batch(5, 9, 911);
+       BitHash h;
+       h.add(tcu::dft::dft2_tcu(dev, x.view()));
+       return h.h;
+     },
+     0x70582e8fb919feceull, {8, 182, 816, 2912, 88, 0, 0, 0, 0, 2736, 0}},
+    {"circular_convolve len=12", kTall,
+     [](Device<Complex>& dev) {
+       const CVec a = random_signal(12, 912), b = random_signal(12, 913);
+       BitHash h;
+       h.add(tcu::dft::circular_convolve_tcu(dev, a, b));
+       return h.h;
+     },
+     0x1109fed8638a8bbeull, {4, 22, 132, 352, 44, 0, 0, 0, 0, 302, 0}},
+    {"circular_convolve2 6x8 affinity", kTall4,
+     [](Device<Complex>& dev) {
+       const Matrix<Complex> a = random_batch(6, 8, 914);
+       const Matrix<Complex> k = random_batch(6, 8, 915);
+       BitHash h;
+       h.add(tcu::dft::circular_convolve2_tcu(dev, a.view(), k.view(),
+                                              {.affinity = true}));
+       return h.h;
+     },
+     0xcf15484cccc4084aull, {12, 228, 945, 3648, 33, 9, 99, 0, 12, 2499, 0}},
+    {"stencil_tcu 20x17 k=3 x2", kTall,
+     [](Device<Complex>& dev) {
+       tcu::util::Xoshiro256 rng(916);
+       Matrix<double> grid(20, 17);
+       for (std::size_t i = 0; i < 20; ++i) {
+         for (std::size_t j = 0; j < 17; ++j) grid(i, j) = rng.uniform(0, 1);
+       }
+       BitHash h;
+       for (int call = 0; call < 2; ++call) {
+         h.add(tcu::stencil::stencil_tcu(
+             dev, grid.view(), tcu::stencil::heat_kernel(0.1, 0.05), 3));
+       }
+       return h.h;
+     },
+     0xd1acd4826c30ab89ull,
+     {72, 19512, 78598, 312192, 550, 22, 242, 49, 72, 249532, 0}},
+    {"stencil1d_tcu n=37 k=4", kTall,
+     [](Device<Complex>& dev) {
+       tcu::util::Xoshiro256 rng(917);
+       std::vector<double> signal(37);
+       for (auto& v : signal) v = rng.uniform(0, 1);
+       BitHash h;
+       h.add(tcu::stencil::stencil1d_tcu(dev, signal, {0.25, 0.5, 0.25}, 4));
+       return h.h;
+     },
+     0x6d8c4bb5d2d7207bull, {14, 192, 878, 3072, 110, 4, 44, 9, 14, 2791, 0}},
+};
+
+TEST(DftGolden, DeviceEntryPointsKeepEveryCounterAndBit) {
+  for (const GoldenCase& g : kGolden) {
+    Device<Complex> dev(g.cfg);
+    const std::uint64_t hash = g.run(dev);
+    const auto got = fields(dev.counters());
+    std::ostringstream line;
+    line << std::hex << "0x" << hash << "ull, {" << std::dec;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      line << (i ? ", " : "") << got[i];
+    }
+    line << "}";
+    EXPECT_EQ(hash, g.hash) << g.name << ": got " << line.str();
+    EXPECT_EQ(got, g.counters) << g.name << ": got " << line.str();
+  }
 }
 
 }  // namespace

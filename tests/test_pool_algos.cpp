@@ -276,6 +276,73 @@ TEST(PoolAlgos, DftPoolWeakModeMatchesSerialExactly) {
   EXPECT_EQ(pool.aggregate().tensor_calls, dev.counters().tensor_calls);
 }
 
+/// Every Counters field, residency included.
+void expect_every_counter_eq(const Counters& got, const Counters& want) {
+  expect_counters_eq(got, want);
+  EXPECT_EQ(got.resident_hits, want.resident_hits);
+  EXPECT_EQ(got.latency_saved, want.latency_saved);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.tagged_calls, want.tagged_calls);
+  EXPECT_EQ(got.systolic_cycles, want.systolic_cycles);
+}
+
+Matrix<tcu::dft::Complex> random_complex(std::size_t r, std::size_t c,
+                                         std::uint64_t seed) {
+  tcu::util::Xoshiro256 rng(seed);
+  Matrix<tcu::dft::Complex> out(r, c);
+  for (std::size_t i = 0; i < r; ++i) {
+    for (std::size_t j = 0; j < c; ++j) {
+      out(i, j) = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    }
+  }
+  return out;
+}
+
+// The pooled inverse batch, 2-D transform and both convolutions on their
+// own (the stencils reach them only with affinity on): at p = 1 and
+// p = 3, with affinity on and off, over a Bluestein length (13 > sqrt(m),
+// prime) and a 5 x 9 shape, outputs equal the Device& entry's bit for
+// bit, and at p = 1 so does every counter field. Each entry point's
+// arena truncation runs here under real worker threads.
+TEST(PoolAlgos, DftEntryPointsOnThePoolMatchTheDeviceEntry) {
+  using tcu::dft::Complex;
+  using tcu::dft::CVec;
+  const Device<Complex>::Config cfg{
+      .m = 16, .latency = 11, .resident_tiles = 2};
+  const Matrix<Complex> x = random_complex(5, 9, 720);
+  const Matrix<Complex> kernel = random_complex(5, 9, 721);
+  const Matrix<Complex> prime_rows = random_complex(3, 13, 722);
+  const Matrix<Complex> ab = random_complex(2, 13, 723);
+  const CVec a(&ab(0, 0), &ab(0, 0) + 13), b(&ab(1, 0), &ab(1, 0) + 13);
+  for (const bool affinity : {false, true}) {
+    const tcu::dft::DftOptions opts{.affinity = affinity};
+    for (const std::size_t p : {1u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "affinity=" << affinity
+                                      << " p=" << p);
+      Device<Complex> dev(cfg);
+      DevicePool<Complex> pool(p, cfg);
+      PoolExecutor<Complex> exec(pool);
+
+      Matrix<Complex> want = prime_rows, got = prime_rows;
+      tcu::dft::idft_batch_tcu(dev, want.view(), opts);
+      tcu::dft::idft_batch_tcu(exec, got.view(), opts);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(tcu::dft::dft2_tcu(exec, x.view(), false, opts),
+                tcu::dft::dft2_tcu(dev, x.view(), false, opts));
+      EXPECT_EQ(tcu::dft::dft2_tcu(exec, prime_rows.view(), true, opts),
+                tcu::dft::dft2_tcu(dev, prime_rows.view(), true, opts));
+      EXPECT_EQ(tcu::dft::circular_convolve_tcu(exec, a, b, opts),
+                tcu::dft::circular_convolve_tcu(dev, a, b, opts));
+      EXPECT_EQ(
+          tcu::dft::circular_convolve2_tcu(exec, x.view(), kernel.view(),
+                                           opts),
+          tcu::dft::circular_convolve2_tcu(dev, x.view(), kernel.view(),
+                                           opts));
+      if (p == 1) expect_every_counter_eq(pool.aggregate(), dev.counters());
+    }
+  }
+}
+
 // Karatsuba's call tree is Strassen-shaped: the unrolled top levels run
 // (and charge) on the shared CPU, the recorded subtree products are dealt
 // across units, and the product plus the aggregate counters must be
