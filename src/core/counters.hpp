@@ -59,6 +59,8 @@ struct Counters {
 
   void reset() { *this = Counters{}; }
 
+  bool operator==(const Counters&) const = default;
+
   Counters& operator+=(const Counters& other) {
     tensor_calls += other.tensor_calls;
     tensor_rows += other.tensor_rows;

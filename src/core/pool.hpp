@@ -292,8 +292,6 @@ class PoolExecutor {
 
   ~PoolExecutor() { shutdown(); }
 
-  DevicePool<T>& pool() { return pool_; }
-
   /// The reads a schedule makes of any executor. `unit0` prices tasks
   /// (every unit shares its tile side and costs), `size` is the lane
   /// count, and `charge_cpu` charges work done on the submit thread —

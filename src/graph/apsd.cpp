@@ -1,11 +1,9 @@
 #include "graph/apsd.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
-#include "linalg/dense.hpp"
 #include "linalg/parallel.hpp"
 #include "linalg/strassen.hpp"
 
@@ -32,18 +30,21 @@ void check_adjacency(ConstMatrixView<std::int64_t> a) {
   }
 }
 
-/// Execution context for the Seidel recursion: how to run an n x n product
-/// and where the elementwise CPU work is charged. The serial path binds a
-/// Device, the pool path a persistent PoolExecutor — the recursion itself
-/// (and hence every charge amount and output bit) is shared.
-struct SeidelCtx {
-  std::function<Mat(const Mat&, const Mat&)> product;
-  std::function<void(std::uint64_t)> charge_cpu;
-};
+/// n x n product for one recursion level: the p0 = 7 Strassen recursion
+/// or the Theorem 2 strips, dealt across the executor's units.
+template <typename Exec>
+Mat product(Exec& exec, const Mat& a, const Mat& b, const ApsdOptions& opts) {
+  if (opts.use_strassen) {
+    return linalg::matmul_strassen_tcu_pool(exec, a.view(), b.view(),
+                                            {.p0 = 7});
+  }
+  return linalg::matmul_tcu_pool(exec, a.view(), b.view());
+}
 
-bool is_complete(const SeidelCtx& ctx, const Mat& a) {
+template <typename Exec>
+bool is_complete(Exec& exec, const Mat& a) {
   const std::size_t n = a.rows();
-  ctx.charge_cpu(n * n);
+  exec.charge_cpu(n * n);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i != j && a(i, j) != 1) return false;
@@ -52,14 +53,16 @@ bool is_complete(const SeidelCtx& ctx, const Mat& a) {
   return true;
 }
 
-Mat seidel_rec(const SeidelCtx& ctx, const Mat& a, std::size_t depth_left) {
+template <typename Exec>
+Mat seidel_rec(Exec& exec, const Mat& a, std::size_t depth_left,
+               const ApsdOptions& opts) {
   const std::size_t n = a.rows();
-  if (is_complete(ctx, a)) {
+  if (is_complete(exec, a)) {
     // Base case: distance matrix of the complete graph is A(h) - I, i.e.
     // 1 everywhere off the diagonal.
     Mat d(n, n, 1);
     for (std::size_t i = 0; i < n; ++i) d(i, i) = 0;
-    ctx.charge_cpu(n * n);
+    exec.charge_cpu(n * n);
     return d;
   }
   if (depth_left == 0) {
@@ -68,24 +71,24 @@ Mat seidel_rec(const SeidelCtx& ctx, const Mat& a, std::size_t depth_left) {
 
   // Squared graph: A2[u][v] = 1 iff some w has (u,w), (w,v) in E, or
   // (u,v) already an edge; diagonal forced to zero.
-  Mat prod = ctx.product(a, a);
+  Mat prod = product(exec, a, a, opts);
   Mat a2(n, n, 0);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       if (i != j && (prod(i, j) > 0 || a(i, j) == 1)) a2(i, j) = 1;
     }
   }
-  ctx.charge_cpu(n * n);
+  exec.charge_cpu(n * n);
 
-  Mat d2 = seidel_rec(ctx, a2, depth_left - 1);
+  Mat d2 = seidel_rec(exec, a2, depth_left - 1, opts);
 
   // Reconstruction: C = D2 * A; deg(v) = column sums of A.
-  Mat c = ctx.product(d2, a);
+  Mat c = product(exec, d2, a, opts);
   std::vector<std::int64_t> deg(n, 0);
   for (std::size_t j = 0; j < n; ++j) {
     for (std::size_t i = 0; i < n; ++i) deg[j] += a(i, j);
   }
-  ctx.charge_cpu(n * n);
+  exec.charge_cpu(n * n);
 
   Mat d(n, n, 0);
   for (std::size_t u = 0; u < n; ++u) {
@@ -95,20 +98,21 @@ Mat seidel_rec(const SeidelCtx& ctx, const Mat& a, std::size_t depth_left) {
       d(u, v) = 2 * d2(u, v) - (even ? 0 : 1);
     }
   }
-  ctx.charge_cpu(n * n);
+  exec.charge_cpu(n * n);
   return d;
 }
 
-Mat seidel_with_ctx(const SeidelCtx& ctx,
-                    ConstMatrixView<std::int64_t> adjacency) {
+template <typename Exec>
+Mat seidel(Exec& exec, ConstMatrixView<std::int64_t> adjacency,
+           const ApsdOptions& opts) {
   check_adjacency(adjacency);
   const std::size_t n = adjacency.rows;
   if (n == 1) return Mat(1, 1, 0);
   const auto depth = static_cast<std::size_t>(
       std::ceil(std::log2(static_cast<double>(n)))) + 1;
   Mat a = materialize(adjacency);
-  ctx.charge_cpu(n * n);
-  return seidel_rec(ctx, a, depth);
+  exec.charge_cpu(n * n);
+  return seidel_rec(exec, a, depth, opts);
 }
 
 }  // namespace
@@ -116,35 +120,14 @@ Mat seidel_with_ctx(const SeidelCtx& ctx,
 Matrix<std::int64_t> apsd_seidel(Device<std::int64_t>& dev,
                                  ConstMatrixView<std::int64_t> adjacency,
                                  ApsdOptions opts) {
-  SeidelCtx ctx{
-      .product =
-          [&dev, opts](const Mat& a, const Mat& b) {
-            if (opts.use_strassen) {
-              return linalg::matmul_strassen_tcu(dev, a.view(), b.view(),
-                                                 {.p0 = 7});
-            }
-            return linalg::matmul_tcu(dev, a.view(), b.view());
-          },
-      .charge_cpu = [&dev](std::uint64_t ops) { dev.charge_cpu(ops); },
-  };
-  return seidel_with_ctx(ctx, adjacency);
+  InlineExecutor<std::int64_t> exec(dev);
+  return seidel(exec, adjacency, opts);
 }
 
 Matrix<std::int64_t> apsd_seidel(PoolExecutor<std::int64_t>& exec,
                                  ConstMatrixView<std::int64_t> adjacency,
                                  ApsdOptions opts) {
-  SeidelCtx ctx{
-      .product =
-          [&exec, opts](const Mat& a, const Mat& b) {
-            if (opts.use_strassen) {
-              return linalg::matmul_strassen_tcu_pool(exec, a.view(), b.view(),
-                                                      {.p0 = 7});
-            }
-            return linalg::matmul_tcu_pool(exec, a.view(), b.view());
-          },
-      .charge_cpu = [&exec](std::uint64_t ops) { exec.charge_cpu(ops); },
-  };
-  return seidel_with_ctx(ctx, adjacency);
+  return seidel(exec, adjacency, opts);
 }
 
 Matrix<std::int64_t> apsd_bfs(ConstMatrixView<std::int64_t> adjacency,

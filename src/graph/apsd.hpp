@@ -26,7 +26,8 @@ struct ApsdOptions {
 };
 
 /// Seidel's APSD on the tensor unit. `adjacency` must be symmetric 0/1
-/// with a zero diagonal. Returns the n x n distance matrix.
+/// with a zero diagonal. Returns the n x n distance matrix. Runs the
+/// executor body below inline on `dev`.
 Matrix<std::int64_t> apsd_seidel(Device<std::int64_t>& dev,
                                  ConstMatrixView<std::int64_t> adjacency,
                                  ApsdOptions opts = {});

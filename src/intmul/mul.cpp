@@ -56,8 +56,8 @@ BigInt mul_schoolbook_tcu(Device<std::int64_t>& dev, const BigInt& a,
 
 namespace {
 
-/// Karatsuba over limb vectors for the shared serial recursion and the
-/// depth-limited unroll engine (util/karatsuba_plan.hpp).
+/// Karatsuba over limb vectors for the shared recursion
+/// (util/karatsuba_plan.hpp).
 struct BigIntKaratsubaOps {
   using Value = BigInt;
   static std::size_t size(const BigInt& v) { return v.limb_count(); }
@@ -90,42 +90,16 @@ BigInt mul_karatsuba_ram(const BigInt& a, const BigInt& b, Counters& counters,
 
 BigInt mul_karatsuba_tcu(Device<std::int64_t>& dev, const BigInt& a,
                          const BigInt& b, std::size_t threshold_limbs) {
-  if (threshold_limbs == 0) threshold_limbs = 4 * dev.tile_dim();
-  return util::karatsuba_serial<BigIntKaratsubaOps>(
-      a, b, threshold_limbs, dev.counters(),
-      [&dev](const BigInt& x, const BigInt& y) {
-        return mul_schoolbook_tcu(dev, x, y);
-      });
+  InlineExecutor<std::int64_t> exec(dev);
+  return util::karatsuba_tcu<BigIntKaratsubaOps>(exec, a, b, threshold_limbs,
+                                                 &mul_schoolbook_tcu);
 }
 
 BigInt mul_karatsuba_tcu_pool(PoolExecutor<std::int64_t>& exec,
                               const BigInt& a, const BigInt& b,
                               std::size_t threshold_limbs) {
-  DevicePool<std::int64_t>& pool = exec.pool();
-  if (threshold_limbs == 0) {
-    threshold_limbs = 4 * pool.unit(0).tile_dim();
-  }
-  const std::size_t n = std::max(a.limb_count(), b.limb_count());
-  const std::size_t depth =
-      util::karatsuba_unroll_depth(n, threshold_limbs, exec.size());
-  util::KaratsubaPlan<BigIntKaratsubaOps> plan;
-  auto root = util::karatsuba_plan<BigIntKaratsubaOps>(
-      pool, plan, a, b, threshold_limbs, depth);
-  return util::karatsuba_run_plan<BigIntKaratsubaOps>(
-      exec, plan, root,
-      [threshold_limbs](Device<std::int64_t>& unit, const BigInt& x,
-                        const BigInt& y) {
-        return util::karatsuba_serial<BigIntKaratsubaOps>(
-            x, y, threshold_limbs, unit.counters(),
-            [&unit](const BigInt& u, const BigInt& v) {
-              return mul_schoolbook_tcu(unit, u, v);
-            });
-      },
-      [&pool, threshold_limbs](const BigInt& x, const BigInt& y) {
-        return util::karatsuba_toeplitz_cost(
-            pool.unit(0), std::max(x.limb_count(), y.limb_count()),
-            threshold_limbs);
-      });
+  return util::karatsuba_tcu<BigIntKaratsubaOps>(exec, a, b, threshold_limbs,
+                                                 &mul_schoolbook_tcu);
 }
 
 }  // namespace tcu::intmul

@@ -50,16 +50,17 @@ BigInt mul_karatsuba_ram(const BigInt& a, const BigInt& b, Counters& counters,
 /// Theorem 10: Karatsuba with the Theorem 9 TCU kernel at the base. The
 /// default threshold of 4 sqrt(m) limbs corresponds to the paper's
 /// kappa sqrt(m)-bit base case with kappa' = kappa/4 = 16-bit limbs.
+/// Runs the executor body below inline on `dev`.
 BigInt mul_karatsuba_tcu(Device<std::int64_t>& dev, const BigInt& a,
                          const BigInt& b, std::size_t threshold_limbs = 0);
 
-/// Pool-parallel Theorem 10: the top levels of Karatsuba's call tree are
-/// unrolled on the submitting thread (linear work on the shared CPU,
-/// charged as in the serial recursion) and the independent subtree
-/// products are dealt across the executor's units, each running the
-/// serial recursion with the Theorem 9 base case. Product and aggregate
-/// counters are bit-identical to `mul_karatsuba_tcu` on one device for
-/// every unit count.
+/// Pool-parallel Theorem 10 (util::karatsuba_tcu): the top levels of
+/// Karatsuba's call tree are unrolled on the submitting thread (linear
+/// work charged to the shared CPU) and the independent subtree products
+/// are dealt across the executor's units, each running the serial
+/// recursion with the Theorem 9 base case. Product and aggregate counters
+/// are bit-identical to `mul_karatsuba_tcu` on one device for every unit
+/// count.
 BigInt mul_karatsuba_tcu_pool(PoolExecutor<std::int64_t>& exec,
                               const BigInt& a, const BigInt& b,
                               std::size_t threshold_limbs = 0);

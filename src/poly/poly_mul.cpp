@@ -78,8 +78,8 @@ DVec vec_high(const DVec& v, std::size_t half) {
   return DVec(v.begin() + static_cast<std::ptrdiff_t>(half), v.end());
 }
 
-/// Karatsuba ops over double coefficient vectors for the shared serial
-/// recursion and unroll engine (util/karatsuba_plan.hpp).
+/// Karatsuba ops over double coefficient vectors for the shared
+/// recursion (util/karatsuba_plan.hpp).
 struct DVecKaratsubaOps {
   using Value = DVec;
   static std::size_t size(const DVec& v) { return v.size(); }
@@ -96,61 +96,42 @@ struct DVecKaratsubaOps {
   }
 };
 
+/// The Toeplitz schoolbook kernel as Karatsuba's base case; a split can
+/// leave an empty high half.
+DVec toeplitz_base(Device<double>& unit, const DVec& x, const DVec& y) {
+  if (x.empty() || y.empty()) return {};
+  return linalg::conv_toeplitz_tcu(unit, x, y);
+}
+
+template <typename Exec>
+DVec karatsuba_tcu(Exec& exec, const DVec& a, const DVec& b,
+                   std::size_t threshold) {
+  if (a.empty() || b.empty()) {
+    throw std::invalid_argument("poly multiply: empty operand");
+  }
+  DVec out = util::karatsuba_tcu<DVecKaratsubaOps>(exec, a, b, threshold,
+                                                   &toeplitz_base);
+  const std::size_t out_len = a.size() + b.size() - 1;
+  out.resize(out_len, 0.0);  // the padded tail past out_len is exact zeros
+  exec.charge_cpu(out_len);
+  return out;
+}
+
 }  // namespace
 
 std::vector<double> multiply_karatsuba_tcu(Device<double>& dev,
                                            const std::vector<double>& a,
                                            const std::vector<double>& b,
                                            std::size_t threshold) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("poly multiply: empty operand");
-  }
-  if (threshold == 0) threshold = 4 * dev.tile_dim();
-  auto base = [&dev](const DVec& x, const DVec& y) -> DVec {
-    if (x.empty() || y.empty()) return {};
-    return linalg::conv_toeplitz_tcu(dev, x, y);
-  };
-  DVec out = util::karatsuba_serial<DVecKaratsubaOps>(
-      a, b, threshold, dev.counters(), base);
-  const std::size_t out_len = a.size() + b.size() - 1;
-  out.resize(out_len, 0.0);  // the padded tail past out_len is exact zeros
-  dev.charge_cpu(out_len);
-  return out;
+  InlineExecutor<double> exec(dev);
+  return karatsuba_tcu(exec, a, b, threshold);
 }
 
 std::vector<double> multiply_karatsuba_tcu_pool(PoolExecutor<double>& exec,
                                                 const std::vector<double>& a,
                                                 const std::vector<double>& b,
                                                 std::size_t threshold) {
-  if (a.empty() || b.empty()) {
-    throw std::invalid_argument("poly multiply: empty operand");
-  }
-  DevicePool<double>& pool = exec.pool();
-  if (threshold == 0) threshold = 4 * pool.unit(0).tile_dim();
-  const std::size_t n = std::max(a.size(), b.size());
-  const std::size_t depth =
-      util::karatsuba_unroll_depth(n, threshold, exec.size());
-  util::KaratsubaPlan<DVecKaratsubaOps> plan;
-  auto root = util::karatsuba_plan<DVecKaratsubaOps>(pool, plan, a, b,
-                                                     threshold, depth);
-  DVec out = util::karatsuba_run_plan<DVecKaratsubaOps>(
-      exec, plan, root,
-      [threshold](Device<double>& unit, const DVec& x, const DVec& y) {
-        auto base = [&unit](const DVec& u, const DVec& v) -> DVec {
-          if (u.empty() || v.empty()) return {};
-          return linalg::conv_toeplitz_tcu(unit, u, v);
-        };
-        return util::karatsuba_serial<DVecKaratsubaOps>(
-            x, y, threshold, unit.counters(), base);
-      },
-      [&pool, threshold](const DVec& x, const DVec& y) {
-        return util::karatsuba_toeplitz_cost(
-            pool.unit(0), std::max(x.size(), y.size()), threshold);
-      });
-  const std::size_t out_len = a.size() + b.size() - 1;
-  out.resize(out_len, 0.0);
-  pool.charge_cpu(out_len);
-  return out;
+  return karatsuba_tcu(exec, a, b, threshold);
 }
 
 std::vector<double> multiply_karatsuba_ram(const std::vector<double>& a,

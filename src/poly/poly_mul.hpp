@@ -36,7 +36,8 @@ std::vector<double> multiply_ram(const std::vector<double>& a,
 /// kernel below `threshold` coefficients (default 4 sqrt(m), mirroring
 /// Theorem 10's base). Exact for integer-valued coefficients; for general
 /// doubles the recursion reassociates sums, so results agree with
-/// `multiply_ram` up to rounding.
+/// `multiply_ram` up to rounding. Runs the executor body below inline on
+/// `dev`.
 std::vector<double> multiply_karatsuba_tcu(Device<double>& dev,
                                            const std::vector<double>& a,
                                            const std::vector<double>& b,
@@ -44,10 +45,9 @@ std::vector<double> multiply_karatsuba_tcu(Device<double>& dev,
 
 /// Pool-parallel Karatsuba: the top levels of the call tree are unrolled
 /// on the submitting thread and the independent subtree products are
-/// dealt across the executor's units (the Strassen-shaped plan of
-/// util/karatsuba_plan.hpp). Coefficients and aggregate counters are
-/// bit-identical to `multiply_karatsuba_tcu` on one device for every
-/// unit count.
+/// dealt across the executor's units (util::karatsuba_tcu, the driver
+/// intmul shares). Coefficients and aggregate counters are bit-identical
+/// to `multiply_karatsuba_tcu` on one device for every unit count.
 std::vector<double> multiply_karatsuba_tcu_pool(PoolExecutor<double>& exec,
                                                 const std::vector<double>& a,
                                                 const std::vector<double>& b,

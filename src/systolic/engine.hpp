@@ -4,6 +4,7 @@
 // results come from the Figure-1 schedule and whose Counters additionally
 // accumulate `systolic_cycles`.
 
+#include <complex>
 #include <memory>
 
 #include "core/device.hpp"
@@ -21,6 +22,11 @@ typename Device<T>::Engine weight_stationary_engine() {
     counters.systolic_cycles += stats.total_cycles();
   };
 }
+
+// Defined only in systolic.cpp, built without SLP vectorization: a copy
+// instantiated in a client TU could fuse the complex products into FMAs.
+extern template Device<std::complex<double>>::Engine
+weight_stationary_engine<std::complex<double>>();
 
 /// Engine running square tensor calls on an output-stationary array
 /// (NVIDIA-style). Tall calls must already be split by a weak-mode device.

@@ -4,6 +4,7 @@
 #include <complex>
 #include <cstdint>
 
+#include "systolic/engine.hpp"
 #include "systolic/systolic_array.hpp"
 
 namespace tcu::systolic {
@@ -16,5 +17,8 @@ template class SystolicArray<std::complex<double>>;
 
 template class OutputStationaryArray<double>;
 template class OutputStationaryArray<std::int64_t>;
+
+template Device<std::complex<double>>::Engine
+weight_stationary_engine<std::complex<double>>();
 
 }  // namespace tcu::systolic

@@ -8,7 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdint>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/pool.hpp"
@@ -68,13 +73,21 @@ Matrix<std::int64_t> random_connected(std::size_t n, double p,
   return adj;
 }
 
+/// calls, rows, tensor_time, macs, latency, hits, latency_saved,
+/// evictions, tagged_calls, cpu_ops, systolic_cycles.
+using Fields = std::array<std::uint64_t, 11>;
+
+Fields fields(const Counters& c) {
+  return {c.tensor_calls,  c.tensor_rows,   c.tensor_time,
+          c.tensor_macs,   c.latency_time,  c.resident_hits,
+          c.latency_saved, c.evictions,     c.tagged_calls,
+          c.cpu_ops,       c.systolic_cycles};
+}
+
+/// Every Counters field, residency included.
 void expect_counters_eq(const Counters& got, const Counters& want) {
-  EXPECT_EQ(got.tensor_calls, want.tensor_calls);
-  EXPECT_EQ(got.tensor_rows, want.tensor_rows);
-  EXPECT_EQ(got.tensor_time, want.tensor_time);
-  EXPECT_EQ(got.tensor_macs, want.tensor_macs);
-  EXPECT_EQ(got.latency_time, want.latency_time);
-  EXPECT_EQ(got.cpu_ops, want.cpu_ops);
+  EXPECT_TRUE(got == want) << "got  " << testing::PrintToString(fields(got))
+                           << "\nwant " << testing::PrintToString(fields(want));
 }
 
 TEST(PoolAlgos, StrassenPoolMatchesSerialBitExactly) {
@@ -276,16 +289,6 @@ TEST(PoolAlgos, DftPoolWeakModeMatchesSerialExactly) {
   EXPECT_EQ(pool.aggregate().tensor_calls, dev.counters().tensor_calls);
 }
 
-/// Every Counters field, residency included.
-void expect_every_counter_eq(const Counters& got, const Counters& want) {
-  expect_counters_eq(got, want);
-  EXPECT_EQ(got.resident_hits, want.resident_hits);
-  EXPECT_EQ(got.latency_saved, want.latency_saved);
-  EXPECT_EQ(got.evictions, want.evictions);
-  EXPECT_EQ(got.tagged_calls, want.tagged_calls);
-  EXPECT_EQ(got.systolic_cycles, want.systolic_cycles);
-}
-
 Matrix<tcu::dft::Complex> random_complex(std::size_t r, std::size_t c,
                                          std::uint64_t seed) {
   tcu::util::Xoshiro256 rng(seed);
@@ -338,7 +341,7 @@ TEST(PoolAlgos, DftEntryPointsOnThePoolMatchTheDeviceEntry) {
                                            opts),
           tcu::dft::circular_convolve2_tcu(dev, x.view(), kernel.view(),
                                            opts));
-      if (p == 1) expect_every_counter_eq(pool.aggregate(), dev.counters());
+      if (p == 1) expect_counters_eq(pool.aggregate(), dev.counters());
     }
   }
 }
@@ -447,6 +450,174 @@ TEST(PoolAlgos, DftPoolInverseRoundTrips) {
       EXPECT_NEAR(batch(r, j).real(), original(r, j).real(), 1e-9);
       EXPECT_NEAR(batch(r, j).imag(), original(r, j).imag(), 1e-9);
     }
+  }
+}
+
+// ------------------------------------- golden Device& recursion entries
+
+/// FNV-style hash of the bit patterns of a run's outputs.
+struct BitHash {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void add(T v) {
+    std::uint64_t bits;
+    if constexpr (std::is_floating_point_v<T>) {
+      bits = std::bit_cast<std::uint64_t>(static_cast<double>(v));
+    } else {
+      bits = static_cast<std::uint64_t>(v);
+    }
+    h = (h ^ bits) * 0x100000001b3ull;
+  }
+  template <typename T>
+  void add(const Matrix<T>& m) {
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) add(m(i, j));
+    }
+  }
+  template <typename T>
+  void add(const std::vector<T>& v) {
+    for (const T& x : v) add(x);
+  }
+  void add(const tcu::intmul::BigInt& v) { add(v.limbs()); }
+};
+
+/// What two successive calls on one device left behind: the hash of both
+/// outputs and the counters after each call.
+struct GoldenRun {
+  std::uint64_t hash = 0;
+  Fields first{};
+  Fields second{};
+};
+
+template <typename T, typename Call>
+GoldenRun run_twice(const typename Device<T>::Config& cfg, Call call) {
+  Device<T> dev(cfg);
+  BitHash h;
+  GoldenRun run;
+  for (Fields* after : {&run.first, &run.second}) {
+    h.add(call(dev));
+    *after = fields(dev.counters());
+  }
+  run.hash = h.h;
+  return run;
+}
+
+struct GoldenCase {
+  const char* name;
+  GoldenRun (*run)();
+  GoldenRun want;
+};
+
+template <std::size_t d, int p0, bool weak = false>
+GoldenRun strassen_run() {
+  const auto a = random_matrix(d, d, 1000 + d);
+  const auto b = random_matrix(d, d, 1100 + d);
+  const Device<double>::Config cfg =
+      weak ? Device<double>::Config{.m = 16, .latency = 9,
+                                    .allow_tall = false, .resident_tiles = 4}
+           : Device<double>::Config{.m = 16, .latency = 9};
+  return run_twice<double>(cfg, [&](Device<double>& dev) {
+    return tcu::linalg::matmul_strassen_tcu(dev, a.view(), b.view(),
+                                            {.p0 = p0});
+  });
+}
+
+template <bool strassen>
+GoldenRun apsd_run() {
+  const auto adj = random_connected(18, 0.1, 1200);
+  return run_twice<std::int64_t>(
+      {.m = 16, .latency = 5}, [&](Device<std::int64_t>& dev) {
+        return tcu::graph::apsd_seidel(dev, adj.view(),
+                                       {.use_strassen = strassen});
+      });
+}
+
+GoldenRun intmul_run() {
+  tcu::util::Xoshiro256 rng(1300);
+  const auto a = tcu::intmul::BigInt::random_bits(4096, rng);
+  const auto b = tcu::intmul::BigInt::random_bits(3500, rng);
+  return run_twice<std::int64_t>(
+      {.m = 64, .latency = 9}, [&](Device<std::int64_t>& dev) {
+        return tcu::intmul::mul_karatsuba_tcu(dev, a, b);
+      });
+}
+
+GoldenRun poly_run() {
+  tcu::util::Xoshiro256 rng(1400);
+  std::vector<double> a(300), b(257);
+  for (auto& v : a) v = static_cast<double>(rng.uniform_int(-9, 9));
+  for (auto& v : b) v = static_cast<double>(rng.uniform_int(-9, 9));
+  return run_twice<double>({.m = 16, .latency = 5}, [&](Device<double>& dev) {
+    return tcu::poly::multiply_karatsuba_tcu(dev, a, b);
+  });
+}
+
+// Every charge and output bit of the Strassen, APSD and Karatsuba Device&
+// entry points, after each of two successive calls on one device. A
+// change meant to move them recaptures a row from the paste-ready line
+// its failure prints.
+const GoldenCase kGolden[] = {
+    {"strassen p0=7 d=32", strassen_run<32, 7>,
+     {0x98988281be30d221ull,
+      {196, 1568, 8036, 25088, 1764, 0, 0, 0, 0, 23168, 0},
+      {392, 3136, 16072, 50176, 3528, 0, 0, 0, 0, 46336, 0}}},
+    {"strassen p0=8 d=32", strassen_run<32, 8>,
+     {0xc288879febcd43c5ull,
+      {256, 2048, 10496, 32768, 2304, 0, 0, 0, 0, 14336, 0},
+      {512, 4096, 20992, 65536, 4608, 0, 0, 0, 0, 28672, 0}}},
+    {"strassen p0=7 d=20 (padded)", strassen_run<20, 7>,
+     {0x79724e1592c82dc1ull,
+      {196, 1568, 8036, 25088, 1764, 0, 0, 0, 0, 23568, 0},
+      {392, 3136, 16072, 50176, 3528, 0, 0, 0, 0, 47136, 0}}},
+    {"strassen p0=8 d=20 (padded)", strassen_run<20, 8>,
+     {0xc9bd1ba33c289efdull,
+      {256, 2048, 10496, 32768, 2304, 0, 0, 0, 0, 14736, 0},
+      {512, 4096, 20992, 65536, 4608, 0, 0, 0, 0, 29472, 0}}},
+    {"strassen p0=7 d=32 weak c=4", strassen_run<32, 7, true>,
+     {0x98988281be30d221ull,
+      {392, 1568, 9800, 25088, 3528, 0, 0, 0, 0, 23168, 0},
+      {784, 3136, 19600, 50176, 7056, 0, 0, 0, 0, 46336, 0}}},
+    {"apsd n=18", apsd_run<false>,
+     {0x3e4caba4ecd86861ull,
+      {150, 2700, 11550, 43200, 750, 0, 0, 0, 0, 18468, 0},
+      {300, 5400, 23100, 86400, 1500, 0, 0, 0, 0, 36936, 0}}},
+    {"apsd n=18 strassen", apsd_run<true>,
+     {0x3e4caba4ecd86861ull,
+      {1176, 9408, 43512, 150528, 5880, 0, 0, 0, 0, 145812, 0},
+      {2352, 18816, 87024, 301056, 11760, 0, 0, 0, 0, 291624, 0}}},
+    {"mul_karatsuba_tcu 4096x3500 bits", intmul_run,
+     {0x81c9938558fea1full,
+      {48, 1520, 12592, 97280, 432, 0, 0, 0, 0, 49924, 0},
+      {96, 3040, 25184, 194560, 864, 0, 0, 0, 0, 99848, 0}}},
+    {"multiply_karatsuba_tcu 300x257", poly_run,
+     {0x562e431e6a533805ull,
+      {234, 3510, 15210, 56160, 1170, 0, 0, 0, 0, 88948, 0},
+      {468, 7020, 30420, 112320, 2340, 0, 0, 0, 0, 177896, 0}}},
+};
+
+std::string paste_line(const GoldenRun& r) {
+  std::ostringstream line;
+  line << "{0x" << std::hex << r.hash << "ull" << std::dec;
+  for (const Fields* after : {&r.first, &r.second}) {
+    line << ", {";
+    for (std::size_t i = 0; i < after->size(); ++i) {
+      line << (i ? ", " : "") << (*after)[i];
+    }
+    line << "}";
+  }
+  line << "}";
+  return line.str();
+}
+
+TEST(RecursionGolden, DeviceEntryPointsKeepEveryCounterAndBit) {
+  for (const GoldenCase& g : kGolden) {
+    const GoldenRun got = g.run();
+    EXPECT_EQ(got.hash, g.want.hash) << g.name << ": got " << paste_line(got);
+    EXPECT_EQ(got.first, g.want.first) << g.name << ": got "
+                                       << paste_line(got);
+    EXPECT_EQ(got.second, g.want.second) << g.name << ": got "
+                                         << paste_line(got);
   }
 }
 
