@@ -313,44 +313,48 @@ class TiledMatrix {
   std::vector<T, CacheLineAllocator<T>> data_;
 };
 
-/// Transpose in place a contiguous rows x cols matrix whose elements are
-/// `seg`-element segments: segment (i, j), at i * cols + j, moves to
-/// j * rows + i. A row-major n x (t * s) matrix is an n x t matrix of
-/// s-element row segments, and its transpose is strip-major storage:
-/// `transpose_segments(data, n, t, s)` leaves exactly the storage
-/// `TiledMatrix::pack` gives when n is a multiple of s (tile column j one
-/// contiguous n x s panel, stride s), and `transpose_segments(data, t, n,
-/// s)` restores row-major. Each cycle of the permutation is followed once,
-/// carrying one segment and marking finished segments in a bitmap of
-/// rows * cols bits, so no second matrix is allocated.
+/// Share `share` of `shares` of an in-place transpose of a contiguous
+/// rows x cols matrix whose elements are `seg`-element segments: segment
+/// (i, j), at i * cols + j, moves to j * rows + i. A row-major n x (t * s)
+/// matrix is an n x t matrix of s-element row segments, and its transpose
+/// is strip-major storage: every share of `(data, n, t, s)` leaves exactly
+/// the storage `TiledMatrix::pack` gives when n is a multiple of s (tile
+/// column j one contiguous n x s panel, stride s), and every share of
+/// `(data, t, n, s)` restores row-major; `shares` = 1 is the whole
+/// transpose on one thread.
+///
+/// The permutation splits into disjoint cycles, and share w moves exactly
+/// those whose smallest segment index q has q % shares == w, carrying one
+/// segment in `carry` (seg elements). It finds them by walking each
+/// candidate's cycle until an index below the candidate shows that the
+/// cycle is another's, so the shares share no state and may run
+/// concurrently, in any order, each with its own `carry`. No second matrix
+/// is allocated.
 template <typename T>
 void transpose_segments(T* data, std::size_t rows, std::size_t cols,
-                        std::size_t seg) {
+                        std::size_t seg, std::size_t share,
+                        std::size_t shares, T* carry) {
+  assert(share < shares);
   if (rows <= 1 || cols <= 1) return;  // the identity
   const std::size_t count = rows * cols;
-  std::vector<std::uint64_t> done((count + 63) / 64, 0);
-  const auto mark = [&done](std::size_t q) {
-    done[q / 64] |= std::uint64_t{1} << (q % 64);
-  };
   // Destination q = j * rows + i takes source i * cols + j.
   const auto source = [rows, cols](std::size_t q) {
     return (q % rows) * cols + q / rows;
   };
-  std::vector<T> carry(seg);
-  for (std::size_t start = 0; start < count; ++start) {
-    if ((done[start / 64] >> (start % 64)) & 1) continue;
-    mark(start);
+  for (std::size_t start = share; start < count; start += shares) {
     std::size_t from = source(start);
     if (from == start) continue;
-    std::copy_n(data + start * seg, seg, carry.data());
-    std::size_t q = start;
+    std::size_t q = from;
+    while (q > start) q = source(q);
+    if (q != start) continue;  // a smaller index leads this cycle
+    std::copy_n(data + start * seg, seg, carry);
+    q = start;
     do {
       std::copy_n(data + from * seg, seg, data + q * seg);
       q = from;
-      mark(q);
       from = source(q);
     } while (from != start);
-    std::copy_n(carry.data(), seg, data + q * seg);
+    std::copy_n(carry, seg, data + q * seg);
   }
 }
 
@@ -374,29 +378,42 @@ void copy(ConstMatrixView<T> src, MatrixView<T> dst) {
 /// than s-element pieces of rows that other lanes write too.
 ///
 /// A contiguous `d` (stride == cols) whose side is a multiple of s is
-/// permuted in place (`transpose_segments`) and back after `body`
-/// returns, also when it throws, so the caller never sees strip-major
-/// data. Permuting costs one s-element buffer and a d.rows² / s bit
-/// bitmap; a copy would add a second matrix to the peak resident set.
+/// permuted in place and back after `body` returns, also when it throws,
+/// so the caller never sees strip-major data. Each permutation runs on
+/// every lane of `exec` at once (`for_each_lane`), each share moving its
+/// own cycles (`transpose_segments`) with its own s-element carry
+/// segment; all carries are allocated before the shares start, so no
+/// share can fail halfway. A copy would add a second matrix to the peak
+/// resident set.
 ///
 /// Any other `d` — a ragged side, or a view into a wider matrix, whose
 /// neighbouring columns an in-place permutation would scramble — is
 /// packed into a zero-padded TiledMatrix, and the logical part copied
 /// back after `body` returns; when `body` throws, `d` keeps its input.
-template <typename T, typename Body>
-void with_strip_major(MatrixView<T> d, std::size_t s, Body&& body) {
+template <typename T, typename Exec, typename Body>
+void with_strip_major(Exec& exec, MatrixView<T> d, std::size_t s,
+                      Body&& body) {
   const std::size_t n = d.rows;
   assert(d.cols == n && s > 0);
   if (n == 0 || (n % s == 0 && d.stride == n)) {
     const std::size_t t = n / s;
-    transpose_segments(d.data, n, t, s);
+    // for_each_lane deals at most one share per lane plus the caller's.
+    std::vector<T, CacheLineAllocator<T>> carry((exec.size() + 1) * s);
+    const auto permute = [&](std::size_t rows, std::size_t cols) {
+      if (rows <= 1 || cols <= 1) return;  // the identity
+      exec.for_each_lane([&](std::size_t share, std::size_t shares) {
+        transpose_segments(d.data, rows, cols, s, share, shares,
+                           carry.data() + share * s);
+      });
+    };
+    permute(n, t);
     try {
       body(d.data, n);
     } catch (...) {
-      transpose_segments(d.data, t, n, s);
+      permute(t, n);
       throw;
     }
-    transpose_segments(d.data, t, n, s);
+    permute(t, n);
     return;
   }
   TiledMatrix<T> packed = TiledMatrix<T>::pack(d.as_const(), s);

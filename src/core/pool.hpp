@@ -340,6 +340,40 @@ class PoolExecutor {
     return {serial, place(std::move(t))};
   }
 
+  /// Run `fn(share, shares)` once for every share in [0, shares): share 0
+  /// on the calling thread and one share on each healthy lane's worker,
+  /// so shares = healthy_units() + 1; then `join()`. The shares must be
+  /// independent of each other and of the units: each lane's share is
+  /// enqueued as a chainless CPU task straight onto its queue, past the
+  /// dealer, so no projection, prediction mirror or `Counters` field
+  /// moves and the next round is dealt exactly as without the call. Call
+  /// it between rounds, like `evict_all`. If a share throws, the first
+  /// exception is rethrown after every share has finished.
+  template <typename Fn>
+  void for_each_lane(Fn&& fn) {
+    const std::size_t shares = healthy_units() + 1;
+    std::size_t share = 1;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (quarantined_[i]) continue;
+      PendingTask t;
+      t.fn = [&fn, share, shares](Device<T>&) { fn(share, shares); };
+      t.spec.cpu = true;
+      t.serial = next_serial_++;
+      enqueue(i, std::move(t));
+      ++share;
+    }
+    try {
+      fn(std::size_t{0}, shares);
+    } catch (...) {
+      try {
+        join();
+      } catch (...) {
+      }
+      throw;
+    }
+    join();
+  }
+
   /// Drop every resident tile on every unit *and* every prediction
   /// mirror. Callable only while the executor is quiescent (before the
   /// first submit or after a join), when the submitting thread may touch
@@ -892,6 +926,13 @@ class InlineExecutor {
   void charge_cpu(std::uint64_t ops) { dev_.charge_cpu(ops); }
 
   void evict_all() { dev_.evict_all(); }
+
+  /// PoolExecutor::for_each_lane with no lanes: the caller's share is the
+  /// only one.
+  template <typename Fn>
+  void for_each_lane(Fn&& fn) {
+    fn(std::size_t{0}, std::size_t{1});
+  }
 
   /// Every task already ran: the barrier only expires the round's tickets.
   RoundReport join() {

@@ -206,13 +206,13 @@ void closure_gep(Exec& exec, Vert* X, std::size_t n) {
 }
 
 /// Both entry points: check `d` and run the closure on `exec` in
-/// strip-major storage (`with_strip_major`: in place for a contiguous
-/// tile-aligned `d`, packed into a TiledMatrix otherwise). The packed
-/// copy's zero padding adds isolated vertices (no edges: they cannot
-/// create paths, so the closure restricted to the original vertices is
-/// unchanged) up to a multiple of the tile side. The padding copies of a
-/// ragged n are charged to the executor's shared CPU; the layout change
-/// itself is not a model operation and is never charged.
+/// strip-major storage (`with_strip_major`: in place, on every lane, for
+/// a contiguous tile-aligned `d`, packed into a TiledMatrix otherwise).
+/// The packed copy's zero padding adds isolated vertices (no edges: they
+/// cannot create paths, so the closure restricted to the original
+/// vertices is unchanged) up to a multiple of the tile side. The padding
+/// copies of a ragged n are charged to the executor's shared CPU; the
+/// layout change itself is not a model operation and is never charged.
 template <typename Exec>
 void closure_padded(Exec& exec, MatrixView<Vert> d) {
   const std::size_t s = exec.unit0().tile_dim();
@@ -221,7 +221,7 @@ void closure_padded(Exec& exec, MatrixView<Vert> d) {
   if (n == 0) return;
   const std::size_t np = (n + s - 1) / s * s;
   if (np != n) exec.charge_cpu(np * np);
-  with_strip_major(d, s, [&exec](Vert* strips, std::size_t side) {
+  with_strip_major(exec, d, s, [&exec](Vert* strips, std::size_t side) {
     closure_gep(exec, strips, side);
   });
   if (np != n) exec.charge_cpu(n * n);

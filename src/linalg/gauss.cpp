@@ -2,11 +2,13 @@
 // (the quotient argument, the guard and the rung table are in gauss.hpp).
 //
 // Each kernel is a sequence of `eliminate` steps, x_i -= a_i * y / c over
-// a block of rows, plus kernel B's `rescale` of X'. The FMA rungs inline
-// one body of each under target("avx512f") or target("avx2,fma"), so the
-// compiler vectorizes it at that width; the generic rung is the division
-// loop of the templates in gauss.hpp. `ge_double_rung` picks a rung once
-// per process through plain function pointers, as closure's loops do.
+// a block of rows, plus kernel B's `rescale` of X'; kernel C takes its
+// steps on the block's transpose, so they span whole rows as B's do
+// (gauss.hpp). The FMA rungs inline one body of each under
+// target("avx512f") or target("avx2,fma"), so the compiler vectorizes it
+// at that width; the generic rung is the division loop of the templates
+// in gauss.hpp. `ge_double_rung` picks a rung once per process through
+// plain function pointers, as closure's loops do.
 //
 // The library builds with -ffp-contract=off, which forbids the compiler
 // to fuse a multiply and an add it was asked to round separately. The
@@ -30,6 +32,15 @@ constexpr double kFactorLo = 0x1p-250;
 constexpr double kFactorHi = 0x1p250;
 constexpr double kQuotientLo = 0x1p-500;
 constexpr double kQuotientHi = 0x1p500;
+
+/// The calling thread's scratch array of at least `n` T, on a cache
+/// line. It grows to the largest size its thread asked for and is reused.
+template <typename T>
+T* scratch(std::size_t n) {
+  thread_local std::vector<T, CacheLineAllocator<T>> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
 
 /// |v| in [lo, hi]; false for NaN.
 [[gnu::always_inline]] inline bool within(double v, double lo, double hi) {
@@ -123,13 +134,66 @@ constexpr double kQuotientHi = 0x1p500;
   }
 }
 
+/// dst = src^T for s x s blocks of strides ldd and lds.
+[[gnu::always_inline]] inline void transpose_block(double* __restrict dst,
+                                                   std::size_t ldd,
+                                                   const double* __restrict src,
+                                                   std::size_t lds,
+                                                   std::size_t s) {
+  for (std::size_t i = 0; i < s; ++i) {
+    for (std::size_t j = 0; j < s; ++j) dst[j * ldd + i] = src[i * lds + j];
+  }
+}
+
+/// Kernel C on Z = X^T, in the calling thread's scratch block: pivot k's
+/// updates X(i, j) -= X(i, k) * Y(k, j) / Y(k, k) are, on Z, the s-k-1
+/// full-width rows j > k less Y(k, j) times row k, so C runs kernel B's
+/// shape rather than s short rows that each pay the guard and a partial
+/// vector. RN(a * y) commutes and every quotient is exact on either path,
+/// so the bits are the row-major loop's.
 [[gnu::always_inline]] inline void kernel_c_body(MatrixView<double> X,
                                                  ConstMatrixView<double> Y) {
-  const std::size_t s = X.rows, ld = X.stride, ldy = Y.stride;
+  const std::size_t s = X.rows, ldy = Y.stride;
+  double* z = scratch<double>(s * (s + 1));
+  double* redo = z + s * s;  // one row's redone entries
+  std::size_t* redone = scratch<std::size_t>(s);
+  transpose_block(z, s, X.data, X.stride, s);
   for (std::size_t k = 0; k + 1 < s; ++k) {
-    eliminate_body(X.data + k + 1, ld, X.data + k, ld, s,
-                   Y.data + k * ldy + k + 1, s - k - 1, Y.data[k * ldy + k]);
+    double* rows = z + (k + 1) * s;
+    const std::size_t n = s - k - 1;
+    const double* a = Y.data + k * ldy + k + 1;
+    const double* y = z + k * s;
+    const double c = Y.data[k * ldy + k];
+    if (all_within(y, s, kFactorLo, kFactorHi)) {
+      eliminate_body(rows, s, a, 1, n, y, s, c);
+      continue;
+    }
+    // A factor y_i outside the guard (X's zero last row, say) would send
+    // every row down the division loop. Only column i takes it: a fast
+    // row keeps that entry's division result, runs the fast loop, whose
+    // entry i may be inexact, and puts the result back. (Writing the
+    // results back after all the rows stalls the next pivot's loads on
+    // the scalar stores.)
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < s; ++i) {
+      if (!within(y[i], kFactorLo, kFactorHi)) redone[count++] = i;
+    }
+    const bool fast = within(c, kQuotientLo, kQuotientHi);
+    const double r = 1.0 / c;
+    for (std::size_t j = 0; j < n; ++j) {
+      double* x = rows + j * s;
+      if (!fast || !within(a[j], kFactorLo, kFactorHi)) {
+        eliminate_row_div(x, y, s, a[j], c);
+        continue;
+      }
+      for (std::size_t q = 0; q < count; ++q) {
+        redo[q] = x[redone[q]] - a[j] * y[redone[q]] / c;
+      }
+      eliminate_row_fast(x, y, s, a[j], c, r);
+      for (std::size_t q = 0; q < count; ++q) x[redone[q]] = redo[q];
+    }
   }
+  transpose_block(X.data, X.stride, z, s, s);
 }
 
 // The generic rung: the division loops.

@@ -16,8 +16,8 @@
 // one tall call, giving Theta(n^{3/2}/sqrt(m) + (n/m) l + n sqrt(m))
 // (Theorem 4). Serial and pooled, it runs the GEP schedule it shares
 // with transitive closure (linalg/gep.hpp), on strip-major storage
-// (`with_strip_major`, core/matrix.hpp): in place for a contiguous
-// matrix, packed for a view into a wider one.
+// (`with_strip_major`, core/matrix.hpp): permuted in place on every lane
+// for a contiguous matrix, packed for a view into a wider one.
 //
 // Only the upper triangle (the row-echelon output consumed by back
 // substitution) is meaningful after the forward phase; below-diagonal
@@ -53,6 +53,14 @@
 // -0 numerator), subnormals, infinities and NaN; a row outside the guard
 // runs the division loop, which rounds the same on every rung. Any T
 // other than double runs the template kernels below.
+//
+// Kernel B updates s-k-1 full rows of its block per pivot. Kernel C's
+// updates X(i, j) -= X(i, k) * Y(k, j) / Y(k, k) touch the columns
+// j > k of all s rows, so the FMA rungs run C on the block's transpose
+// in a per-thread scratch block: per pivot, s-k-1 full-width rows with
+// a_j = Y(k, j) and y the block's column k, as B does, then transpose
+// back. A factor of that column outside the guard sends only its own
+// column, not every row, to the division loop.
 
 #include <cstdint>
 #include <type_traits>
@@ -271,7 +279,7 @@ void ge_forward(Exec& exec, MatrixView<T> X) {
     throw std::invalid_argument(
         "ge_forward_tcu: dimension must be a multiple of sqrt(m)");
   }
-  with_strip_major(X, s, [&exec](T* strips, std::size_t r) {
+  with_strip_major(exec, X, s, [&exec](T* strips, std::size_t r) {
     ge_round(exec, strips, r);
   });
 }

@@ -58,7 +58,9 @@ struct GepCosts {
 /// `kernel_a(k)`, `kernel_b(k, j)` and `kernel_c(k, i)` are pure CPU
 /// work, charged `costs`; `kernel_d(unit, k, j)` issues D's tensor calls
 /// on its unit and charges them itself, as `d_spec(k, j)` — a TaskSpec
-/// holding D's cost and chain — declares.
+/// holding D's cost and chain — declares. When a submit throws, the
+/// tasks already submitted are joined before the exception escapes, so
+/// no kernel outlives the call.
 template <typename Exec, typename KernelA, typename KernelB, typename KernelC,
           typename DSpec, typename KernelD>
 void gep_schedule(Exec& exec, std::size_t t, GepRange range, GepCosts costs,
@@ -79,41 +81,51 @@ void gep_schedule(Exec& exec, std::size_t t, GepRange range, GepCosts costs,
     });
   };
   std::vector<TaskTicket> b_prev(t), c_prev(t), d_prev(t);
-  for (std::size_t k = 0; k < t; ++k) {
-    TaskSpec a_spec{.cost = costs.a, .cpu = true};
-    if (k > 0) a_spec.after.push_back(d_prev[k]);
-    const TaskTicket a =
-        cpu_task(std::move(a_spec), [kernel_a, k] { kernel_a(k); });
-    std::vector<TaskTicket> b_now(t), c_now(t);
-    for_updated(k, [&](std::size_t j) {
-      TaskSpec spec{.cost = costs.b, .after = {a}, .cpu = true};
-      if (k > 0 && j == k - 1) {
-        spec.after.push_back(c_prev[k]);
-        for_updated(k - 1, [&](std::size_t x) {
-          spec.after.push_back(d_prev[x]);
-        });
-      } else if (k > 0) {
-        spec.after.push_back(d_prev[j]);
-      }
-      b_now[j] =
-          cpu_task(std::move(spec), [kernel_b, k, j] { kernel_b(k, j); });
-    });
-    for_updated(k, [&](std::size_t i) {
-      TaskSpec spec{.cost = costs.c, .after = {a}, .cpu = true};
-      if (k > 0 && i == k - 1) spec.after.push_back(b_prev[k]);
-      c_now[i] =
-          cpu_task(std::move(spec), [kernel_c, k, i] { kernel_c(k, i); });
-    });
-    for_updated(k, [&](std::size_t j) {
-      TaskSpec spec = d_spec(k, j);
-      spec.after.push_back(b_now[j]);
-      for_updated(k, [&](std::size_t i) { spec.after.push_back(c_now[i]); });
-      d_prev[j] = exec.submit(std::move(spec), [kernel_d, k, j](auto& unit) {
-        kernel_d(unit, k, j);
+  try {
+    for (std::size_t k = 0; k < t; ++k) {
+      TaskSpec a_spec{.cost = costs.a, .cpu = true};
+      if (k > 0) a_spec.after.push_back(d_prev[k]);
+      const TaskTicket a =
+          cpu_task(std::move(a_spec), [kernel_a, k] { kernel_a(k); });
+      std::vector<TaskTicket> b_now(t), c_now(t);
+      for_updated(k, [&](std::size_t j) {
+        TaskSpec spec{.cost = costs.b, .after = {a}, .cpu = true};
+        if (k > 0 && j == k - 1) {
+          spec.after.push_back(c_prev[k]);
+          for_updated(k - 1, [&](std::size_t x) {
+            spec.after.push_back(d_prev[x]);
+          });
+        } else if (k > 0) {
+          spec.after.push_back(d_prev[j]);
+        }
+        b_now[j] =
+            cpu_task(std::move(spec), [kernel_b, k, j] { kernel_b(k, j); });
       });
-    });
-    b_prev = std::move(b_now);
-    c_prev = std::move(c_now);
+      for_updated(k, [&](std::size_t i) {
+        TaskSpec spec{.cost = costs.c, .after = {a}, .cpu = true};
+        if (k > 0 && i == k - 1) spec.after.push_back(b_prev[k]);
+        c_now[i] =
+            cpu_task(std::move(spec), [kernel_c, k, i] { kernel_c(k, i); });
+      });
+      for_updated(k, [&](std::size_t j) {
+        TaskSpec spec = d_spec(k, j);
+        spec.after.push_back(b_now[j]);
+        for_updated(k, [&](std::size_t i) { spec.after.push_back(c_now[i]); });
+        d_prev[j] = exec.submit(std::move(spec), [kernel_d, k, j](auto& unit) {
+          kernel_d(unit, k, j);
+        });
+      });
+      b_prev = std::move(b_now);
+      c_prev = std::move(c_now);
+    }
+  } catch (...) {
+    // Tasks already submitted write the caller's blocks: let them finish
+    // before the exception reaches a caller that frees or permutes them.
+    try {
+      exec.join();
+    } catch (...) {
+    }
+    throw;
   }
   exec.join();
 }

@@ -8,11 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/costs.hpp"
@@ -427,12 +433,19 @@ TEST(GaussQuotient, EveryRungRescalesLikeDivision) {
   }
 }
 
-/// An s x s block of ordinary values with a sprinkling of zeros.
-Matrix<double> random_block(std::size_t s, tcu::util::Xoshiro256& rng) {
-  Matrix<double> b(s, s);
+/// An s x s block at stride ld (columns past s hold -1): ordinary values
+/// with a sprinkling of zeros or, when hostile, exponents across -300..300
+/// with zeros and subnormals, so the FMA rungs leave the guard often.
+Matrix<double> random_block(std::size_t s, std::size_t ld, bool hostile,
+                            tcu::util::Xoshiro256& rng) {
+  Matrix<double> b(s, ld, -1.0);
   for (std::size_t i = 0; i < s; ++i) {
     for (std::size_t j = 0; j < s; ++j) {
-      b(i, j) = rng.bernoulli(0.05) ? 0.0 : random_double(rng, -8, 8);
+      const double u = rng.uniform();
+      b(i, j) = !hostile ? (u < 0.05 ? 0.0 : random_double(rng, -8, 8))
+                : u < 0.1  ? 0.0
+                : u < 0.12 ? 0x1.8p-1040
+                           : random_double(rng, -300, 300);
     }
   }
   return b;
@@ -447,30 +460,49 @@ bool same_bits(const Matrix<double>& got, const Matrix<double>& want) {
 }
 
 TEST(GaussQuotient, EveryRungsKernelsMatchTheTemplates) {
-  // Kernels A-C of each rung against the division templates, s = 1..17.
+  // Kernels A-C of each rung against the division templates, s = 1..17
+  // and perfbench's s = 64, on contiguous blocks and on blocks inside
+  // wider matrices (whose extra columns must not change), with ordinary
+  // and hostile values.
   using namespace tcu::linalg::ge_detail;
   tcu::util::Xoshiro256 rng(79);
+  std::vector<std::size_t> sides;
+  for (std::size_t s = 1; s <= 17; ++s) sides.push_back(s);
+  sides.push_back(64);
   for (const GeDoubleRung& rung : ge_double_rungs()) {
-    for (std::size_t s = 1; s <= 17; ++s) {
-      const Matrix<double> x0 = random_block(s, rng), y = random_block(s, rng);
-      Matrix<double> got = x0, want = x0;
-      rung.kernels.a(got.view());
-      kernel_a(want.view());
-      EXPECT_TRUE(same_bits(got, want)) << rung.name << " A s=" << s;
+    for (const std::size_t s : sides) {
+      for (const std::size_t ld : {s, s + 5}) {
+        for (const bool hostile : {false, true}) {
+          const std::string what = std::string(rung.name) +
+                                   " s=" + std::to_string(s) +
+                                   " ld=" + std::to_string(ld) +
+                                   (hostile ? " hostile" : "");
+          const Matrix<double> x0 = random_block(s, ld, hostile, rng);
+          const Matrix<double> y = random_block(s, ld, hostile, rng);
+          const auto block = [s](Matrix<double>& m) {
+            return m.subview(0, 0, s, s);
+          };
+          const auto y_block = y.view().subview(0, 0, s, s);
+          Matrix<double> got = x0, want = x0;
+          rung.kernels.a(block(got));
+          kernel_a(block(want));
+          EXPECT_TRUE(same_bits(got, want)) << what << " A";
 
-      got = x0;
-      want = x0;
-      Matrix<double> got_p(s, s), want_p(s, s);
-      rung.kernels.b(got.view(), y.view(), got_p.view());
-      kernel_b(want.view(), y.view(), want_p.view());
-      EXPECT_TRUE(same_bits(got, want) && same_bits(got_p, want_p))
-          << rung.name << " B s=" << s;
+          got = x0;
+          want = x0;
+          Matrix<double> got_p(s, ld, -2.0), want_p(s, ld, -2.0);
+          rung.kernels.b(block(got), y_block, block(got_p));
+          kernel_b(block(want), y_block, block(want_p));
+          EXPECT_TRUE(same_bits(got, want) && same_bits(got_p, want_p))
+              << what << " B";
 
-      got = x0;
-      want = x0;
-      rung.kernels.c(got.view(), y.view());
-      kernel_c(want.view(), y.view());
-      EXPECT_TRUE(same_bits(got, want)) << rung.name << " C s=" << s;
+          got = x0;
+          want = x0;
+          rung.kernels.c(block(got), y_block);
+          kernel_c(block(want), y_block);
+          EXPECT_TRUE(same_bits(got, want)) << what << " C";
+        }
+      }
     }
   }
 }
@@ -613,6 +645,90 @@ TEST(GaussBits, StridedViewLeavesItsNeighboursAlone) {
             << "pooled=" << pooled << " (" << i << "," << j << ")";
       }
     }
+  }
+}
+
+/// An executor that forwards to `inner` but throws from its `throw_at`-th
+/// submit (counting from 1). Every task it forwards sleeps briefly, so
+/// tasks are still in flight when the submit throws, and counts itself in
+/// `running` and `finished`.
+template <typename Inner>
+struct ThrowingExecutor {
+  Inner& inner;
+  std::size_t throw_at;
+  std::size_t submits = 0;
+  std::atomic<int> running{0};
+  std::atomic<int> finished{0};
+
+  const Device<double>& unit0() const { return inner.unit0(); }
+  std::size_t size() const { return inner.size(); }
+  void charge_cpu(std::uint64_t ops) { inner.charge_cpu(ops); }
+  void evict_all() { inner.evict_all(); }
+  template <typename Fn>
+  void for_each_lane(Fn&& fn) {
+    inner.for_each_lane(std::forward<Fn>(fn));
+  }
+  tcu::RoundReport join() { return inner.join(); }
+
+  tcu::TaskTicket submit(tcu::TaskSpec spec,
+                         std::function<void(Device<double>&)> task) {
+    if (++submits == throw_at) throw std::runtime_error("submit");
+    return inner.submit(std::move(spec),
+                        [this, task = std::move(task)](Device<double>& unit) {
+                          running.fetch_add(1);
+                          std::this_thread::sleep_for(
+                              std::chrono::microseconds(200));
+                          task(unit);
+                          finished.fetch_add(1);
+                          running.fetch_sub(1);
+                        });
+  }
+};
+
+TEST(GaussBits, ThrowingSubmitJoinsTheRoundAndRestoresRowMajor) {
+  // A submit that throws mid-round: the round's submitted tasks finish
+  // before the call returns, none runs after, and the caller gets its
+  // buffer back row-major — the inline run of the same prefix of the
+  // schedule, bit for bit; a throw at the second submit leaves kernel A's
+  // block (0, 0) and the input everywhere else. The executor then runs a
+  // whole elimination bit-identically.
+  using namespace tcu::linalg::ge_detail;
+  const std::size_t m = 16, r = 32, s = 4;  // t = 8: 92 tasks
+  std::vector<double> b;
+  const auto A = random_system(r - 1, 3400, &b);
+  const auto input = make_augmented<double>(A.view(), b, r);
+  Matrix<double> want = input;
+  ge_division_reference(want.view(), m);
+  DevicePool<double> pool(3, {.m = m});
+  PoolExecutor<double> exec(pool);
+  for (const std::size_t throw_at : {2u, 40u}) {
+    const std::string at = "throw_at=" + std::to_string(throw_at);
+    Matrix<double> prefix = input;
+    {
+      Device<double> dev({.m = m});
+      tcu::InlineExecutor<double> inline_exec(dev);
+      ThrowingExecutor<tcu::InlineExecutor<double>> thrower{inline_exec,
+                                                            throw_at};
+      EXPECT_THROW(ge_forward(thrower, prefix.view()), std::runtime_error);
+    }
+    if (throw_at == 2) {
+      Matrix<double> a_only = input;
+      kernel_a(a_only.subview(0, 0, s, s));
+      EXPECT_TRUE(same_bits(prefix, a_only)) << at;
+    }
+    Matrix<double> got = input;
+    ThrowingExecutor<PoolExecutor<double>> thrower{exec, throw_at};
+    EXPECT_THROW(ge_forward(thrower, got.view()), std::runtime_error);
+    const int finished = thrower.finished.load();
+    EXPECT_EQ(thrower.running.load(), 0) << at;
+    EXPECT_EQ(static_cast<std::size_t>(finished), throw_at - 1) << at;
+    EXPECT_TRUE(same_bits(got, prefix)) << at;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(thrower.finished.load(), finished) << at;
+
+    Matrix<double> again = input;
+    tcu::linalg::ge_forward_tcu_pool(exec, again.view());
+    EXPECT_TRUE(same_bits(again, want)) << at;
   }
 }
 

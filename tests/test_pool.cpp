@@ -187,6 +187,27 @@ TEST(PoolRuntime, FirstOfManyExceptionsWinsAndAllTasksStillRun) {
   EXPECT_EQ(ran.load(), 8);  // a throwing task does not stall its lane
 }
 
+TEST(PoolRuntime, ForEachLaneRethrowsOnceEveryShareHasRun) {
+  // A throwing share, on a lane or on the caller, surfaces from
+  // for_each_lane only after all four shares ran; the executor then
+  // drains new work.
+  DevicePool<double> pool(3, {.m = 16});
+  PoolExecutor<double> exec(pool);
+  for (const std::size_t thrower : {0u, 2u}) {
+    std::atomic<int> ran{0};
+    const auto share = [&](std::size_t w, std::size_t) {
+      ran.fetch_add(1);
+      if (w == thrower) throw std::runtime_error("share boom");
+    };
+    EXPECT_THROW(exec.for_each_lane(share), std::runtime_error);
+    EXPECT_EQ(ran.load(), 4) << thrower;
+  }
+  std::atomic<int> ran{0};
+  exec.submit({.cost = 1}, [&](Device<double>&) { ran.fetch_add(1); });
+  EXPECT_NO_THROW(exec.join());
+  EXPECT_EQ(ran.load(), 1);
+}
+
 TEST(PoolRuntime, SubmitDealsGreedilyByProjectedCost) {
   DevicePool<double> pool(2, {.m = 16});
   PoolExecutor<double> exec(pool);

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 #include <tuple>
 #include <utility>
@@ -20,6 +22,7 @@
 #include "core/device.hpp"
 #include "core/matrix.hpp"
 #include "core/pool.hpp"
+#include "fault/fault.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/parallel.hpp"
 #include "nn/layers.hpp"
@@ -239,10 +242,31 @@ TEST(TiledMatrix, StorageIsCacheLineAligned) {
   }
 }
 
-/// transpose_segments over n x (t * s) matrices of distinct values: the
-/// forward transpose leaves TiledMatrix::pack's storage, read through
-/// tile_view and strip_view, and the transpose with the shape swapped
-/// restores the input, also for a row count that is not a multiple of s.
+/// Every share of transpose_segments over `data`, each with its own
+/// carry: in reverse share order on this thread, or all at once, one
+/// thread per share.
+template <typename T>
+void run_shares(T* data, std::size_t rows, std::size_t cols, std::size_t seg,
+                std::size_t shares, bool concurrent) {
+  std::vector<T> carry(shares * seg);
+  const auto share = [&](std::size_t w) {
+    tcu::transpose_segments(data, rows, cols, seg, w, shares,
+                            carry.data() + w * seg);
+  };
+  if (!concurrent) {
+    for (std::size_t w = shares; w-- > 0;) share(w);
+    return;
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < shares; ++w) threads.emplace_back(share, w);
+  for (std::thread& th : threads) th.join();
+}
+
+/// transpose_segments on one share over n x (t * s) matrices of distinct
+/// values: the forward transpose leaves TiledMatrix::pack's storage, read
+/// through tile_view and strip_view, and the transpose with the shape
+/// swapped restores the input, also for a row count that is not a
+/// multiple of s.
 template <typename T>
 void check_transpose_segments() {
   for (const std::size_t s : {1u, 4u, 64u}) {
@@ -257,7 +281,7 @@ void check_transpose_segments() {
           }
         }
         Matrix<T> work = src;
-        tcu::transpose_segments(work.data(), n, t, s);
+        run_shares(work.data(), n, t, s, 1, false);
         if (n % s == 0) {
           const auto packed = TiledMatrix<T>::pack(src.view(), s);
           for (std::size_t tj = 0; tj < t; ++tj) {
@@ -281,7 +305,7 @@ void check_transpose_segments() {
             }
           }
         }
-        tcu::transpose_segments(work.data(), t, n, s);
+        run_shares(work.data(), t, n, s, 1, false);
         EXPECT_TRUE(work == src) << what;
       }
     }
@@ -293,24 +317,90 @@ TEST(TiledMatrix, TransposeSegmentsIsThePackInPlace) {
   check_transpose_segments<double>();
 }
 
-TEST(TiledMatrix, WithStripMajorRunsOnThePackAndRestoresRowMajor) {
-  // A contiguous aligned matrix (permuted in place), a ragged one and an
-  // aligned view into a wider matrix (both packed). The body must see
-  // `pack`'s storage; what it writes must reach the caller row-major, and
-  // when it throws the caller must get row-major data back: its writes
-  // permuted back in place, the untouched input when packed. Columns
-  // beside a view are never touched.
+/// Longest cycle of transpose_segments' permutation of a rows x cols
+/// grid of segments.
+std::size_t longest_cycle(std::size_t rows, std::size_t cols) {
+  const std::size_t count = rows * cols;
+  std::vector<char> seen(count, 0);
+  std::size_t longest = 0;
+  for (std::size_t start = 0; start < count; ++start) {
+    std::size_t length = 0;
+    for (std::size_t q = start; !seen[q]; q = (q % rows) * cols + q / rows) {
+      seen[q] = 1;
+      ++length;
+    }
+    longest = std::max(longest, length);
+  }
+  return longest;
+}
+
+TEST(TiledMatrix, TransposeSegmentSharesMoveEveryCycleOnce) {
+  // For 1-5 shares, run in reverse order or concurrently, the shares
+  // together give shares = 1's transpose and `pack`'s storage, and the
+  // shares of the swapped shape restore the input: n a multiple of s and
+  // not, t = 1, 2, 8, 16, and 29 x 16, whose 464 segments fall into
+  // cycles of up to 231 (463 is prime).
+  constexpr std::size_t s = 4;
+  struct Shape {
+    std::size_t n, t;
+  };
+  std::vector<Shape> shapes;
+  for (const std::size_t t : {1u, 2u, 8u, 16u}) {
+    shapes.push_back({3 * s, t});
+    shapes.push_back({2 * s + 3, t});
+  }
+  shapes.push_back({29, 16});
+  ASSERT_EQ(longest_cycle(29, 16), 231u);
+  for (const Shape sh : shapes) {
+    Matrix<float> src(sh.n, sh.t * s);
+    for (std::size_t q = 0; q < src.size(); ++q) {
+      src.data()[q] = static_cast<float>(q);
+    }
+    Matrix<float> want = src;
+    run_shares(want.data(), sh.n, sh.t, s, 1, false);
+    if (sh.n % s == 0) {
+      const auto packed = TiledMatrix<float>::pack(src.view(), s);
+      ASSERT_TRUE(std::equal(want.data(), want.data() + want.size(),
+                             packed.strip_view(0).data));
+    }
+    for (std::size_t shares = 1; shares <= 5; ++shares) {
+      for (const bool concurrent : {false, true}) {
+        const std::string what =
+            "n=" + std::to_string(sh.n) + " t=" + std::to_string(sh.t) +
+            " shares=" + std::to_string(shares) +
+            (concurrent ? " threads" : " reversed");
+        Matrix<float> work = src;
+        run_shares(work.data(), sh.n, sh.t, s, shares, concurrent);
+        EXPECT_TRUE(work == want) << what;
+        run_shares(work.data(), sh.t, sh.n, s, shares, concurrent);
+        EXPECT_TRUE(work == src) << what;
+      }
+    }
+  }
+}
+
+/// Run `body` through `with_strip_major` on `exec` for a contiguous
+/// aligned matrix (permuted in place), a ragged one and an aligned view
+/// into a wider matrix (both packed). The body must see `pack`'s storage;
+/// what it writes must reach the caller row-major, and when it throws the
+/// caller must get row-major data back: its writes permuted back in
+/// place, the untouched input when packed. Columns beside a view are
+/// never touched.
+template <typename Exec>
+void check_with_strip_major(Exec& exec, const std::string& where) {
   constexpr std::size_t s = 4;
   constexpr double kOutside = -7.0;
   struct Case {
     std::size_t n, rows, cols, r0, c0;
   };
   for (const Case c : {Case{12, 12, 12, 0, 0}, Case{10, 10, 10, 0, 0},
-                       Case{8, 11, 13, 2, 3}}) {
+                       Case{8, 11, 13, 2, 3}, Case{116, 116, 116, 0, 0}}) {
     const auto input = random_matrix(c.n, c.n, 320 + c.n);
     const std::size_t np = (c.n + s - 1) / s * s;
     const bool in_place = c.cols == c.n && c.n % s == 0;
     for (const bool throws : {false, true}) {
+      const std::string what = where + " n=" + std::to_string(c.n) +
+                               " throws=" + std::to_string(throws);
       Matrix<double> big(c.rows, c.cols, kOutside);
       const auto d = big.subview(c.r0, c.c0, c.n, c.n);
       tcu::copy(input.view(), d);
@@ -319,15 +409,16 @@ TEST(TiledMatrix, WithStripMajorRunsOnThePackAndRestoresRowMajor) {
         const auto want = TiledMatrix<double>::pack(input.view(), s);
         const double* packed = want.strip_view(0).data;
         for (std::size_t q = 0; q < np * np; ++q) {
-          ASSERT_EQ(strips[q], packed[q]) << "q=" << q;
+          ASSERT_EQ(strips[q], packed[q]) << what << " q=" << q;
           strips[q] += 1000.0;
         }
         if (throws) throw std::runtime_error("body");
       };
       if (throws) {
-        EXPECT_THROW(tcu::with_strip_major(d, s, body), std::runtime_error);
+        EXPECT_THROW(tcu::with_strip_major(exec, d, s, body),
+                     std::runtime_error);
       } else {
-        tcu::with_strip_major(d, s, body);
+        tcu::with_strip_major(exec, d, s, body);
       }
       const bool written = !throws || in_place;
       for (std::size_t i = 0; i < c.rows; ++i) {
@@ -337,11 +428,87 @@ TEST(TiledMatrix, WithStripMajorRunsOnThePackAndRestoresRowMajor) {
           const double want =
               !inside ? kOutside
                       : input(i - c.r0, j - c.c0) + (written ? 1000.0 : 0.0);
-          ASSERT_EQ(big(i, j), want) << "n=" << c.n << " throws=" << throws
-                                     << " (" << i << "," << j << ")";
+          ASSERT_EQ(big(i, j), want) << what << " (" << i << "," << j << ")";
         }
       }
     }
+  }
+}
+
+/// One round of chained tensor tasks, each writing its own output;
+/// returns the lane the dealer gave each task.
+std::vector<std::size_t> deal_round(PoolExecutor<double>& exec,
+                                    std::uint64_t seed) {
+  const std::size_t s = exec.unit0().tile_dim();
+  const auto a = random_matrix(3 * s, s, seed);
+  const auto b = random_matrix(s, s, seed + 1);
+  std::vector<Matrix<double>> out(9, Matrix<double>(3 * s, s));
+  const std::uint64_t cost =
+      tcu::linalg::detail::strip_tile_cost(exec.unit0(), 3 * s, true);
+  std::vector<std::size_t> lanes;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t key = tcu::make_tile_key(0x7e57, i % 3);
+    lanes.push_back(exec.submit({.cost = cost, .chain = {key}},
+                                [&, key, i](Device<double>& unit) {
+                                  unit.gemm_resident(key, a.view(), b.view(),
+                                                     out[i].view(), false);
+                                })
+                        .unit);
+  }
+  exec.join();
+  return lanes;
+}
+
+TEST(TiledMatrix, WithStripMajorRunsOnThePackAndRestoresRowMajor) {
+  {
+    Device<double> dev({.m = 16});
+    InlineExecutor<double> exec(dev);
+    check_with_strip_major(exec, "inline");
+    EXPECT_EQ(dev.counters(), Counters{});
+  }
+  for (const std::size_t p : {1u, 3u}) {
+    DevicePool<double> pool(p, {.m = 16});
+    PoolExecutor<double> exec(pool);
+    check_with_strip_major(exec, "p=" + std::to_string(p));
+    EXPECT_EQ(pool.aggregate(), Counters{});
+  }
+  // Unit 1 dies on its first call and is quarantined: the permutation
+  // runs on the caller and the two healthy lanes.
+  DevicePool<double> pool(3, {.m = 16});
+  tcu::fault::FaultPlan plan(7, {.death_at = {{1, 0}}});
+  tcu::fault::ScopedInjection<double> inject(pool, plan);
+  PoolExecutor<double> exec(pool);
+  deal_round(exec, 900);
+  ASSERT_TRUE(exec.quarantined(1));
+  std::vector<int> ran(3, 0);
+  exec.for_each_lane([&ran](std::size_t share, std::size_t shares) {
+    ASSERT_EQ(shares, 3u);
+    ++ran[share];
+  });
+  EXPECT_EQ(ran, std::vector<int>({1, 1, 1}));
+  check_with_strip_major(exec, "quarantined");
+}
+
+TEST(TiledMatrix, ForEachLaneLeavesCountersAndDealingAlone) {
+  // Twin executors run the same two rounds; one runs `for_each_lane`
+  // between them. Every unit's counters match after each round, and the
+  // second round is dealt to the same lanes.
+  DevicePool<double> pool_a(3, {.m = 16, .latency = 5});
+  DevicePool<double> pool_b(3, {.m = 16, .latency = 5});
+  PoolExecutor<double> a(pool_a), b(pool_b);
+  EXPECT_EQ(deal_round(a, 910), deal_round(b, 910));
+  std::vector<int> ran(4, 0);
+  a.for_each_lane([&ran](std::size_t share, std::size_t shares) {
+    ASSERT_EQ(shares, 4u);
+    ++ran[share];
+  });
+  EXPECT_EQ(ran, std::vector<int>({1, 1, 1, 1}));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pool_a.unit(i).counters(), pool_b.unit(i).counters()) << i;
+  }
+  EXPECT_EQ(deal_round(a, 920), deal_round(b, 920));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(pool_a.unit(i).counters(), pool_b.unit(i).counters()) << i;
   }
 }
 
