@@ -215,8 +215,8 @@ class Matrix {
 /// dimensions are zero-padded up to tile multiples (the paper's
 /// divisibility assumption, materialized in storage). It backs
 /// DenseLayer's packed weights and the Mlp's activations on tile-aligned
-/// shapes, which the all-tiled `matmul_tcu_pool_strips` streams strip by
-/// strip past the resident weight tiles, and the GEP rounds of transitive
+/// shapes, which the Mlp's strip tasks stream strip by strip past the
+/// resident weight tiles, and the GEP rounds of transitive
 /// closure and Gaussian elimination, which reach the layout through
 /// `with_strip_major` (in place when they can).
 template <typename T>

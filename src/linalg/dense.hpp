@@ -161,21 +161,4 @@ Matrix<T> matmul_tcu(Device<T>& dev, std::type_identity_t<ConstMatrixView<T>> A,
   return C;
 }
 
-namespace detail {
-
-/// Default identity of a tile-major B's tile (kt, jt): the tile's storage
-/// address — stable for the TiledMatrix's lifetime, the same contract as
-/// row-major `&B(kb, jb)` keys. A caller-supplied TileKeyFn receives the
-/// *element* origin (kt*s, jt*s), matching the row-major overloads.
-template <typename T>
-std::uint64_t tiled_b_key(const TiledMatrix<T>& B, std::size_t kt,
-                          std::size_t jt, const TileKeyFn& tile_key) {
-  const std::size_t s = B.tile_dim();
-  return tile_key ? tile_key(kt * s, jt * s)
-                  : static_cast<std::uint64_t>(
-                        reinterpret_cast<std::uintptr_t>(B.tile_data(kt, jt)));
-}
-
-}  // namespace detail
-
 }  // namespace tcu::linalg

@@ -66,7 +66,7 @@ struct PoolMatmulOptions {
   /// from the fused chain by rounding. The partials hold k_tiles copies
   /// of C until the join — size the cache (or keep fused chains) for
   /// very deep B instead. Requires `affinity`; ignored for single-tile
-  /// chains and by the ticket-returning `matmul_tcu_pool_strips`.
+  /// chains and by the no-join `matmul_tcu_pool_strips`.
   bool split_chains = false;
 
   /// Optional identity override for B's tiles (element origin (kb, jb) ->
@@ -122,6 +122,48 @@ void ragged_strip(Device<T>& unit, ConstMatrixView<T> A, ConstMatrixView<T> B,
           unit.gemm(a, b, c, accumulate);
         }
       });
+}
+
+/// Resident keys of output strip jb's chain: one per tile of B's tile
+/// column, in call order; `tile_key` (element origins) if set, else the
+/// tile's address in B.
+template <typename T>
+std::vector<std::uint64_t> strip_chain(ConstMatrixView<T> B, std::size_t jb,
+                                       std::size_t s,
+                                       const TileKeyFn& tile_key) {
+  std::vector<std::uint64_t> chain;
+  chain.reserve((B.rows + s - 1) / s);
+  for (std::size_t kb = 0; kb < B.rows; kb += s) {
+    chain.push_back(tile_key ? tile_key(kb, jb)
+                             : reinterpret_cast<std::uintptr_t>(&B(kb, jb)));
+  }
+  return chain;
+}
+
+/// Output strip jb (columns [jb, jb + s)) of C = A * B on one unit: the
+/// strip's chain of tall calls through B's tile column, or ragged_strip's
+/// padded form when any shape is not tile-aligned. `keys` as in
+/// ragged_strip.
+template <typename T>
+void strip_product(Device<T>& unit, ConstMatrixView<T> A, ConstMatrixView<T> B,
+                   MatrixView<T> C, std::size_t jb,
+                   const std::vector<std::uint64_t>& keys) {
+  const std::size_t s = unit.tile_dim();
+  if (A.rows % s || A.cols % s || B.cols % s) {
+    ragged_strip(unit, A, B, C, jb, keys);
+    return;
+  }
+  for (std::size_t kb = 0; kb < A.cols; kb += s) {
+    if (!keys.empty()) {
+      unit.gemm_resident(keys[kb / s], A.subview(0, kb, A.rows, s),
+                         B.subview(kb, jb, s, s), C.subview(0, jb, A.rows, s),
+                         /*accumulate=*/kb != 0);
+    } else {
+      // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
+      unit.gemm(A.subview(0, kb, A.rows, s), B.subview(kb, jb, s, s),
+                C.subview(0, jb, A.rows, s), /*accumulate=*/kb != 0);
+    }
+  }
 }
 
 /// Tile-granular schedule for deep chains (split_chains): one task per
@@ -223,68 +265,36 @@ void check_pool_shapes(ConstMatrixView<T> A, ConstMatrixView<T> B,
 
 }  // namespace detail
 
-/// Ticket-returning no-join product for task pipelines: submits one task
-/// per output column strip, each ordered after every ticket in `after`
-/// (the tasks that write A), and returns the strips' TaskTickets, in
-/// strip order, WITHOUT joining. Any shapes: the final partial strip is
-/// padded in worker-local scratch. With affinity every strip declares its
-/// full B-tile chain, one key per B tile in call order. Strip jb's ticket
-/// retires exactly when C's columns [jb*s, jb*s+s) are final, so
-/// downstream work — a per-strip epilogue — can depend on single strips
-/// (`TaskSpec::after`) instead of a full barrier, overlapping with the
-/// remaining strips' products. `split_chains` does not apply here (its
-/// CPU combine needs the join). The caller owes the executor a join()
-/// before the submit thread reads C, and must keep A, B, and C alive
-/// until then.
+/// No-join product: submits one task per output column strip and returns
+/// WITHOUT joining, so a caller can submit several products (conv2d's row
+/// blocks) before one join. Any shapes: the final partial strip is padded
+/// in worker-local scratch. With affinity every strip declares its full
+/// B-tile chain, one key per B tile in call order. `split_chains` does
+/// not apply here (its CPU combine needs the join). The caller owes the
+/// executor a join() before the submit thread reads C, and must keep A,
+/// B, and C alive until then.
 template <template <typename> class Exec, typename T>
-std::vector<TaskTicket> matmul_tcu_pool_strips(
-    Exec<T>& exec, std::type_identity_t<ConstMatrixView<T>> A,
-    std::type_identity_t<ConstMatrixView<T>> B,
-    std::type_identity_t<MatrixView<T>> C,
-    const std::vector<TaskTicket>& after, PoolMatmulOptions opts = {}) {
+void matmul_tcu_pool_strips(Exec<T>& exec,
+                            std::type_identity_t<ConstMatrixView<T>> A,
+                            std::type_identity_t<ConstMatrixView<T>> B,
+                            std::type_identity_t<MatrixView<T>> C,
+                            PoolMatmulOptions opts = {}) {
   detail::check_pool_shapes(A, B, C);
   const Device<T>& unit0 = exec.unit0();
   const std::size_t s = unit0.tile_dim();
   const std::size_t p = A.rows, q = A.cols, r = B.cols;
-  const bool ragged = (p % s) || (q % s) || (r % s);
   const std::uint64_t strip_cost =
       ((q + s - 1) / s) * detail::strip_tile_cost(unit0, p, opts.affinity);
 
-  std::vector<TaskTicket> tickets;
-  tickets.reserve((r + s - 1) / s);
   for (std::size_t jb = 0; jb < r; jb += s) {
     std::vector<std::uint64_t> chain;
-    if (opts.affinity) {
-      chain.reserve((q + s - 1) / s);
-      for (std::size_t kb = 0; kb < q; kb += s) {
-        chain.push_back(opts.tile_key
-                            ? opts.tile_key(kb, jb)
-                            : reinterpret_cast<std::uintptr_t>(&B(kb, jb)));
-      }
-    }
-    auto task = [A, B, C, jb, s, ragged, keys = chain](Device<T>& unit) {
-      if (ragged) {
-        detail::ragged_strip(unit, A, B, C, jb, keys);
-        return;
-      }
-      for (std::size_t kb = 0; kb < A.cols; kb += s) {
-        if (!keys.empty()) {
-          unit.gemm_resident(keys[kb / s], A.subview(0, kb, A.rows, s),
-                             B.subview(kb, jb, s, s),
-                             C.subview(0, jb, A.rows, s),
-                             /*accumulate=*/kb != 0);
-        } else {
-          // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
-          unit.gemm(A.subview(0, kb, A.rows, s), B.subview(kb, jb, s, s),
-                    C.subview(0, jb, A.rows, s), /*accumulate=*/kb != 0);
-        }
-      }
+    if (opts.affinity) chain = detail::strip_chain(B, jb, s, opts.tile_key);
+    auto task = [A, B, C, jb, keys = chain](Device<T>& unit) {
+      detail::strip_product(unit, A, B, C, jb, keys);
     };
-    tickets.push_back(exec.submit(
-        {.cost = strip_cost, .chain = std::move(chain), .after = after},
-        std::move(task)));
+    exec.submit({.cost = strip_cost, .chain = std::move(chain)},
+                std::move(task));
   }
-  return tickets;
 }
 
 /// C = A * B dealt across the executor's units, one task per output column
@@ -305,7 +315,7 @@ void matmul_tcu_pool_into(Exec<T>& exec,
     detail::matmul_pool_tile_split(exec, A, B, C, opts.tile_key);
     return;
   }
-  matmul_tcu_pool_strips(exec, A, B, C, /*after=*/{}, opts);
+  matmul_tcu_pool_strips(exec, A, B, C, opts);
   exec.join();
 }
 
@@ -318,75 +328,6 @@ Matrix<T> matmul_tcu_pool(Exec<T>& exec,
   Matrix<T> C(A.rows, B.cols, T{});
   matmul_tcu_pool_into(exec, A, B, C.view(), opts);
   return C;
-}
-
-/// matmul_tcu_pool_strips with tile-major A, B and C: strip jt's task
-/// streams A's tile columns through B's tile column jt into C's tile
-/// column jt, so every tall operand, right operand and destination a
-/// worker hands its device is one contiguous panel (stride s). All three
-/// logical shapes must be tile-aligned (their padding is storage-internal)
-/// and every tile_dim must be the units' sqrt(m). Tasks, costs, chains and
-/// `after` lists are those of the row-major overload, so dealing and every
-/// counter match it. Keys default to tile addresses (detail::tiled_b_key);
-/// a TileKeyFn (element origins) can pin them to other storage —
-/// DenseLayer keys its packed tiles by the original weights so every path
-/// shares one identity. C is task-written: the caller joins before reading
-/// it and keeps A, B and C alive until then.
-template <template <typename> class Exec, typename T>
-std::vector<TaskTicket> matmul_tcu_pool_strips(
-    Exec<T>& exec, const TiledMatrix<T>& A, const TiledMatrix<T>& B,
-    TiledMatrix<T>& C, const std::vector<TaskTicket>& after,
-    PoolMatmulOptions opts = {}) {
-  const std::size_t s = B.tile_dim();
-  const auto aligned = [s](const TiledMatrix<T>& x) {
-    return x.tile_dim() == s && x.rows() % s == 0 && x.cols() % s == 0;
-  };
-  if (!aligned(A) || !aligned(B) || !aligned(C)) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: operands must share one tile_dim and be "
-        "tile-aligned");
-  }
-  if (A.cols() != B.rows() || C.rows() != A.rows() || C.cols() != B.cols()) {
-    throw std::invalid_argument("matmul_tcu_pool tiled: shape mismatch");
-  }
-  const Device<T>& unit0 = exec.unit0();
-  if (s != unit0.tile_dim()) {
-    throw std::invalid_argument(
-        "matmul_tcu_pool tiled: tile_dim must equal the units' sqrt(m)");
-  }
-  const std::uint64_t strip_cost =
-      B.tile_rows() * detail::strip_tile_cost(unit0, A.rows(), opts.affinity);
-
-  const TiledMatrix<T>* a = &A;
-  const TiledMatrix<T>* b = &B;
-  TiledMatrix<T>* c = &C;
-  std::vector<TaskTicket> tickets;
-  tickets.reserve(B.tile_cols());
-  for (std::size_t jt = 0; jt < B.tile_cols(); ++jt) {
-    std::vector<std::uint64_t> chain;
-    if (opts.affinity) {
-      chain.reserve(B.tile_rows());
-      for (std::size_t kt = 0; kt < B.tile_rows(); ++kt) {
-        chain.push_back(detail::tiled_b_key(B, kt, jt, opts.tile_key));
-      }
-    }
-    auto task = [a, b, c, jt, keys = chain](Device<T>& unit) {
-      for (std::size_t kt = 0; kt < b->tile_rows(); ++kt) {
-        if (!keys.empty()) {
-          unit.gemm_resident(keys[kt], a->strip_view(kt), b->tile_view(kt, jt),
-                             c->strip_view(jt), /*accumulate=*/kt != 0);
-        } else {
-          // tcu-lint: untagged-ok(untagged dealing mode; the task declared no chain)
-          unit.gemm(a->strip_view(kt), b->tile_view(kt, jt), c->strip_view(jt),
-                    /*accumulate=*/kt != 0);
-        }
-      }
-    };
-    tickets.push_back(exec.submit(
-        {.cost = strip_cost, .chain = std::move(chain), .after = after},
-        std::move(task)));
-  }
-  return tickets;
 }
 
 }  // namespace tcu::linalg

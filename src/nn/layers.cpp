@@ -26,34 +26,6 @@ void epilogue(ConstMatrixView<double> src, MatrixView<double> dst,
   }
 }
 
-/// One epilogue task per output strip jt (columns [jt*s, jt*s + w)),
-/// gated on exactly that strip's product ticket: `views(jt)` names the
-/// strip's source and destination, which no other strip touches. The
-/// per-strip CPU charges sum to rows x cols of the output, twice that
-/// with ReLU.
-template <typename Exec, typename Views>
-std::vector<TaskTicket> submit_epilogues(Exec& exec,
-                                         const std::vector<TaskTicket>& strips,
-                                         std::size_t s,
-                                         const std::vector<double>& bias,
-                                         bool relu, Views views) {
-  std::vector<TaskTicket> epilogues;
-  epilogues.reserve(strips.size());
-  for (std::size_t jt = 0; jt < strips.size(); ++jt) {
-    const auto io = views(jt);
-    const double* b = bias.data() + jt * s;
-    const std::uint64_t cost = static_cast<std::uint64_t>(io.second.rows) *
-                               io.second.cols * (relu ? 2 : 1);
-    epilogues.push_back(exec.submit(
-        {.cost = cost, .after = {strips[jt]}, .cpu = true},
-        [src = io.first, dst = io.second, b, relu, cost](Device<double>& unit) {
-          epilogue(src, dst, b, relu);
-          unit.charge_cpu(cost);
-        }));
-  }
-  return epilogues;
-}
-
 }  // namespace
 
 DenseLayer::DenseLayer(Matrix<double> weights, std::vector<double> bias)
@@ -74,13 +46,6 @@ const TiledMatrix<double>& DenseLayer::tiled_weights(std::size_t s) const {
   return packed_;
 }
 
-linalg::TileKeyFn DenseLayer::weights_key() const {
-  return [this](std::size_t kb, std::size_t jb) -> std::uint64_t {
-    return static_cast<std::uint64_t>(
-        reinterpret_cast<std::uintptr_t>(&weights_(kb, jb)));
-  };
-}
-
 Matrix<double> DenseLayer::forward(Device<double>& dev,
                                    ConstMatrixView<double> activations,
                                    bool relu) const {
@@ -88,6 +53,39 @@ Matrix<double> DenseLayer::forward(Device<double>& dev,
   InlineExecutor<double> exec(dev);
   submit_forward(exec, activations, out.view(), relu, {});
   return out;
+}
+
+template <typename Exec, typename Product>
+std::vector<TaskTicket> DenseLayer::submit_strips(
+    Exec& exec, std::size_t rows, bool relu,
+    const std::vector<TaskTicket>& after, Product product) const {
+  const Device<double>& unit0 = exec.unit0();
+  const std::size_t s = unit0.tile_dim();
+  const std::size_t in = in_features(), width = out_features();
+  const std::uint64_t chain_cost =
+      ((in + s - 1) / s) *
+      linalg::detail::strip_tile_cost(unit0, rows, /*affinity=*/true);
+  std::vector<TaskTicket> tickets;
+  tickets.reserve((width + s - 1) / s);
+  for (std::size_t jb = 0; jb < width; jb += s) {
+    // Resident keys are the row-major weights' addresses on every path,
+    // so hits survive path changes.
+    std::vector<std::uint64_t> chain =
+        linalg::detail::strip_chain(weights_.view(), jb, s, {});
+    const std::uint64_t cpu = static_cast<std::uint64_t>(rows) *
+                              std::min(s, width - jb) * (relu ? 2 : 1);
+    auto task = [product, jb, keys = chain, b = bias_.data() + jb, relu,
+                 cpu](Device<double>& unit) {
+      const auto [src, dst] = product(unit, jb, keys);
+      epilogue(src, dst, b, relu);
+      unit.charge_cpu(cpu);
+    };
+    tickets.push_back(exec.submit({.cost = chain_cost + cpu,
+                                   .chain = std::move(chain),
+                                   .after = after},
+                                  std::move(task)));
+  }
+  return tickets;
 }
 
 template <typename Exec>
@@ -101,47 +99,43 @@ std::vector<TaskTicket> DenseLayer::submit_forward(
   if (out.rows != activations.rows || out.cols != weights_.cols()) {
     throw std::invalid_argument("DenseLayer: output shape mismatch");
   }
-  // Affinity dealing, keyed on the row-major weights.
-  const std::size_t s = exec.unit0().tile_dim();
-  const auto strips = linalg::matmul_tcu_pool_strips(
-      exec, activations, weights_.view(), out, after,
-      {.affinity = true, .tile_key = weights_key()});
-  return submit_epilogues(
-      exec, strips, s, bias_, relu, [&out, s](std::size_t jt) {
-        const std::size_t jb = jt * s;
-        const MatrixView<double> strip =
-            out.subview(0, jb, out.rows, std::min(s, out.cols - jb));
+  return submit_strips(
+      exec, activations.rows, relu, after,
+      [a = activations, w = weights_.view(), out](
+          Device<double>& unit, std::size_t jb,
+          const std::vector<std::uint64_t>& keys) {
+        linalg::detail::strip_product(unit, a, w, out, jb, keys);
+        const MatrixView<double> strip = out.subview(
+            0, jb, out.rows, std::min(unit.tile_dim(), out.cols - jb));
         return std::pair{strip.as_const(), strip};
       });
 }
 
 template <typename Exec>
 std::vector<TaskTicket> DenseLayer::submit_forward(
-    Exec& exec, const TiledMatrix<double>& activations,
+    Exec& exec, ConstMatrixView<double> first, std::size_t step,
     TiledMatrix<double>& product, MatrixView<double> out, bool relu,
     const std::vector<TaskTicket>& after) const {
-  if (activations.cols() != weights_.rows()) {
-    throw std::invalid_argument("DenseLayer: activation width mismatch");
-  }
-  if (product.rows() != activations.rows() ||
-      product.cols() != weights_.cols() ||
-      (out.data != nullptr &&
-       (out.rows != product.rows() || out.cols != product.cols()))) {
-    throw std::invalid_argument("DenseLayer: output shape mismatch");
-  }
-  // Affinity dealing keyed on the row-major weights, as above; the
-  // all-tiled product checks that every shape is tile-aligned.
   const std::size_t s = exec.unit0().tile_dim();
-  const auto strips = linalg::matmul_tcu_pool_strips(
-      exec, activations, tiled_weights(s), product, after,
-      {.affinity = true, .tile_key = weights_key()});
-  return submit_epilogues(
-      exec, strips, s, bias_, relu, [&product, out, s](std::size_t jt) {
-        const MatrixView<double> strip = product.strip_view(jt);
-        return std::pair{strip.as_const(),
-                         out.data != nullptr
-                             ? out.subview(0, jt * s, out.rows, s)
-                             : strip};
+  const TiledMatrix<double>* w = &tiled_weights(s);
+  TiledMatrix<double>* c = &product;
+  return submit_strips(
+      exec, product.rows(), relu, after,
+      [first, step, w, c, out, s](Device<double>& unit, std::size_t jb,
+                                  const std::vector<std::uint64_t>& keys) {
+        const std::size_t jt = jb / s;
+        const MatrixView<double> strip = c->strip_view(jt);
+        for (std::size_t kt = 0; kt < keys.size(); ++kt) {
+          unit.gemm_resident(keys[kt],
+                             ConstMatrixView<double>(first.data + kt * step,
+                                                     first.rows, s,
+                                                     first.stride),
+                             w->tile_view(kt, jt), strip,
+                             /*accumulate=*/kt != 0);
+        }
+        return std::pair{strip.as_const(), out.data != nullptr
+                                               ? out.subview(0, jb, out.rows, s)
+                                               : strip};
       });
 }
 
@@ -162,18 +156,23 @@ Matrix<double> Mlp::forward(Device<double>& dev,
 template <typename Exec>
 Matrix<double> Mlp::forward(Exec& exec, ConstMatrixView<double> batch) const {
   if (layers_.empty()) throw std::invalid_argument("Mlp: no layers");
-  // Every layer submits its strips after the previous layer's epilogues,
-  // then its own per-strip epilogues; one strict join closes the whole
-  // pass. Activations outlive the submitting loop iteration because
-  // in-flight tasks reference them until the join.
+  // The aligned path reads the batch in place, so its width is checked
+  // here, before any task could read past it.
+  if (batch.cols != layers_.front().in_features()) {
+    throw std::invalid_argument("Mlp: batch width mismatch");
+  }
+  // Every layer submits its strips after all of the previous layer's;
+  // one strict join closes the whole pass. Activations outlive the
+  // submitting loop iteration because in-flight tasks reference them
+  // until the join.
   const std::size_t s = exec.unit0().tile_dim();
-  exec.charge_cpu(batch.rows * batch.cols);
   if (!std::all_of(layers_.begin(), layers_.end(),
                    [&](const DenseLayer& layer) {
                      return layer.tile_aligned(s, batch.rows);
                    })) {
     // Ragged shapes: row-major activations, padded per strip in worker
     // scratch, one per layer (a deque: queued tasks keep their addresses).
+    exec.charge_cpu(batch.rows * batch.cols);
     std::deque<Matrix<double>> acts;
     acts.push_back(materialize(batch));
     std::vector<TaskTicket> layer;
@@ -187,17 +186,16 @@ Matrix<double> Mlp::forward(Exec& exec, ConstMatrixView<double> batch) const {
     return std::move(acts.back());
   }
 
-  // Tile-aligned shapes: strip-major activations, so every tall call
-  // reads and writes contiguous panels. Two buffers alternate — layer l
-  // reads `cur` and writes `spare`, and layer l + 1 writes into the buffer
-  // layer l read, which is safe because each of its strips waits on every
-  // layer-l epilogue, and each of those on its layer-l strip. A buffer of
-  // another width is a new one in `store` (a deque: queued tasks keep
-  // their addresses). The last layer's epilogues write the row-major
-  // result, allocated only then.
+  // Tile-aligned shapes: the first layer reads the batch in place, later
+  // layers read strip-major activations, and every tall call writes a
+  // contiguous panel. Two buffers alternate — layer l reads `cur` and
+  // writes `spare`, and layer l + 1 writes into the buffer layer l read,
+  // which is safe because each of its strips waits on every layer-l
+  // strip. A buffer of another width is a new one in `store` (a deque:
+  // queued tasks keep their addresses). The last layer's strips write the
+  // row-major result, allocated only then.
   std::deque<TiledMatrix<double>> store;
-  TiledMatrix<double>* cur =
-      &store.emplace_back(TiledMatrix<double>::pack(batch, s));
+  TiledMatrix<double>* cur = nullptr;  // null: the batch itself
   TiledMatrix<double>* spare = nullptr;
   Matrix<double> out;
   std::vector<TaskTicket> layer;
@@ -208,7 +206,12 @@ Matrix<double> Mlp::forward(Exec& exec, ConstMatrixView<double> batch) const {
       spare = &store.emplace_back(batch.rows, width, s);
     }
     if (last) out = Matrix<double>(batch.rows, width);
-    layer = layers_[l].submit_forward(exec, *cur, *spare,
+    const ConstMatrixView<double> first =
+        cur == nullptr ? ConstMatrixView<double>(batch.data, batch.rows, s,
+                                                 batch.stride)
+                       : std::as_const(*cur).strip_view(0);
+    const std::size_t step = cur == nullptr ? s : batch.rows * s;
+    layer = layers_[l].submit_forward(exec, first, step, *spare,
                                       last ? out.view() : MatrixView<double>{},
                                       /*relu=*/!last, layer);
     std::swap(cur, spare);
@@ -357,7 +360,7 @@ Matrix<double> conv2d_tcu_pool(Exec& exec, ConstMatrixView<double> input,
           (row_tiles / chunks + (c < row_tiles % chunks)) * s;
       linalg::matmul_tcu_pool_strips(
           exec, lo.cols.subview(r0, 0, nr, lo.patch_p), lo.bank.view(),
-          gem.subview(r0, 0, nr, lo.cout_p), /*after=*/{}, gemm_opts);
+          gem.subview(r0, 0, nr, lo.cout_p), gemm_opts);
       r0 += nr;
     }
     exec.join();
@@ -409,12 +412,6 @@ template std::vector<TaskTicket> DenseLayer::submit_forward(
 template std::vector<TaskTicket> DenseLayer::submit_forward(
     InlineExecutor<double>&, ConstMatrixView<double>, MatrixView<double>,
     bool, const std::vector<TaskTicket>&) const;
-template std::vector<TaskTicket> DenseLayer::submit_forward(
-    PoolExecutor<double>&, const TiledMatrix<double>&, TiledMatrix<double>&,
-    MatrixView<double>, bool, const std::vector<TaskTicket>&) const;
-template std::vector<TaskTicket> DenseLayer::submit_forward(
-    InlineExecutor<double>&, const TiledMatrix<double>&, TiledMatrix<double>&,
-    MatrixView<double>, bool, const std::vector<TaskTicket>&) const;
 template Matrix<double> Mlp::forward(PoolExecutor<double>&,
                                      ConstMatrixView<double>) const;
 template Matrix<double> Mlp::forward(InlineExecutor<double>&,

@@ -41,39 +41,24 @@ class DenseLayer {
                          bool relu = true) const;
 
   /// The forward as tasks on either executor (PoolExecutor or
-  /// InlineExecutor): submits
-  /// the weight product one task per output strip — every strip declares
-  /// its full B-tile chain, so repeated forwards skip the weight re-load
-  /// latency on every tile still resident on its lane — plus a per-strip
-  /// bias/ReLU epilogue that depends only on its own strip's ticket (the
-  /// epilogue of a finished strip overlaps the remaining strips'
-  /// products). Every strip waits for all of `after` (the previous
-  /// layer's epilogues, which write `activations`); the epilogues'
+  /// InlineExecutor): one task per output strip, which runs the strip's
+  /// chain of weight products and then bias/ReLU on the strip it just
+  /// wrote, while the strip is still hot on its lane. Every strip declares
+  /// its full weight-tile chain, so repeated forwards skip the re-load
+  /// latency of every tile still resident on its lane, and its cost
+  /// covers the epilogue's CPU work, charged to the unit that runs it:
+  /// rows x cols of `out` in all, twice that with ReLU. Every strip waits
+  /// for all of `after` (the tasks that write `activations`); the strips'
   /// tickets are returned for the next layer. No strict join: `out` is
   /// entirely task-written and must only be read (and `activations`/`out`
   /// only freed) after the caller's join(). Outputs do not depend on the
-  /// lane count, and the per-strip epilogue charges on the executing
-  /// units sum to rows x cols of `out` (twice that with ReLU). Strips are
-  /// always dealt with affinity, keyed on the row-major weights' storage.
-  /// Any shapes: ragged strips are padded in worker scratch.
+  /// lane count. Strips are always dealt with affinity, keyed on the
+  /// row-major weights' storage. Any shapes: ragged strips are padded in
+  /// worker scratch.
   template <typename Exec>
   std::vector<TaskTicket> submit_forward(
       Exec& exec, ConstMatrixView<double> activations,
       MatrixView<double> out, bool relu,
-      const std::vector<TaskTicket>& after) const;
-
-  /// The same tasks, costs, tickets and charges over strip-major
-  /// operands: the product of the tile-major `activations` and the cached
-  /// tile-major weights lands in `product`, so every tall call reads and
-  /// writes contiguous panels. Each strip's epilogue then applies bias/ReLU
-  /// in place in `product`, or, when `out` is non-empty, writes the
-  /// row-major `out` instead (an Mlp's last layer). Every shape must be
-  /// tile_aligned for the units' sqrt(m), and all three operands must stay
-  /// alive until the caller's join().
-  template <typename Exec>
-  std::vector<TaskTicket> submit_forward(
-      Exec& exec, const TiledMatrix<double>& activations,
-      TiledMatrix<double>& product, MatrixView<double> out, bool relu,
       const std::vector<TaskTicket>& after) const;
 
   /// The weights packed tile-major for tile dimension `s` (sqrt of the
@@ -93,10 +78,33 @@ class DenseLayer {
   }
 
  private:
-  /// Resident-tile identity of weight tile origin (kb, jb): the row-major
-  /// weights storage address, shared by the row-major and tile-major
-  /// paths so hits survive path changes.
-  linalg::TileKeyFn weights_key() const;
+  friend class Mlp;
+
+  /// The same tasks, costs, tickets and charges on tile-aligned shapes,
+  /// with a strip-major product: strip jt streams the activations' column
+  /// strips past the cached tile-major weights into `product`'s tile
+  /// column jt, one contiguous panel, then applies bias/ReLU there in
+  /// place, or writes the result to the row-major `out` when it is
+  /// non-empty (an Mlp's last layer). Column strip kt of the activations
+  /// is `first` moved on by kt * step elements: step s reads a row-major
+  /// batch in place, step rows x s the strip-major product of the layer
+  /// before. Everything read or written must stay alive until the
+  /// caller's join().
+  template <typename Exec>
+  std::vector<TaskTicket> submit_forward(
+      Exec& exec, ConstMatrixView<double> first, std::size_t step,
+      TiledMatrix<double>& product, MatrixView<double> out, bool relu,
+      const std::vector<TaskTicket>& after) const;
+
+  /// One task per output strip jb (columns [jb, jb + s)) of a forward of
+  /// `rows` rows: `product(unit, jb, keys)` runs the strip's chain of
+  /// weight products, `keys` one resident key per weight tile, and
+  /// returns the strip it wrote and where bias/ReLU write it.
+  template <typename Exec, typename Product>
+  std::vector<TaskTicket> submit_strips(Exec& exec, std::size_t rows,
+                                        bool relu,
+                                        const std::vector<TaskTicket>& after,
+                                        Product product) const;
 
   Matrix<double> weights_;
   std::vector<double> bias_;
@@ -123,17 +131,20 @@ class Mlp {
   /// stays resident on its lane across requests (every layer deals its
   /// strips with affinity; see DenseLayer::submit_forward).
   ///
-  /// The layers run as one dependency-ordered round: per-strip epilogue
-  /// tasks depend on their own strip's ticket, each layer's strips depend
-  /// on all of the previous layer's epilogues, and one strict join closes
-  /// the pass. Outputs are bit-identical at every lane count; the
-  /// epilogue CPU is charged to the executing units.
+  /// The layers run as one dependency-ordered round: each layer's strip
+  /// tasks (products, then bias/ReLU) depend on all of the previous
+  /// layer's strips, and one strict join closes the pass. Outputs are
+  /// bit-identical at every lane count; the epilogue CPU is charged to the
+  /// unit that ran the strip.
   ///
-  /// When every shape is tile-aligned, the batch is packed strip-major
-  /// once (charged as one copy of the batch) and the layers
-  /// alternate between two strip-major activation buffers, so every tall
-  /// call reads and writes contiguous panels; the last layer's epilogues
-  /// write the row-major result. Ragged shapes keep row-major activations.
+  /// When every shape is tile-aligned, the first layer reads the caller's
+  /// batch in place, and later layers alternate between two strip-major
+  /// activation buffers, so every tall call after the first layer's
+  /// reads contiguous panels and every one writes them; the last layer's
+  /// strips write the row-major result. Ragged shapes keep row-major
+  /// activations, starting from a copy of the batch (charged as shared
+  /// CPU work). A batch whose width is not the first layer's
+  /// in_features() throws std::invalid_argument before any task runs.
   template <typename Exec>
   Matrix<double> forward(Exec& exec, ConstMatrixView<double> batch) const;
 

@@ -109,6 +109,35 @@ TEST(MlpTest, EmptyNetworkThrows) {
   EXPECT_THROW((void)mlp.forward(dev, x.view()), std::invalid_argument);
 }
 
+TEST(MlpTest, RejectsABatchOfTheWrongWidth) {
+  // A 16 -> 16 -> 16 Mlp at sqrt(m) = 4 given batches narrower and wider
+  // than 16, with aligned rows (the path that reads the batch in place)
+  // and ragged rows (the path that copies it): every call throws before
+  // any work is charged, on a Device and on a pool, and both still run a
+  // batch of the right width afterwards.
+  Mlp mlp;
+  mlp.add_layer(DenseLayer(random_matrix(16, 16, 61),
+                           std::vector<double>(16, 0.1)));
+  mlp.add_layer(DenseLayer(random_matrix(16, 16, 62),
+                           std::vector<double>(16, -0.1)));
+  Device<double> dev({.m = 16});
+  tcu::DevicePool<double> pool(3, {.m = 16});
+  tcu::PoolExecutor<double> exec(pool);
+  for (const std::size_t rows : {16u, 13u}) {
+    for (const std::size_t cols : {8u, 12u, 20u, 24u}) {
+      const auto bad = random_matrix(rows, cols, 63);
+      EXPECT_THROW((void)mlp.forward(dev, bad.view()), std::invalid_argument)
+          << rows << " x " << cols;
+      EXPECT_THROW((void)mlp.forward(exec, bad.view()), std::invalid_argument)
+          << rows << " x " << cols;
+    }
+  }
+  EXPECT_EQ(dev.counters(), Counters{});
+  EXPECT_EQ(pool.aggregate(), Counters{});
+  const auto good = random_matrix(16, 16, 64);
+  EXPECT_EQ(mlp.forward(exec, good.view()), mlp.forward(dev, good.view()));
+}
+
 TEST(MlpTest, MatchesNaiveOracle) {
   // The forward against an independent reference: matmul_naive plus bias
   // and ReLU (none after the last layer), layer by layer, on an aligned

@@ -276,7 +276,7 @@ TEST(Stress, HundredRoundChaosUnderSeededFaults) {
       auto expect = tcu::stencil::stencil_tcu(ref, grid.view(), w, 2);
       ASSERT_EQ(got, expect) << "stencil, round " << round;
     }
-    {  // Mlp pass: per-strip epilogues gated on their own tickets.
+    {  // Mlp pass: one task per strip, its products then its bias/ReLU.
       Matrix<double> batch(8, 16);
       fill(batch, 7000 + round);
       auto got = mlp.forward(dexec, batch.view());

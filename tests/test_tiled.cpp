@@ -1,16 +1,16 @@
 // Tile-major storage (TiledMatrix): packing, zero padding, tile and
-// strip contiguity, and the tiled matmul paths' bit-identity against the
-// row-major Theorem 2 schedule. The layout exists so the resident B tiles
-// DenseLayer streams, and the pooled Mlp's strip-major activations, reach
-// the device as contiguous blocks; these tests pin the invariants the
-// linalg/nn layers rely on, serially and through the all-tiled pooled
-// `matmul_tcu_pool_strips` path the pooled Mlp forward runs, up to the
-// benchmark's Mlp shape.
+// strip contiguity, and the Mlp's strip-major layers' bit-identity against
+// the row-major Theorem 2 schedule. The layout exists so the resident B
+// tiles DenseLayer streams, and the pooled Mlp's strip-major activations,
+// reach the device as contiguous blocks; these tests pin the invariants
+// the linalg/nn layers rely on, serially and through the pooled Mlp
+// forward, up to the benchmark's Mlp shape.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -338,8 +338,9 @@ TEST(TiledMatrix, TransposeSegmentSharesMoveEveryCycleOnce) {
   // For 1-5 shares, run in reverse order or concurrently, the shares
   // together give shares = 1's transpose and `pack`'s storage, and the
   // shares of the swapped shape restore the input: n a multiple of s and
-  // not, t = 1, 2, 8, 16, and 29 x 16, whose 464 segments fall into
-  // cycles of up to 231 (463 is prime).
+  // not, t = 1, 2, 8, 16, 29 x 16, whose 464 segments fall into cycles
+  // of up to 231 (463 is prime), GE's 1024 x 16 and 20 x 48, a grid
+  // wider than it is tall.
   constexpr std::size_t s = 4;
   struct Shape {
     std::size_t n, t;
@@ -350,6 +351,8 @@ TEST(TiledMatrix, TransposeSegmentSharesMoveEveryCycleOnce) {
     shapes.push_back({2 * s + 3, t});
   }
   shapes.push_back({29, 16});
+  shapes.push_back({1024, 16});
+  shapes.push_back({20, 48});
   ASSERT_EQ(longest_cycle(29, 16), 231u);
   for (const Shape sh : shapes) {
     Matrix<float> src(sh.n, sh.t * s);
@@ -516,98 +519,185 @@ TEST(TiledMatrix, InvalidShapesThrow) {
   EXPECT_THROW(TiledMatrix<double>(4, 4, 0), std::invalid_argument);
 }
 
-// ------------------------------------------------------- serial identity
+// ------------------------------------------- the Mlp's strip-major layers
 
-TEST(TiledMatmul, BTiledMatchesRowMajorBitwise) {
-  // Aligned shapes: the all-tiled product must charge and compute exactly
-  // what the row-major resident product does — same tall calls, same k
-  // order, same counters (keys differ: tile addresses vs row-major
-  // addresses — identity structure, not values, is what matters). Both
-  // run inline on one device.
-  const auto a = random_matrix(32, 16, 300);
-  const auto b = random_matrix(16, 24, 301);
-  Device<double> row({.m = 16, .latency = 5, .resident_tiles = 2});
-  Device<double> tiled({.m = 16, .latency = 5, .resident_tiles = 2});
-  const auto packed = TiledMatrix<double>::pack(b.view(), 4);
-
-  InlineExecutor<double> on_row(row), on_tiled(tiled);
-  const auto c_row = tcu::linalg::matmul_tcu_pool(on_row, a.view(), b.view(),
-                                                  {.affinity = true});
-  TiledMatrix<double> c_tiled(32, 24, 4);
-  tcu::linalg::matmul_tcu_pool_strips(
-      on_tiled, TiledMatrix<double>::pack(a.view(), 4), packed, c_tiled,
-      /*after=*/{}, {.affinity = true});
-  for (std::size_t i = 0; i < 32; ++i) {
-    for (std::size_t j = 0; j < 24; ++j) {
-      EXPECT_EQ(c_tiled.at(i, j), c_row(i, j));
-    }
+/// An Mlp whose layer l maps widths[l] to widths[l + 1] features.
+tcu::nn::Mlp make_mlp(const std::vector<std::size_t>& widths,
+                      std::uint64_t seed) {
+  tcu::nn::Mlp mlp;
+  for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+    const auto bias = random_matrix(1, widths[l + 1], seed + 2 * l + 1);
+    mlp.add_layer(tcu::nn::DenseLayer(
+        random_matrix(widths[l], widths[l + 1], seed + 2 * l),
+        std::vector<double>(bias.data(), bias.data() + bias.cols())));
   }
-  expect_counters_equal(tiled.counters(), row.counters(), "B-tiled serial");
+  return mlp;
 }
 
-// --------------------------------------------------------- pool identity
+TEST(TiledMlp, StripMajorLayersMatchRowMajorLayersBitwise) {
+  // Aligned shapes: the Mlp's strip-major layers (the batch read in
+  // place, then strip-major activations) must compute and charge exactly
+  // what the row-major DenseLayer forwards do, run one after the other:
+  // same tall calls, same keys, same k order, all 11 counter fields.
+  constexpr std::size_t kRows = 32;
+  const std::vector<std::size_t> widths = {16, 24, 8};
+  const auto batch = random_matrix(kRows, widths.front(), 300);
+  std::vector<tcu::nn::DenseLayer> layers;
+  tcu::nn::Mlp mlp;
+  for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+    layers.emplace_back(random_matrix(widths[l], widths[l + 1], 301 + l),
+                        std::vector<double>(widths[l + 1], 0.25 - 0.5 * l));
+    mlp.add_layer(layers.back());
+  }
+  const Device<double>::Config cfg{.m = 16, .latency = 5,
+                                   .resident_tiles = 2};
+  Device<double> row(cfg), tiled(cfg);
+  Matrix<double> expect = tcu::materialize(batch.view());
+  for (std::size_t l = 0; l < layers.size(); ++l) {
+    expect = layers[l].forward(row, expect.view(),
+                               /*relu=*/l + 1 < layers.size());
+  }
+  EXPECT_EQ(mlp.forward(tiled, batch.view()), expect);
+  EXPECT_EQ(tiled.counters(), row.counters());
+}
 
-TEST(TiledMatmul, PooledBTiledMatchesSerialAcrossP) {
-  // The all-tiled pooled product (tile-major A, B and C) against the
-  // row-major resident product run inline on one device: same bits, same
-  // charges at every p.
-  const auto a = random_matrix(48, 16, 306);
-  const auto b = random_matrix(16, 32, 307);
+TEST(TiledMlp, PooledStripMajorLayersMatchSerialAcrossP) {
+  // The pooled strip-major forward against the same forward run inline on
+  // one device, under the contract checker: same bits, same charges at
+  // every p.
+  const auto mlp = make_mlp({16, 32, 16}, 306);
+  const auto batch = random_matrix(48, 16, 305);
   Device<double> serial({.m = 16, .latency = 5});
-  const auto packed = TiledMatrix<double>::pack(b.view(), 4);
-  Matrix<double> c_serial(48, 32, 0.0);
-  InlineExecutor<double> inline_exec(serial);
-  tcu::linalg::matmul_tcu_pool_into(inline_exec, a.view(), b.view(),
-                                    c_serial.view(), {.affinity = true});
-  const auto a_tiled = TiledMatrix<double>::pack(a.view(), 4);
-
+  const auto expect = mlp.forward(serial, batch.view());
   for (const std::size_t p : {1u, 2u, 4u}) {
     DevicePool<double> pool(p, {.m = 16, .latency = 5});
     tcu::check::ScopedCheck<double> check(pool);
     PoolExecutor<double> exec(pool);
-    TiledMatrix<double> c_pool(48, 32, 4);
-    const auto strips = tcu::linalg::matmul_tcu_pool_strips(
-        exec, a_tiled, packed, c_pool, /*after=*/{}, {.affinity = true});
-    EXPECT_EQ(strips.size(), packed.tile_cols());
-    exec.join();
-    for (std::size_t i = 0; i < 48; ++i) {
-      for (std::size_t j = 0; j < 32; ++j) {
-        EXPECT_EQ(c_pool.at(i, j), c_serial(i, j)) << "p=" << p;
-      }
-    }
+    EXPECT_EQ(mlp.forward(exec, batch.view()), expect) << "p=" << p;
     expect_counters_equal(pool.aggregate(), serial.counters(),
-                          "all-tiled pool p=" + std::to_string(p),
+                          "strip-major pool p=" + std::to_string(p),
                           /*compare_evictions=*/false);
     check.verify();
   }
 }
 
-TEST(TiledMatmul, MismatchedTileDimThrows) {
+TEST(TiledMlp, StridedBatchMatchesContiguousCopy) {
+  // The first layer reads the caller's batch in place, so a batch that is
+  // a view into a wider matrix must give the forward of its contiguous
+  // copy: the same bits and every counter field, inline and on twin
+  // pools at p = 1 and 3. The columns beside the view are never written.
+  for (const auto& [rows, widths] :
+       {std::pair<std::size_t, std::vector<std::size_t>>{16, {16, 12, 8}},
+        {13, {10, 7, 5}}}) {
+    const auto mlp = make_mlp(widths, 330 + rows);
+    const std::size_t in = widths.front();
+    const auto wide = random_matrix(rows, in + 7, 340 + rows);
+    const auto view = wide.view().subview(0, 3, rows, in);
+    const Matrix<double> copy = tcu::materialize(view);
+    const std::string what = "rows=" + std::to_string(rows);
+    {
+      Device<double> a({.m = 16, .latency = 5, .resident_tiles = 4});
+      Device<double> b({.m = 16, .latency = 5, .resident_tiles = 4});
+      EXPECT_EQ(mlp.forward(a, view), mlp.forward(b, copy.view())) << what;
+      EXPECT_EQ(a.counters(), b.counters()) << what;
+    }
+    for (const std::size_t p : {1u, 3u}) {
+      DevicePool<double> pool_a(p, {.m = 16, .latency = 5,
+                                    .resident_tiles = 4});
+      DevicePool<double> pool_b(p, {.m = 16, .latency = 5,
+                                    .resident_tiles = 4});
+      PoolExecutor<double> a(pool_a), b(pool_b);
+      for (int call = 0; call < 2; ++call) {
+        const std::string tag = what + " p=" + std::to_string(p) +
+                                " call=" + std::to_string(call);
+        EXPECT_EQ(mlp.forward(a, view), mlp.forward(b, copy.view())) << tag;
+        EXPECT_EQ(pool_a.cpu(), pool_b.cpu()) << tag;
+        for (std::size_t u = 0; u < p; ++u) {
+          EXPECT_EQ(pool_a.unit(u).counters(), pool_b.unit(u).counters())
+              << tag << " unit " << u;
+        }
+      }
+    }
+    EXPECT_TRUE(wide == random_matrix(rows, in + 7, 340 + rows)) << what;
+  }
+}
+
+TEST(TiledMlp, RaggedLayersChargeTheirEpilogues) {
+  // Ragged shapes keep the row-major path: each layer charges its
+  // padding (what the same product charges alone) plus rows x cols of
+  // epilogue, twice that with ReLU, on top of one copy of the batch.
+  constexpr std::size_t kRows = 13;
+  const std::vector<std::size_t> widths = {10, 7, 9, 5};
+  const auto mlp = make_mlp(widths, 350);
+  const auto batch = random_matrix(kRows, widths.front(), 351);
+  std::uint64_t want = kRows * widths.front();
+  for (std::size_t l = 0; l + 1 < widths.size(); ++l) {
+    Device<double> alone({.m = 16});
+    InlineExecutor<double> exec(alone);
+    (void)tcu::linalg::matmul_tcu_pool(
+        exec, Matrix<double>(kRows, widths[l]).view(),
+        Matrix<double>(widths[l], widths[l + 1]).view(), {.affinity = true});
+    const bool relu = l + 2 < widths.size();
+    want += alone.counters().cpu_ops + kRows * widths[l + 1] * (relu ? 2 : 1);
+  }
+  Device<double> dev({.m = 16});
+  (void)mlp.forward(dev, batch.view());
+  EXPECT_EQ(dev.counters().cpu_ops, want);
+  DevicePool<double> pool(3, {.m = 16});
+  PoolExecutor<double> exec(pool);
+  (void)mlp.forward(exec, batch.view());
+  EXPECT_EQ(pool.aggregate().cpu_ops, want);
+  EXPECT_EQ(pool.cpu().cpu_ops, kRows * widths.front());
+}
+
+TEST(TiledMlp, RowMajorEntryPointsRejectMismatchedShapes) {
+  // Shape errors surface before anything is submitted.
   DevicePool<double> pool(2, {.m = 16, .latency = 5});
   PoolExecutor<double> exec(pool);
-  const auto a = TiledMatrix<double>::pack(random_matrix(16, 16, 311).view(), 8);
-  const auto b = TiledMatrix<double>::pack(random_matrix(16, 16, 310).view(), 8);
-  TiledMatrix<double> c(16, 16, 8);
-  // Tile dims agree with each other but not with the units' sqrt(16).
-  EXPECT_THROW((void)tcu::linalg::matmul_tcu_pool_strips(
-                   exec, a, b, c, /*after=*/{}),
+  const auto a = random_matrix(8, 12, 310);
+  const auto b = random_matrix(8, 8, 311);
+  Matrix<double> c(8, 8);
+  EXPECT_THROW(tcu::linalg::matmul_tcu_pool_strips(exec, a.view(), b.view(),
+                                                   c.view()),
                std::invalid_argument);
-  // Operands whose tile dims disagree, or whose shapes are ragged.
-  const auto a4 = TiledMatrix<double>::pack(random_matrix(16, 16, 312).view(), 4);
-  TiledMatrix<double> c4(16, 16, 4);
-  EXPECT_THROW((void)tcu::linalg::matmul_tcu_pool_strips(
-                   exec, a4, b, c4, /*after=*/{}),
+  Matrix<double> c_wide(8, 12);
+  EXPECT_THROW(tcu::linalg::matmul_tcu_pool_strips(exec, b.view(), b.view(),
+                                                   c_wide.view()),
                std::invalid_argument);
-  const auto b4 = TiledMatrix<double>::pack(random_matrix(16, 16, 313).view(), 4);
-  const auto ragged = TiledMatrix<double>::pack(random_matrix(14, 16, 314).view(), 4);
-  TiledMatrix<double> c_ragged(14, 16, 4);
-  EXPECT_THROW((void)tcu::linalg::matmul_tcu_pool_strips(
-                   exec, ragged, b4, c_ragged, /*after=*/{}),
+  const tcu::nn::DenseLayer layer(random_matrix(8, 4, 312),
+                                  std::vector<double>(4, 0.0));
+  Matrix<double> out(8, 4);
+  EXPECT_THROW((void)layer.submit_forward(exec, a.view(), out.view(), true, {}),
                std::invalid_argument);
-  exec.join();  // nothing was submitted
+  EXPECT_THROW((void)layer.submit_forward(exec, b.view(), c.view(), true, {}),
+               std::invalid_argument);
+  exec.join();
+  EXPECT_EQ(pool.aggregate(), Counters{});
 }
 
 // ------------------------------------------- the benchmark's pooled Mlp
+
+constexpr std::size_t kBenchWidth = 512;
+
+/// mlp_infer's model on the micro backend: 3 layers of 512 x 512,
+/// m = 4096 (s = 64), 64 resident tiles per lane, l = 256.
+tcu::nn::Mlp benchmark_mlp() {
+  tcu::util::Xoshiro256 rng(901);
+  tcu::nn::Mlp mlp;
+  for (int l = 0; l < 3; ++l) {
+    std::vector<double> bias(kBenchWidth);
+    for (auto& v : bias) v = rng.uniform(-0.1, 0.1);
+    mlp.add_layer(tcu::nn::DenseLayer(
+        random_matrix(kBenchWidth, kBenchWidth, 910 + l), std::move(bias)));
+  }
+  return mlp;
+}
+
+const Device<double>::Config kBenchUnit{.m = 4096,
+                                        .latency = 256,
+                                        .allow_tall = true,
+                                        .resident_tiles = 64,
+                                        .backend = tcu::BackendKind::kMicro};
 
 /// perfbench's Mlp contract (perfbench/workloads.hpp): identical work,
 /// and every load the serial call paid is paid or saved on the pool.
@@ -624,36 +714,21 @@ void expect_mlp_contract(const Counters& got, const Counters& ref,
 }
 
 TEST(TiledMlp, PooledForwardAtTheBenchmarkShapeMatchesSerial) {
-  // mlp_infer's model on the micro backend: 3 layers of 512 x 512,
-  // m = 4096 (s = 64), 64 resident tiles per lane, l = 256. The aligned
-  // batch of 512 takes the strip-major activations; the ragged batch of
-  // 500 keeps the row-major path. Both must give the bits of the forward
-  // run inline on one device and meet perfbench's Mlp counter contract
-  // against it.
-  constexpr std::size_t kWidth = 512;
-  tcu::util::Xoshiro256 rng(901);
-  tcu::nn::Mlp mlp;
-  for (int l = 0; l < 3; ++l) {
-    std::vector<double> bias(kWidth);
-    for (auto& v : bias) v = rng.uniform(-0.1, 0.1);
-    mlp.add_layer(tcu::nn::DenseLayer(random_matrix(kWidth, kWidth, 910 + l),
-                                      std::move(bias)));
-  }
-  const Device<double>::Config unit{.m = 4096,
-                                    .latency = 256,
-                                    .allow_tall = true,
-                                    .resident_tiles = 64,
-                                    .backend = tcu::BackendKind::kMicro};
+  // The aligned batch of 512 takes the strip-major activations; the
+  // ragged batch of 500 keeps the row-major path. Both must give the bits
+  // of the forward run inline on one device and meet perfbench's Mlp
+  // counter contract against it.
+  const auto mlp = benchmark_mlp();
   for (const std::size_t rows : {512u, 500u}) {
-    const auto batch = random_matrix(rows, kWidth, 920 + rows);
+    const auto batch = random_matrix(rows, kBenchWidth, 920 + rows);
     // Capacity 1: the inline forward pays every weight load, the
     // baseline the pool's latency split is conserved against.
-    Device<double>::Config serial_unit = unit;
+    Device<double>::Config serial_unit = kBenchUnit;
     serial_unit.resident_tiles = 1;
     Device<double> serial(serial_unit);
     const auto expect = mlp.forward(serial, batch.view());
     for (const std::size_t p : {1u, 3u}) {
-      DevicePool<double> pool(p, unit);
+      DevicePool<double> pool(p, kBenchUnit);
       PoolExecutor<double> exec(pool);
       const std::string what =
           "rows=" + std::to_string(rows) + " p=" + std::to_string(p);
@@ -669,6 +744,90 @@ TEST(TiledMlp, PooledForwardAtTheBenchmarkShapeMatchesSerial) {
       }
     }
   }
+}
+
+/// Records the first weight-tile key of every task its unit runs, which
+/// names the task's output strip.
+class StripRecorder : public tcu::check::UnitObserver {
+ public:
+  void on_gemm(std::uint64_t, bool, const Counters&,
+               const std::vector<std::uint64_t>&) override {}
+  void on_task_begin(const std::vector<std::uint64_t>* chain, std::uint64_t,
+                     bool, bool) override {
+    strips.push_back(chain != nullptr ? chain->front() : 0);
+  }
+  std::vector<std::uint64_t> strips;
+};
+
+/// Field-wise `after - before` of the fields a warm call is held to.
+Counters call_delta(const Counters& after, const Counters& before) {
+  Counters d;
+  d.tensor_calls = after.tensor_calls - before.tensor_calls;
+  d.tensor_time = after.tensor_time - before.tensor_time;
+  d.resident_hits = after.resident_hits - before.resident_hits;
+  d.evictions = after.evictions - before.evictions;
+  d.cpu_ops = after.cpu_ops - before.cpu_ops;
+  return d;
+}
+
+TEST(TiledMlp, WarmBenchmarkCallsRunOneTaskPerStrip) {
+  // mlp_infer's pooled calls at p = 3. Every output strip is one task
+  // that runs its 8 products and then its own bias/ReLU, and the first
+  // layer reads the batch in place, so a warm call charges no shared CPU,
+  // hits on every tensor call, evicts nothing, and charges each unit
+  // exactly the epilogues of the strips it ran: 512 x 64 per strip, twice
+  // that with ReLU. Each unit runs 8 strips of 262,144 tensor time; the
+  // busiest also runs 458,752 of epilogues (six ReLU strips and two of
+  // the last layer's), so every warm call's makespan is 2,555,904.
+  const auto mlp = benchmark_mlp();
+  const auto batch = random_matrix(kBenchWidth, kBenchWidth, 1432);
+  // The inline forward runs the strips in submit order, 8 per layer:
+  // that names each strip's layer, and so its epilogue.
+  Device<double> serial(kBenchUnit);
+  StripRecorder order;
+  serial.set_observer(&order);
+  const auto expect = mlp.forward(serial, batch.view());
+  serial.set_observer(nullptr);
+  ASSERT_EQ(order.strips.size(), 24u);
+  std::map<std::uint64_t, std::uint64_t> epilogue;
+  for (std::size_t i = 0; i < order.strips.size(); ++i) {
+    epilogue[order.strips[i]] = kBenchWidth * 64 * (i < 16 ? 2 : 1);
+  }
+  ASSERT_EQ(epilogue.size(), 24u);
+
+  DevicePool<double> pool(3, kBenchUnit);
+  std::vector<StripRecorder> ran(3);
+  for (std::size_t u = 0; u < 3; ++u) pool.unit(u).set_observer(&ran[u]);
+  {
+    PoolExecutor<double> exec(pool);
+    ASSERT_EQ(mlp.forward(exec, batch.view()), expect) << "cold";
+    for (int call = 1; call <= 2; ++call) {
+      const std::string what = "warm call " + std::to_string(call);
+      std::vector<Counters> before;
+      for (std::size_t u = 0; u < 3; ++u) {
+        before.push_back(pool.unit(u).counters());
+        ran[u].strips.clear();
+      }
+      const std::uint64_t shared = pool.cpu().cpu_ops;
+      EXPECT_EQ(mlp.forward(exec, batch.view()), expect) << what;
+      EXPECT_EQ(pool.cpu().cpu_ops, shared) << what;
+      std::uint64_t makespan = 0;
+      for (std::size_t u = 0; u < 3; ++u) {
+        const Counters d = call_delta(pool.unit(u).counters(), before[u]);
+        EXPECT_EQ(d.resident_hits, d.tensor_calls) << what << " unit " << u;
+        EXPECT_EQ(d.evictions, 0u) << what << " unit " << u;
+        std::uint64_t epilogues = 0;
+        for (const std::uint64_t key : ran[u].strips) {
+          ASSERT_EQ(epilogue.count(key), 1u) << what;
+          epilogues += epilogue.at(key);
+        }
+        EXPECT_EQ(d.cpu_ops, epilogues) << what << " unit " << u;
+        makespan = std::max(makespan, d.tensor_time + d.cpu_ops);
+      }
+      EXPECT_EQ(makespan, 2555904u) << what;
+    }
+  }
+  for (std::size_t u = 0; u < 3; ++u) pool.unit(u).set_observer(nullptr);
 }
 
 }  // namespace
